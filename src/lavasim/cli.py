@@ -25,6 +25,7 @@ from .sim import DefragConfig, RunResult, SimConfig, Simulator, optimal_empty_bo
 from .theorem import TheoremConfig, gap_regression, gap_vs_m, misprediction_probability
 from .workload import (
     GeneratorConfig,
+    ParseError,
     Stratum,
     generate,
     parse_trace,
@@ -49,51 +50,63 @@ class PoolConfig:
         return ResourceVec(self.cpu_m, self.mem_mib)
 
 
-def load_config(path: Optional[str]) -> Dict[str, Dict[str, str]]:
+def _int_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+# the keys each config section accepts, and how each value is read; the
+# values become keyword arguments of the section's config dataclass
+CONFIG_KEYS = {
+    "pool": {"hosts": int, "cpu_m": int, "mem_mib": int},
+    "nilas": {"position": str, "bucket_boundaries_s": _int_list},
+    "lava": {"recycle_threshold": float, "deadline_factor": float},
+    "sim": {"warmup": bool, "warmup_s": float, "sample_interval_s": float,
+            "check_invariants": bool, "measure_stranding": bool},
+    "defrag": {"enabled": bool, "empty_host_trigger": float, "check_interval_s": float,
+               "candidates_per_round": int, "ordering": str, "max_concurrent": int,
+               "migration_s": float},
+}
+
+
+def load_config(path: Optional[str]) -> Dict[str, Dict[str, object]]:
+    """Read an INI file into typed values; unknown sections or keys and
+    malformed values raise ``ValueError``."""
     if path is None:
         return {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path) as fh:
         parser.read_file(fh)
-    return {section: dict(parser[section]) for section in parser.sections()}
+    out: Dict[str, Dict[str, object]] = {}
+    for name in parser.sections():
+        if name not in CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown section [{name}]")
+        section, readers = parser[name], CONFIG_KEYS[name]
+        out[name] = {}
+        for key in section:
+            if key not in readers:
+                raise ValueError(f"{path}: unknown key {key!r} in [{name}]")
+            read = readers[key]
+            try:
+                out[name][key] = section.getboolean(key) if read is bool else read(section[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{name}] {key}: {exc}") from None
+    return out
 
 
-def resolve_configs(raw: Dict[str, Dict[str, str]], args) -> Tuple[
+def resolve_configs(raw: Dict[str, Dict[str, object]], args) -> Tuple[
         PoolConfig, NilasConfig, LavaConfig, SimConfig]:
-    pool_raw = raw.get("pool", {})
-    pool = PoolConfig(hosts=int(pool_raw.get("hosts", 50)),
-                      cpu_m=int(pool_raw.get("cpu_m", 96_000)),
-                      mem_mib=int(pool_raw.get("mem_mib", 393_216)))
-    n_raw = raw.get("nilas", {})
-    position = getattr(args, "nilas_position", None) or n_raw.get("position", "above-binpacking")
-    buckets = n_raw.get("bucket_boundaries_s")
-    nilas = NilasConfig(
-        bucket_boundaries_s=tuple(int(x) for x in buckets.split(",")) if buckets
-        else NilasConfig.bucket_boundaries_s,
-        position=position)
-    l_raw = raw.get("lava", {})
-    lava = LavaConfig(recycle_threshold=float(l_raw.get("recycle_threshold", 0.90)),
-                      deadline_factor=float(l_raw.get("deadline_factor", 1.1)))
-    s_raw = raw.get("sim", {})
-    d_raw = raw.get("defrag", {})
-    defrag = DefragConfig(
-        enabled=d_raw.get("enabled", "0") == "1",
-        empty_host_trigger=float(d_raw.get("empty_host_trigger", 0.05)),
-        check_interval_s=float(d_raw.get("check_interval_s", 3600)),
-        candidates_per_round=int(d_raw.get("candidates_per_round", 2)),
-        ordering=d_raw.get("ordering", "trace"),
-        max_concurrent=int(d_raw.get("max_concurrent", 3)),
-        migration_s=float(d_raw.get("migration_s", 1200)))
-    sim = SimConfig(
-        warmup=not getattr(args, "cold_start", False) and s_raw.get("warmup", "1") == "1",
-        warmup_s=float(s_raw.get("warmup_s", 172_800)),
-        sample_interval_s=float(s_raw.get("sample_interval_s", 300)),
-        check_invariants=s_raw.get("check_invariants", "0") == "1"
-        or getattr(args, "check_invariants", False),
-        record_placements=getattr(args, "placements", False),
-        measure_stranding=s_raw.get("measure_stranding", "0") == "1",
-        defrag=defrag)
-    return pool, nilas, lava, sim
+    n_raw = dict(raw.get("nilas", {}))
+    if getattr(args, "nilas_position", None):
+        n_raw["position"] = args.nilas_position
+    s_raw = dict(raw.get("sim", {}))
+    if getattr(args, "cold_start", False):
+        s_raw["warmup"] = False
+    if getattr(args, "check_invariants", False):
+        s_raw["check_invariants"] = True
+    sim = SimConfig(record_placements=getattr(args, "placements", False),
+                    defrag=DefragConfig(**raw.get("defrag", {})), **s_raw)
+    return (PoolConfig(**raw.get("pool", {})), NilasConfig(**n_raw),
+            LavaConfig(**raw.get("lava", {})), sim)
 
 
 def run_one(trace, algorithm: str, predictor_spec: str, pool: PoolConfig,
@@ -247,7 +260,7 @@ def cmd_sweep_accuracy(args) -> int:
 def cmd_defrag_compare(args) -> int:
     trace = parse_trace(args.trace)
     raw = load_config(args.config)
-    raw.setdefault("defrag", {})["enabled"] = "1"
+    raw.setdefault("defrag", {})["enabled"] = True
     pool, nilas, lava, sim_cfg = resolve_configs(raw, args)
     sim_cfg = dataclasses.replace(sim_cfg, record_defrag_instances=True)
     result = run_one(trace, args.algo, args.predictor, pool, nilas, lava,
@@ -271,11 +284,7 @@ def cmd_defrag_compare(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    try:
-        base = TheoremConfig(epsilon=args.epsilon, rho=args.rho, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    base = TheoremConfig(epsilon=args.epsilon, rho=args.rho, seed=args.seed)
     ms = [int(x) for x in args.ms.split(",")]
     rows = gap_vs_m(base, ms, seeds=list(range(args.seed, args.seed + args.num_seeds)))
     reg = gap_regression(rows)
@@ -328,12 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Lifetime-aware VM scheduling simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, predictor=True):
+    def common(sp, predictor=True, jobs=False):
         sp.add_argument("--trace", required=True)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", required=True)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
+        if jobs:
+            sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--cold-start", action="store_true")
         sp.add_argument("--nilas-position", choices=("above-binpacking", "highest"),
                         default=None)
@@ -356,12 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("compare", help="run several algorithms on one trace")
-    common(sp)
+    common(sp, jobs=True)
     sp.add_argument("--algos", nargs="+", required=True)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("sweep-accuracy", help="noisy-predictor accuracy sweep")
-    common(sp, predictor=False)
+    common(sp, predictor=False, jobs=True)
     sp.add_argument("--algos", nargs="+", default=["nilas", "lava"])
     sp.add_argument("--accuracies", default="0.5,0.7,0.9,1.0")
     sp.add_argument("--num-seeds", type=int, default=5)
@@ -404,6 +414,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, configparser.Error, ParseError) as exc:
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,14 +47,6 @@ class ResourceVec:
     def from_units(cls, cores: float, gib: float) -> "ResourceVec":
         return cls(round(cores * 1000), round(gib * 1024))
 
-    @property
-    def cores(self) -> float:
-        return self.cpu_m / 1000.0
-
-    @property
-    def gib(self) -> float:
-        return self.mem_mib / 1024.0
-
     def __add__(self, other: "ResourceVec") -> "ResourceVec":
         return ResourceVec(self.cpu_m + other.cpu_m, self.mem_mib + other.mem_mib)
 
@@ -77,7 +69,6 @@ class VmRecord:
     create_time: float
     true_exit_time: float
     host: Optional[int] = None
-    predicted_exit_time: Optional[float] = None
     initial_predicted_exit: Optional[float] = None
     lifetime_class: Optional[LifetimeClass] = None
     is_residual: bool = False
@@ -146,17 +137,9 @@ class PoolState:
         vm = self.vms.get(vm_id)
         if vm is None or vm.host is None:
             raise UnknownVm(f"vm {vm_id} is not placed")
-        host = self.hosts[vm.host]
-        host.used = host.used - vm.shape
-        host.vms.discard(vm_id)
-        host.residual_vms.discard(vm_id)
+        self.remove_keep(vm)
         vm.host = None
         del self.vms[vm_id]
-        if host.is_empty():
-            host.lava_state = HostState.EMPTY
-            host.host_class = None
-            host.deadline = None
-            host.residual_vms.clear()
         return vm
 
     # -- live migration bookkeeping -------------------------------------

@@ -1,21 +1,22 @@
 """Evacuation replay for defragmentation studies.
 
-The main simulator performs migrations in-line (sim.py); this module replays
-a single evacuation instance -- one candidate host at one point in time --
-under different migration orderings on a cloned pool, which is how ordering
-policies are compared on identical candidate selections.
+An evacuation replay evacuates one candidate host of a recorded instance --
+a pool snapshot taken at a defrag round -- on a clone of that pool, with no
+new arrivals and the VMs' true exit times.  It runs the simulator's own
+migration path (``Simulator._evacuate``: the same queue, slot filling,
+reprediction and pending-exit handling as a replay's defrag rounds), so
+orderings are compared on identical candidate selections under the
+simulator's semantics.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .core import PoolState
 from .predict import OracleModel
-from .sched import make_scheduler
-from .sim import DefragInstance, clone_pool, order_evacuation
+from .sim import DefragConfig, DefragInstance, SimConfig, Simulator, clone_pool, order_evacuation
 
 
 class MismatchedRuns(Exception):
@@ -34,71 +35,22 @@ def simulate_evacuation(pool: PoolState, host_id: int, ordering: str, model,
                         migration_s: float = 1200.0) -> EvacuationOutcome:
     """Evacuate one host on a cloned pool; no new arrivals, real exit times."""
     snap = clone_pool(pool)
-    now = snap.now
     host = snap.hosts[host_id]
-    host.unavailable_for_scheduling = True
-    sched = make_scheduler(algorithm, model)
-    queue: List[int] = order_evacuation(snap, host, ordering, model, now)
-    active: Dict[int, float] = {}
-    outcome = EvacuationOutcome(0, 0, 0)
-    # (time, priority, seq, kind, vm_id); exits free capacity before mig-ends
-    events: List[Tuple[float, int, int, str, int]] = []
-    seq = 0
-    for vid in list(snap.vms):
-        vm = snap.vms[vid]
-        if vm.true_exit_time > now:
-            events.append((vm.true_exit_time, 0, seq, "exit", vid))
-            seq += 1
-    heapq.heapify(events)
-    pending_exit = set()
-
-    def fill(t):
-        nonlocal seq
-        attempts = len(queue)
-        while queue and attempts > 0 and len(active) < max_concurrent:
-            attempts -= 1
-            vid = queue.pop(0)
-            vm = snap.vms.get(vid)
-            if vm is None or vm.host != host_id:
-                outcome.saved += 1
-                continue
-            target = sched.select_host(vm, snap, t)
-            if target is None:
-                queue.append(vid)
-                outcome.deferrals += 1
-                continue
-            snap.reserve_incoming(vm, target)
-            active[vid] = target
-            heapq.heappush(events, (t + migration_s, 1, seq, "mig_end", vid))
-            seq += 1
-
-    fill(now)
-    while events and (queue or active):
-        t, _, _, kind, vid = heapq.heappop(events)
-        snap.now = t
-        if kind == "exit":
-            if vid in active:
-                pending_exit.add(vid)
-                continue
-            if vid in snap.vms and snap.vms[vid].host is not None:
-                snap.remove(vid)
-            fill(t)
-        else:
-            target = active.pop(vid)
-            snap.commit_incoming(snap.vms[vid], target)
-            outcome.migrations += 1
-            if vid in pending_exit:
-                pending_exit.discard(vid)
-                snap.remove(vid)
-            fill(t)
-    return outcome
+    cfg = SimConfig(defrag=DefragConfig(max_concurrent=max_concurrent, migration_s=migration_s))
+    sim = Simulator._over_pool(snap, algorithm, model, cfg)
+    sim._evacuate(host, order_evacuation(snap, host, ordering, model, snap.now))
+    return EvacuationOutcome(sim.migrations_done, sim.migrations_saved,
+                             sim.migration_deferrals)
 
 
 def compare_orderings(instances: List[DefragInstance], algorithm: str = "baseline",
                       max_concurrent: int = 3, migration_s: float = 1200.0
                       ) -> Dict[str, object]:
     """Replay every recorded evacuation instance under trace order and LARS
-    order and aggregate migration counts."""
+    order and aggregate migration counts.
+
+    Orderings and placements use ``OracleModel`` whatever predictor the
+    instances were recorded with."""
     model = OracleModel()
     per_host = []
     totals = {"trace": 0, "lars": 0}

@@ -52,10 +52,6 @@ class FeatureVec:
 
     _CATEGORICAL = ("zone", "vm_family", "vm_shape_key", "vm_category", "priority")
 
-    def key(self) -> Tuple:
-        return (self.zone, self.vm_family, self.vm_shape_key, self.vm_category,
-                self.has_ssd, self.priority, self.provisioning_model)
-
 
 # -- pure scoring helpers ------------------------------------------------
 

@@ -21,10 +21,6 @@ from .predict import (
 )
 
 
-class NoFeasibleHost(Exception):
-    pass
-
-
 DEFAULT_BUCKETS_S = (0, 1800, 3600, 5400, 7200, 10800, 14400, 21600, 43200, 86400, 604800)
 
 
@@ -72,6 +68,8 @@ class Scheduler:
     """Common surface: select a host for a VM, plus LAVA-style state hooks."""
 
     name = "base"
+    # set by the simulator; LAVA calls it with each host whose deadline it arms
+    deadline_armed: Optional[Callable[[HostRecord], None]] = None
 
     def select_host(self, vm: VmRecord, pool: PoolState, now: float) -> Optional[int]:
         best = None
@@ -99,6 +97,9 @@ class Scheduler:
 
     def on_deadline(self, pool: PoolState, host: HostRecord, now: float) -> None:
         pass
+
+    def on_adopt(self, pool: PoolState, now: float) -> None:
+        """A simulator continues ``pool``, whose VMs arrived before this scheduler saw them."""
 
 
 class BestFitScheduler(Scheduler):
@@ -163,6 +164,11 @@ class LaBinaryScheduler(Scheduler):
         if vm.initial_predicted_exit is None:
             vm.initial_predicted_exit = now + self.model.remaining(vm, now)
 
+    def on_adopt(self, pool, now):
+        # VMs placed under another algorithm carry no one-shot prediction yet
+        for vm in pool.vms.values():
+            self.on_arrival(vm, now)
+
     def host_is_long(self, host: HostRecord, pool: PoolState, now: float) -> bool:
         latest = max(pool.vms[vid].initial_predicted_exit for vid in host.vms)
         return classify_binary(latest - now, self.threshold_s) == "Long"
@@ -191,12 +197,9 @@ class LavaScheduler(Scheduler):
         self.model = model
         self.cfg = cfg
         self.nilas = NilasScheduler(model, cache, nilas_cfg)
-        self.deadline_armed: Optional[Callable[[HostRecord], None]] = None
 
     def on_arrival(self, vm, now):
-        remaining = self.model.remaining(vm, now)
-        vm.predicted_exit_time = now + remaining
-        vm.lifetime_class = lifetime_class(remaining)
+        vm.lifetime_class = lifetime_class(self.model.remaining(vm, now))
 
     def _tier(self, host: HostRecord, vm: VmRecord) -> Tuple[int, int]:
         if not host.vms:

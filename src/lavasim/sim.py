@@ -1,17 +1,22 @@
 """Deterministic event-driven replay engine with warm-up, metric sampling,
 defragmentation (including LARS ordering), inflation-based stranding, and the
 optimal empty-host bound.
+
+Migrations run only here: a replay's defrag rounds and the evacuation
+replays of ``defrag.py`` use the same queue, slot filling and pending-exit
+handling.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .core import HostRecord, PoolState, ResourceVec, VmRecord
+from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
 from .predict import PredictionCache
 from .sched import (
     BestFitScheduler,
@@ -32,7 +37,8 @@ class HeterogeneousPool(Exception):
     pass
 
 
-# event kind priorities at equal timestamps: free capacity before consuming it
+# event kinds, also their priorities at equal timestamps: free capacity
+# before consuming it
 EV_EXIT = 0
 EV_MIG_END = 1
 EV_DEADLINE = 2
@@ -121,22 +127,12 @@ def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float]:
 
 
 def clone_pool(pool: PoolState) -> PoolState:
-    clone = PoolState(now=pool.now)
-    for host in pool.hosts.values():
-        clone.hosts[host.id] = HostRecord(
-            id=host.id, capacity=host.capacity, used=host.used, vms=set(host.vms),
-            lava_state=host.lava_state, host_class=host.host_class,
-            residual_vms=set(host.residual_vms), deadline=host.deadline,
-            unavailable_for_scheduling=host.unavailable_for_scheduling,
-            incoming=dict(host.incoming))
-    for vm in pool.vms.values():
-        clone.vms[vm.id] = VmRecord(
-            id=vm.id, shape=vm.shape, features=vm.features, create_time=vm.create_time,
-            true_exit_time=vm.true_exit_time, host=vm.host,
-            predicted_exit_time=vm.predicted_exit_time,
-            initial_predicted_exit=vm.initial_predicted_exit,
-            lifetime_class=vm.lifetime_class, is_residual=vm.is_residual)
-    return clone
+    """Copy every host and VM record; the containers a record owns are copied too."""
+    hosts = {hid: dataclasses.replace(h, vms=set(h.vms), residual_vms=set(h.residual_vms),
+                                      incoming=dict(h.incoming))
+             for hid, h in pool.hosts.items()}
+    vms = {vid: dataclasses.replace(vm) for vid, vm in pool.vms.items()}
+    return dataclasses.replace(pool, hosts=hosts, vms=vms)
 
 
 def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, float]],
@@ -217,9 +213,15 @@ class Simulator:
         self.active = make_scheduler(algorithm, model, nilas_cfg, lava_cfg, cache)
         self.warmup_sched: Scheduler = BestFitScheduler()
         self.algorithm = algorithm
-        # event heap: (time, priority, seq, payload)
+        # event heap: (time, kind, seq, arg); kind is one of the EV_* codes
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
+        self._handlers = {EV_EXIT: self._handle_exit, EV_MIG_END: self._handle_migration_end,
+                          EV_DEADLINE: self._handle_deadline,
+                          EV_DEFRAG: self._handle_defrag_check,
+                          EV_ARRIVAL: self._handle_arrival, EV_SAMPLE: self._handle_sample}
+        self._measure_start = 0.0
+        self._series: List[Tuple[float, float, float, float, int, float, float]] = []
         # defrag state
         self._mig_active: Dict[int, MigrationTask] = {}
         self._mig_queue: List[int] = []
@@ -231,17 +233,36 @@ class Simulator:
         self.scheduling_failures = 0
         self.placements: List[str] = []
         self.defrag_instances: List[DefragInstance] = []
-        if hasattr(self.active, "deadline_armed"):
-            self.active.deadline_armed = self._on_deadline_armed
+        self.active.deadline_armed = self._on_deadline_armed
+
+    @classmethod
+    def _over_pool(cls, pool: PoolState, algorithm: str, model,
+                   cfg: SimConfig) -> "Simulator":
+        """A simulator without a trace that continues ``pool`` from ``pool.now``:
+        the exits of its VMs are scheduled and no VM arrives."""
+        sim = cls((), 0, ZERO, algorithm, model, cfg=cfg)
+        sim.pool = pool
+        sim.active.on_adopt(pool, pool.now)
+        for vm in pool.vms.values():
+            if vm.true_exit_time > pool.now:
+                sim._push(vm.true_exit_time, EV_EXIT, vm.id)
+        return sim
 
     # -- event plumbing --------------------------------------------------
 
-    def _push(self, time: float, priority: int, payload) -> None:
-        heapq.heappush(self._heap, (time, priority, self._seq, payload))
+    def _push(self, time: float, kind: int, arg) -> None:
+        heapq.heappush(self._heap, (time, kind, self._seq, arg))
         self._seq += 1
 
+    def _step(self) -> None:
+        time, kind, _, arg = heapq.heappop(self._heap)
+        self.pool.now = time
+        self._handlers[kind](arg, time)
+        if self.cfg.check_invariants:
+            self.pool.check_invariants()
+
     def _on_deadline_armed(self, host: HostRecord) -> None:
-        self._push(host.deadline, EV_DEADLINE, ("deadline", host.id))
+        self._push(host.deadline, EV_DEADLINE, host.id)
 
     # -- main loop -------------------------------------------------------
 
@@ -251,46 +272,29 @@ class Simulator:
             return self._empty_result()
         t0 = trace[0].create_time_s
         t_end = trace[-1].create_time_s
-        measure_start = t0 + self.cfg.warmup_s if self.cfg.warmup else t0
+        self._measure_start = t0 + self.cfg.warmup_s if self.cfg.warmup else t0
 
         for rec in trace:
-            self._push(rec.create_time_s, EV_ARRIVAL, ("arrival", rec))
+            self._push(rec.create_time_s, EV_ARRIVAL, rec)
         t = t0
         while t <= t_end:
-            self._push(t, EV_SAMPLE, ("sample",))
+            self._push(t, EV_SAMPLE, None)
             t += self.cfg.sample_interval_s
         if self.cfg.defrag.enabled:
             t = t0 + self.cfg.defrag.check_interval_s
             while t <= t_end:
-                self._push(t, EV_DEFRAG, ("defrag",))
+                self._push(t, EV_DEFRAG, None)
                 t += self.cfg.defrag.check_interval_s
 
-        series: List[Tuple[float, float, float, float, int, float, float]] = []
-        pool = self.pool
         while self._heap:
-            time, _, _, payload = heapq.heappop(self._heap)
-            pool.now = time
-            kind = payload[0]
-            if kind == "arrival":
-                self._handle_arrival(payload[1], time, measure_start)
-            elif kind == "exit":
-                self._handle_exit(payload[1], time)
-            elif kind == "mig_end":
-                self._handle_migration_end(payload[1], time)
-            elif kind == "deadline":
-                host = pool.hosts[payload[1]]
-                self.active.on_deadline(pool, host, time)
-            elif kind == "defrag":
-                self._handle_defrag_check(time)
-            elif kind == "sample":
-                if time >= measure_start:
-                    e, r, d = metrics_snapshot(pool)
-                    util_c, util_m = self._utilization()
-                    series.append((time, e, r, d, len(pool.vms), util_c, util_m))
-            if self.cfg.check_invariants:
-                pool.check_invariants()
+            self._step()
+        return self._build_result(self._series, self._measure_start, t_end)
 
-        return self._build_result(series, measure_start, t_end)
+    def _handle_sample(self, _, now: float) -> None:
+        if now >= self._measure_start:
+            e, r, d = metrics_snapshot(self.pool)
+            util_c, util_m = self._utilization()
+            self._series.append((now, e, r, d, len(self.pool.vms), util_c, util_m))
 
     def _utilization(self) -> Tuple[float, float]:
         cap_c = sum(h.capacity.cpu_m for h in self.pool.hosts.values())
@@ -299,19 +303,20 @@ class Simulator:
         used_m = sum(h.used.mem_mib for h in self.pool.hosts.values())
         return used_c / cap_c, used_m / cap_m
 
-    def _handle_arrival(self, rec: TraceRecord, now: float, measure_start: float) -> None:
+    def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
         vm = VmRecord(id=rec.vm_id, shape=rec.shape(), features=rec.feature_vec(),
                       create_time=rec.create_time_s,
                       true_exit_time=rec.create_time_s + rec.lifetime_s)
         self.active.on_arrival(vm, now)
-        selector = self.warmup_sched if (self.cfg.warmup and now < measure_start) else self.active
+        selector = (self.warmup_sched if self.cfg.warmup and now < self._measure_start
+                    else self.active)
         host_id = selector.select_host(vm, self.pool, now)
         if host_id is None:
             self.scheduling_failures += 1
             return
         self.pool.place(vm, host_id)
         self.active.after_place(self.pool, vm, self.pool.hosts[host_id], now)
-        self._push(vm.true_exit_time, EV_EXIT, ("exit", vm.id))
+        self._push(vm.true_exit_time, EV_EXIT, vm.id)
         if self.cfg.record_placements:
             self.placements.append(f"{now:.0f}\tplace\t{vm.id}\t{host_id}\t{selector.name}")
 
@@ -332,9 +337,12 @@ class Simulator:
         if self._mig_queue and len(self._mig_active) < self.cfg.defrag.max_concurrent:
             self._fill_migration_slots(now)
 
+    def _handle_deadline(self, host_id: int, now: float) -> None:
+        self.active.on_deadline(self.pool, self.pool.hosts[host_id], now)
+
     # -- defragmentation -------------------------------------------------
 
-    def _handle_defrag_check(self, now: float) -> None:
+    def _handle_defrag_check(self, _, now: float) -> None:
         if self._mig_queue or self._mig_active or self._candidates:
             return  # previous round still draining
         empty_frac = sum(1 for h in self.pool.hosts.values() if h.is_empty()) / len(self.pool.hosts)
@@ -349,11 +357,23 @@ class Simulator:
                                pool=clone_pool(self.pool)))
         for hid in candidates:
             host = self.pool.hosts[hid]
-            host.unavailable_for_scheduling = True
-            self._candidates.add(hid)
-            self._mig_queue.extend(
-                order_evacuation(self.pool, host, self.cfg.defrag.ordering, self.model, now))
+            self._mark_candidate(host, order_evacuation(self.pool, host, self.cfg.defrag.ordering,
+                                                        self.model, now))
         self._fill_migration_slots(now)
+
+    def _mark_candidate(self, host: HostRecord, order: List[int]) -> None:
+        """Close ``host`` to placements and queue its VMs for migration in ``order``."""
+        host.unavailable_for_scheduling = True
+        self._candidates.add(host.id)
+        self._mig_queue.extend(order)
+
+    def _evacuate(self, host: HostRecord, order: List[int]) -> None:
+        """Evacuate one host with no arrivals: run exits and migrations until
+        no migration is queued or in flight, or no event is left."""
+        self._mark_candidate(host, order)
+        self._fill_migration_slots(self.pool.now)
+        while self._heap and (self._mig_queue or self._mig_active):
+            self._step()
 
     def _fill_migration_slots(self, now: float) -> None:
         attempts = len(self._mig_queue)
@@ -377,7 +397,7 @@ class Simulator:
             task = MigrationTask(vm_id=vm_id, source_host=vm.host, target_host=target,
                                  start_time=now, end_time=now + self.cfg.defrag.migration_s)
             self._mig_active[vm_id] = task
-            self._push(task.end_time, EV_MIG_END, ("mig_end", vm_id))
+            self._push(task.end_time, EV_MIG_END, vm_id)
 
     def _handle_migration_end(self, vm_id: int, now: float) -> None:
         task = self._mig_active.pop(vm_id)

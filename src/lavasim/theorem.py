@@ -6,7 +6,7 @@ out to hold a long job, plus the closed-form misprediction-window probability.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -194,11 +194,7 @@ def gap_vs_m(base: TheoremConfig, ms: Sequence[int], seeds: Sequence[int]
     """Rows of (m, seed, avg_hosts_no_learning, avg_hosts_learning)."""
     rows = []
     for m in ms:
-        cfg = TheoremConfig(m=m, k=base.k, short_s=base.short_s, long_s=base.long_s,
-                            rate_per_host=base.rate_per_host, rho=base.rho,
-                            epsilon=base.epsilon, horizon_s=base.horizon_s,
-                            burst_period_s=base.burst_period_s,
-                            burst_duty=base.burst_duty, seed=base.seed)
+        cfg = replace(base, m=m)
         for seed in seeds:
             no_learn, learn = two_class_experiment(cfg, seed=seed)
             rows.append((m, seed, no_learn, learn))

@@ -1,6 +1,7 @@
 """End-to-end CLI subcommand tests on small inputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ mem_mib = 65536
 [sim]
 warmup = 0
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +163,47 @@ class TestTrainEval:
         assert rc == 0
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["f1"] <= 1.0
+
+
+class TestConfigFile:
+    def test_readme_example_verbatim(self, trace_path, tmp_path):
+        """The README's pool.ini, inline comments included, is read as written."""
+        ini = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "pool.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "readme"
+        rc = main(["run", "--trace", trace_path, "--config", str(cfg),
+                   "--algo", "nilas", "--out", str(out)])
+        assert rc == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["sim"]["warmup"] is True
+        assert config["sim"]["defrag"]["enabled"] is True
+        assert config["sim"]["defrag"]["ordering"] == "lars"
+        assert config["nilas"]["position"] == "above-binpacking"
+
+    @pytest.mark.parametrize("ini", [
+        "[sim]\nwarmup = maybe\n",
+        "[defrag]\nordering = fifo\n",
+        "[pool]\nhosts = many\n",
+        "[pool]\nhost = 6\n",
+        "[pools]\nhosts = 6\n",
+        "[pool]\nhosts = 6\nhosts = 7\n",
+        "hosts = 6\n",
+    ])
+    def test_bad_config_exits_2(self, trace_path, tmp_path, capsys, ini):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        rc = main(["run", "--trace", trace_path, "--config", str(cfg),
+                   "--algo", "nilas", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_malformed_trace_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "bad.tsv"
+        trace.write_text("not a trace\n")
+        rc = main(["run", "--trace", str(trace), "--algo", "nilas",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

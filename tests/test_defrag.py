@@ -4,13 +4,21 @@ import pytest
 
 from lavasim.core import PoolState, ResourceVec, VmRecord
 from lavasim.defrag import (
+    EvacuationOutcome,
     MismatchedRuns,
     compare_orderings,
     count_saved_migrations,
     simulate_evacuation,
 )
 from lavasim.predict import OracleModel
-from lavasim.sim import DefragConfig, SimConfig, Simulator, lars_order, order_evacuation
+from lavasim.sim import (
+    DefragConfig,
+    SimConfig,
+    Simulator,
+    clone_pool,
+    lars_order,
+    order_evacuation,
+)
 from lavasim.workload import GeneratorConfig, generate
 
 CAP = ResourceVec(4000, 16384)
@@ -65,6 +73,23 @@ class TestSimulateEvacuation:
         assert out.migrations == 2
         assert out.saved == 1
 
+    def test_exit_during_own_migration(self):
+        """A VM whose exit falls inside its own migration is migrated first
+        and exits when the migration ends; it counts as migrated, not saved."""
+        pool = PoolState()
+        pool.add_host(CAP)
+        pool.add_host(CAP)
+        pool.place(make_vm(0, 0.0, 600.0), 0)
+        assert simulate_evacuation(pool, 0, "trace", OracleModel()) == EvacuationOutcome(
+            migrations=1, saved=0, deferrals=0)
+        cfg = SimConfig(check_invariants=True, defrag=DefragConfig(migration_s=1200.0))
+        sim = Simulator._over_pool(clone_pool(pool), "baseline", OracleModel(), cfg)
+        sim._evacuate(sim.pool.hosts[0], [0])
+        assert sim.pool.now == 1200.0
+        assert not sim.pool.vms
+        assert all(h.is_empty() and not h.unavailable_for_scheduling
+                   for h in sim.pool.hosts.values())
+
     def test_original_pool_untouched(self):
         pool = hand_pool()
         simulate_evacuation(pool, 0, "lars", OracleModel(), max_concurrent=1)
@@ -109,4 +134,11 @@ class TestRecordedInstances:
     def test_reduction_nonnegative(self, instances):
         report = compare_orderings(instances)
         assert report["reduction"] >= 0.0
+        assert report["baseline_migrations"] > 0
+
+    def test_replay_under_another_algorithm(self, instances):
+        """Instances recorded under Best Fit replay under LA-Binary, whose
+        one-shot predictions the recorded VMs do not carry."""
+        report = compare_orderings(instances, algorithm="la-binary")
+        assert len(report["per_host"]) == len(compare_orderings(instances)["per_host"])
         assert report["baseline_migrations"] > 0

@@ -1,10 +1,11 @@
 """Replay engine: metrics, stranding, bounds, event ordering, determinism."""
 
+import dataclasses
 import random
 
 import pytest
 
-from lavasim.core import PoolState, ResourceVec, VmRecord
+from lavasim.core import HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.predict import OracleModel
 from lavasim.sim import (
     HeterogeneousPool,
@@ -110,6 +111,38 @@ class TestClonePool:
         assert 0 in pool.vms
         assert pool.hosts[0].used == ResourceVec(100, 512)
         assert clone.hosts[0].used == ResourceVec(0, 0)
+
+    def test_every_field_survives(self):
+        """Every field of every host and VM record is copied, and the
+        containers a host owns are copied rather than shared."""
+        pool = PoolState(now=42.0)
+        pool.add_host(CAP)
+        pool.add_host(CAP)
+        vm0, vm1 = make_vm(0, ResourceVec(100, 512)), make_vm(1, ResourceVec(100, 512))
+        pool.place(vm0, 0)
+        pool.place(vm1, 1)
+        pool.reserve_incoming(vm1, 0)
+        host = pool.hosts[0]
+        host.lava_state, host.host_class, host.deadline = (HostState.RECYCLING,
+                                                           LifetimeClass.LC2, 7.0)
+        host.residual_vms.add(0)
+        host.unavailable_for_scheduling = True
+        vm0.initial_predicted_exit, vm0.lifetime_class, vm0.is_residual = (
+            90.0, LifetimeClass.LC2, True)
+        clone = clone_pool(pool)
+        assert clone.now == pool.now
+        pairs = ([(h, clone.hosts[h.id]) for h in pool.hosts.values()]
+                 + [(vm, clone.vms[vm.id]) for vm in pool.vms.values()])
+        for src, dst in pairs:
+            assert dst is not src
+            for f in dataclasses.fields(src):
+                if src is host or src is vm0:
+                    default = (f.default_factory() if f.default_factory is not dataclasses.MISSING
+                               else f.default)
+                    assert getattr(src, f.name) != default, f"set {f.name} in this test"
+                assert getattr(dst, f.name) == getattr(src, f.name), f.name
+        for name in ("vms", "residual_vms", "incoming"):
+            assert getattr(clone.hosts[0], name) is not getattr(host, name)
 
 
 class TestTraceShapeMix:
