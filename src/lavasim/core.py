@@ -103,6 +103,13 @@ class HostRecord:
         return not self.vms and not self.incoming
 
 
+def has_room(host: HostRecord, shape: ResourceVec) -> bool:
+    """``host.used + shape`` fits within ``host.capacity``, on plain ints."""
+    used, cap = host.used, host.capacity
+    return (used.cpu_m + shape.cpu_m <= cap.cpu_m
+            and used.mem_mib + shape.mem_mib <= cap.mem_mib)
+
+
 @dataclass
 class PoolState:
     hosts: Dict[int, HostRecord] = field(default_factory=dict)
@@ -116,9 +123,7 @@ class PoolState:
         return host
 
     def fits(self, shape: ResourceVec, host: HostRecord) -> bool:
-        if host.unavailable_for_scheduling:
-            return False
-        return (host.used + shape).fits_within(host.capacity)
+        return not host.unavailable_for_scheduling and has_room(host, shape)
 
     def place(self, vm: VmRecord, host_id: int) -> None:
         host = self.hosts[host_id]
@@ -147,7 +152,7 @@ class PoolState:
     def reserve_incoming(self, vm: VmRecord, host_id: int) -> None:
         """Reserve the VM's shape on the migration target; the VM stays on its source."""
         host = self.hosts[host_id]
-        if not (host.used + vm.shape).fits_within(host.capacity):
+        if not has_room(host, vm.shape):
             raise CapacityExceeded(f"migration reservation for vm {vm.id} overflows host {host_id}")
         host.used = host.used + vm.shape
         host.incoming[vm.id] = vm.shape

@@ -3,15 +3,29 @@
 Every algorithm scores feasible hosts with a fixed-length tuple compared
 lexicographically (lower is better) and picks the minimum; the host id is
 always the final component, so ties resolve deterministically.
+
+``Scheduler.select_host`` is the one placement scan.  It tests fit on the
+integer fields of ``used`` and ``capacity``, and builds each algorithm's
+VM-side terms (the VM's predicted exit, its LA-Binary class) once per call
+through ``host_key``.  It scores only one *empty* host per
+capacity: among available hosts with no VMs and zero ``used``, the
+lowest-id host of each capacity.  This is exact.  Every algorithm scores a
+host with no VMs from its VM set, ``used``, ``capacity`` and ``id`` alone
+(tier "empty", temporal cost 0, best fit from ``used`` and ``capacity``),
+so such hosts of one capacity tie on every component but the final id, and
+the lowest id wins among them.  The ``used == 0`` half matters: a host with
+no VMs may still hold incoming migration reservations (or a hand-set
+``used``), and it then scores as itself.  A NILAS ``extra_score`` may read
+anything about a host, so with one set every feasible host is scored.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
-from .core import HostRecord, HostState, LifetimeClass, PoolState, VmRecord
+from .core import HostRecord, HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
 from .predict import (
     BINARY_THRESHOLD_S,
     CLASS_UPPER_BOUND_S,
@@ -58,10 +72,37 @@ def quantize_temporal_cost(delta_t_s: float, cfg: NilasConfig = NilasConfig()) -
     return min(bisect_right(b, delta_t_s) - 1, len(b) - 1)
 
 
-def best_fit_score(host: HostRecord, shape) -> float:
+def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
     """Normalized leftover after placement, max over dimensions; lower is tighter."""
-    free = host.capacity - host.used - shape
-    return max(free.cpu_m / host.capacity.cpu_m, free.mem_mib / host.capacity.mem_mib)
+    cap, used = host.capacity, host.used
+    cpu = (cap.cpu_m - used.cpu_m - shape.cpu_m) / cap.cpu_m
+    mem = (cap.mem_mib - used.mem_mib - shape.mem_mib) / cap.mem_mib
+    return cpu if cpu >= mem else mem
+
+
+def candidate_hosts(hosts: Iterable[HostRecord], shape: ResourceVec,
+                    collapse_empty: bool = True) -> Iterator[HostRecord]:
+    """The available hosts with room for ``shape`` (``PoolState.fits``);
+    with ``collapse_empty``, only the lowest-id empty host of each capacity
+    among them (see the module docstring)."""
+    cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
+    empty_rep: Dict[ResourceVec, int] = {}  # capacity -> lowest empty host id yielded
+    # the capacity last looked up and its entry: hosts usually share one
+    # capacity object, and hashing a ResourceVec costs more than this test
+    rep_cap, rep_id = None, None
+    for host in hosts:
+        if host.unavailable_for_scheduling:
+            continue
+        used, cap = host.used, host.capacity
+        if used.cpu_m + cpu_m > cap.cpu_m or used.mem_mib + mem_mib > cap.mem_mib:
+            continue
+        if collapse_empty and not host.vms and not used.cpu_m and not used.mem_mib:
+            if cap is not rep_cap:
+                rep_cap, rep_id = cap, empty_rep.get(cap)
+            if rep_id is not None and rep_id < host.id:
+                continue
+            empty_rep[cap] = rep_id = host.id
+        yield host
 
 
 class Scheduler:
@@ -70,20 +111,22 @@ class Scheduler:
     name = "base"
     # set by the simulator; LAVA calls it with each host whose deadline it arms
     deadline_armed: Optional[Callable[[HostRecord], None]] = None
+    # score one empty host per capacity (see the module docstring)
+    collapse_empty = True
 
     def select_host(self, vm: VmRecord, pool: PoolState, now: float) -> Optional[int]:
-        best = None
-        best_score = None
-        for host in pool.hosts.values():
-            if not pool.fits(vm.shape, host):
-                continue
-            score = self.score(host, vm, pool, now)
-            if best_score is None or score < best_score:
-                best, best_score = host.id, score
-        return best
+        best = min(candidate_hosts(pool.hosts.values(), vm.shape, self.collapse_empty),
+                   key=self.host_key(vm, pool, now), default=None)
+        return None if best is None else best.id
+
+    def host_key(self, vm: VmRecord, pool: PoolState,
+                 now: float) -> Callable[[HostRecord], tuple]:
+        """The score function of ``vm``'s placement at ``now``, host -> tuple;
+        terms that depend only on the VM are computed here, once."""
+        raise NotImplementedError
 
     def score(self, host, vm, pool, now):
-        raise NotImplementedError
+        return self.host_key(vm, pool, now)(host)
 
     # state-machine hooks; only LAVA uses them
     def on_arrival(self, vm: VmRecord, now: float) -> None:
@@ -107,8 +150,8 @@ class BestFitScheduler(Scheduler):
 
     name = "baseline"
 
-    def score(self, host, vm, pool, now):
-        return (0 if host.vms else 1, best_fit_score(host, vm.shape), host.id)
+    def host_key(self, vm, pool, now):
+        return lambda host: (0 if host.vms else 1, best_fit_score(host, vm.shape), host.id)
 
 
 class NilasScheduler(Scheduler):
@@ -129,19 +172,33 @@ class NilasScheduler(Scheduler):
         self.cfg = cfg
         self.extra_score = extra_score
 
-    def temporal_cost(self, host, vm, pool, now) -> int:
-        host_exit = self.cache.host_exit_time(host, pool, self.model, now)
-        vm_exit = now + self.model.remaining(vm, now)
-        return quantize_temporal_cost(max(vm_exit - host_exit, 0.0), self.cfg)
+    @property
+    def collapse_empty(self) -> bool:
+        return self.extra_score is None
 
-    def score(self, host, vm, pool, now):
-        empty = 0 if host.vms else 1
-        temporal = 0 if empty else self.temporal_cost(host, vm, pool, now)
-        packing = best_fit_score(host, vm.shape)
-        extra = self.extra_score(host, vm) if self.extra_score else 0.0
-        if self.cfg.position == "highest":
-            return (empty, temporal, extra, packing, host.id)
-        return (extra, empty, temporal, packing, host.id)
+    def temporal_key(self, vm, pool, now) -> Callable[[HostRecord], int]:
+        """Temporal cost of placing ``vm`` on a host with VMs, host -> bucket."""
+        vm_exit = now + self.model.remaining(vm, now)
+        bounds = self.cfg.bucket_boundaries_s
+
+        def temporal(host):
+            delta = vm_exit - self.cache.host_exit_time(host, pool, self.model, now)
+            # quantize_temporal_cost(max(delta, 0.0), self.cfg): bounds[0] is 0
+            return bisect_right(bounds, delta) - 1 if delta > 0 else 0
+        return temporal
+
+    def host_key(self, vm, pool, now):
+        temporal = self.temporal_key(vm, pool, now)
+
+        def key(host):
+            empty = 0 if host.vms else 1
+            cost = 0 if empty else temporal(host)
+            packing = best_fit_score(host, vm.shape)
+            extra = self.extra_score(host, vm) if self.extra_score else 0.0
+            if self.cfg.position == "highest":
+                return (empty, cost, extra, packing, host.id)
+            return (extra, empty, cost, packing, host.id)
+        return key
 
     def after_place(self, pool, vm, host, now):
         self.cache.invalidate(host.id)
@@ -170,16 +227,20 @@ class LaBinaryScheduler(Scheduler):
             self.on_arrival(vm, now)
 
     def host_is_long(self, host: HostRecord, pool: PoolState, now: float) -> bool:
-        latest = max(pool.vms[vid].initial_predicted_exit for vid in host.vms)
+        vms = pool.vms
+        latest = max([vms[vid].initial_predicted_exit for vid in host.vms])
         return classify_binary(latest - now, self.threshold_s) == "Long"
 
-    def score(self, host, vm, pool, now):
-        if not host.vms:
-            tier = 2
-        else:
-            vm_long = classify_binary(vm.initial_predicted_exit - now, self.threshold_s) == "Long"
-            tier = 0 if self.host_is_long(host, pool, now) == vm_long else 1
-        return (tier, best_fit_score(host, vm.shape), host.id)
+    def host_key(self, vm, pool, now):
+        vm_long = classify_binary(vm.initial_predicted_exit - now, self.threshold_s) == "Long"
+
+        def key(host):
+            if not host.vms:
+                tier = 2
+            else:
+                tier = 0 if self.host_is_long(host, pool, now) == vm_long else 1
+            return (tier, best_fit_score(host, vm.shape), host.id)
+        return key
 
 
 class LavaScheduler(Scheduler):
@@ -211,10 +272,14 @@ class LavaScheduler(Scheduler):
             return (1, 0)
         return (2, 0)
 
-    def score(self, host, vm, pool, now):
-        tier, distance = self._tier(host, vm)
-        temporal = 0 if not host.vms else self.nilas.temporal_cost(host, vm, pool, now)
-        return (tier, distance, temporal, best_fit_score(host, vm.shape), host.id)
+    def host_key(self, vm, pool, now):
+        temporal = self.nilas.temporal_key(vm, pool, now)
+
+        def key(host):
+            tier, distance = self._tier(host, vm)
+            cost = 0 if not host.vms else temporal(host)
+            return (tier, distance, cost, best_fit_score(host, vm.shape), host.id)
+        return key
 
     def _arm_deadline(self, host: HostRecord, now: float) -> None:
         bound = CLASS_UPPER_BOUND_S[host.host_class]

@@ -24,6 +24,7 @@ from .sched import (
     NilasConfig,
     Scheduler,
     best_fit_score,
+    candidate_hosts,
     make_scheduler,
 )
 from .workload import TraceRecord
@@ -141,18 +142,18 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
     """Greedily pack shapes sampled from the mix until the pool is exhausted;
     the leftover free fractions are the stranded resources."""
     snap = clone_pool(pool)
+    hosts = snap.hosts.values()
+    for host in hosts:
+        host.unavailable_for_scheduling = False  # it also packs defrag candidates
     shapes = [s for s, _ in vm_mix]
     weights = [w for _, w in vm_mix]
     smallest = min(shapes, key=lambda s: (s.cpu_m, s.mem_mib))
 
     def place_best_fit(shape: ResourceVec) -> bool:
-        best, best_score = None, None
-        for host in snap.hosts.values():
-            if (host.used + shape).fits_within(host.capacity):
-                score = (0 if host.vms or host.used.cpu_m else 1,
-                         best_fit_score(host, shape), host.id)
-                if best_score is None or score < best_score:
-                    best, best_score = host, score
+        best = min(candidate_hosts(hosts, shape),
+                   key=lambda h: (0 if h.vms or h.used.cpu_m else 1,
+                                  best_fit_score(h, shape), h.id),
+                   default=None)
         if best is None:
             return False
         best.used = best.used + shape
@@ -166,7 +167,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
                 fails = 0
             else:
                 fails += 1
-        if not any((h.used + smallest).fits_within(h.capacity) for h in snap.hosts.values()):
+        if next(candidate_hosts(hosts, smallest), None) is None:
             break
 
     total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())

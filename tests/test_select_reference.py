@@ -1,0 +1,212 @@
+"""Differential tests: the placement scan and the stranding packer against
+naive references that score every feasible host with ``ResourceVec``
+arithmetic, as the score formulas read before the integer scan."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from lavasim.core import HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
+from lavasim.predict import FeatureVec, OracleModel, classify_binary
+from lavasim.sched import (
+    BestFitScheduler,
+    LaBinaryScheduler,
+    LavaScheduler,
+    NilasConfig,
+    NilasScheduler,
+    quantize_temporal_cost,
+)
+from lavasim.sim import clone_pool, inflation_stranding
+
+CAPACITIES = ((8000, 16_384), (16_000, 32_768), (8000, 32_768))
+SHAPES = ((500, 1024), (1000, 2048), (2000, 4096), (4000, 8192), (1000, 8192))
+
+
+# -- reference ------------------------------------------------------------
+
+
+def ref_best_fit(host, shape):
+    free = host.capacity - host.used - shape
+    return max(free.cpu_m / host.capacity.cpu_m, free.mem_mib / host.capacity.mem_mib)
+
+
+def ref_temporal(sched, host, vm, pool, now):
+    host_exit = sched.cache.host_exit_time(host, pool, sched.model, now)
+    vm_exit = now + sched.model.remaining(vm, now)
+    return quantize_temporal_cost(max(vm_exit - host_exit, 0.0), sched.cfg)
+
+
+def ref_score(sched, host, vm, pool, now):
+    if isinstance(sched, BestFitScheduler):
+        return (0 if host.vms else 1, ref_best_fit(host, vm.shape), host.id)
+    if isinstance(sched, LaBinaryScheduler):
+        if not host.vms:
+            tier = 2
+        else:
+            vm_long = classify_binary(vm.initial_predicted_exit - now, sched.threshold_s) == "Long"
+            latest = max(pool.vms[vid].initial_predicted_exit for vid in host.vms)
+            host_long = classify_binary(latest - now, sched.threshold_s) == "Long"
+            tier = 0 if host_long == vm_long else 1
+        return (tier, ref_best_fit(host, vm.shape), host.id)
+    if isinstance(sched, LavaScheduler):
+        if not host.vms:
+            tier, distance = 3, 0
+        elif (host.lava_state is HostState.RECYCLING and host.host_class is not None
+              and host.host_class > vm.lifetime_class):
+            tier, distance = 0, host.host_class - vm.lifetime_class
+        elif host.lava_state is HostState.OPEN and host.host_class == vm.lifetime_class:
+            tier, distance = 1, 0
+        else:
+            tier, distance = 2, 0
+        temporal = 0 if not host.vms else ref_temporal(sched.nilas, host, vm, pool, now)
+        return (tier, distance, temporal, ref_best_fit(host, vm.shape), host.id)
+    empty = 0 if host.vms else 1
+    temporal = 0 if empty else ref_temporal(sched, host, vm, pool, now)
+    packing = ref_best_fit(host, vm.shape)
+    extra = sched.extra_score(host, vm) if sched.extra_score else 0.0
+    if sched.cfg.position == "highest":
+        return (empty, temporal, extra, packing, host.id)
+    return (extra, empty, temporal, packing, host.id)
+
+
+def ref_select(sched, vm, pool, now):
+    """Argmin of the score over every host ``pool.fits``."""
+    best = best_score = None
+    for host in pool.hosts.values():
+        if not pool.fits(vm.shape, host):
+            continue
+        score = ref_score(sched, host, vm, pool, now)
+        if best_score is None or score < best_score:
+            best, best_score = host.id, score
+    return best
+
+
+def ref_stranding(pool, vm_mix, rng, consecutive_failures=200):
+    snap = clone_pool(pool)
+    shapes = [s for s, _ in vm_mix]
+    weights = [w for _, w in vm_mix]
+    smallest = min(shapes, key=lambda s: (s.cpu_m, s.mem_mib))
+
+    def place_best_fit(shape):
+        best, best_score = None, None
+        for host in snap.hosts.values():
+            if (host.used + shape).fits_within(host.capacity):
+                score = (0 if host.vms or host.used.cpu_m else 1, ref_best_fit(host, shape), host.id)
+                if best_score is None or score < best_score:
+                    best, best_score = host, score
+        if best is None:
+            return False
+        best.used = best.used + shape
+        return True
+
+    while True:
+        fails = 0
+        while fails < consecutive_failures:
+            if place_best_fit(rng.choices(shapes, weights)[0]):
+                fails = 0
+            else:
+                fails += 1
+        if not any((h.used + smallest).fits_within(h.capacity) for h in snap.hosts.values()):
+            break
+    total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())
+    total_mem = sum(h.capacity.mem_mib for h in snap.hosts.values())
+    free_cpu = sum(h.capacity.cpu_m - h.used.cpu_m for h in snap.hosts.values())
+    free_mem = sum(h.capacity.mem_mib - h.used.mem_mib for h in snap.hosts.values())
+    return free_cpu / total_cpu, free_mem / total_mem
+
+
+# -- random pools -----------------------------------------------------------
+
+
+def odd_first(host, vm):
+    """A business score that reads the host id, so empty hosts do not tie."""
+    return float(host.id % 2 == 0)
+
+
+SCHEDULERS = {
+    "baseline": lambda m: BestFitScheduler(),
+    "la-binary": lambda m: LaBinaryScheduler(m),
+    "nilas": lambda m: NilasScheduler(m),
+    "nilas-highest": lambda m: NilasScheduler(m, cfg=NilasConfig(position="highest")),
+    "nilas-extra": lambda m: NilasScheduler(m, extra_score=odd_first),
+    "nilas-extra-highest": lambda m: NilasScheduler(m, extra_score=odd_first,
+                                                    cfg=NilasConfig(position="highest")),
+    "lava": lambda m: LavaScheduler(m),
+}
+
+
+def make_vm(vm_id, shape, exit_):
+    return VmRecord(id=vm_id, shape=ResourceVec(*shape), features=FeatureVec(),
+                    create_time=0.0, true_exit_time=exit_)
+
+
+def random_pool(seed, sched, now):
+    """Mixed capacities (shared and separate capacity objects), VMs placed
+    through the scheduler's hooks, LAVA states, incoming reservations on
+    hosts with and without VMs, closed hosts, and hosts with a hand-set
+    ``used`` and no VMs."""
+    rng = random.Random(seed)
+    pool = PoolState()
+    shared = [ResourceVec(*c) for c in CAPACITIES]
+    for _ in range(rng.randint(1, 14)):
+        i = rng.randrange(len(CAPACITIES))
+        pool.add_host(shared[i] if rng.random() < 0.7 else ResourceVec(*CAPACITIES[i]))
+    hosts = list(pool.hosts.values())
+    occupancy = rng.choice((0.0, 0.4, 0.8))
+    vm_id = 0
+    for host in hosts:
+        for _ in range(rng.choice((1, 2, 4)) if rng.random() < occupancy else 0):
+            vm = make_vm(vm_id, rng.choice(SHAPES), rng.uniform(1.0, 400_000.0))
+            vm_id += 1
+            sched.on_arrival(vm, 0.0)
+            if pool.fits(vm.shape, host):
+                pool.place(vm, host.id)
+                sched.after_place(pool, vm, host, 0.0)
+        if host.vms and rng.random() < 0.3:
+            host.lava_state = rng.choice((HostState.OPEN, HostState.RECYCLING))
+            host.host_class = LifetimeClass(rng.randint(1, 4))
+    for vm in list(pool.vms.values()):
+        if rng.random() < 0.2:
+            target = rng.choice(hosts)
+            if target.id != vm.host and pool.fits(vm.shape, target):
+                pool.reserve_incoming(vm, target.id)
+    for host in hosts:
+        if not host.vms and not host.incoming and rng.random() < 0.2:
+            shape = rng.choice(SHAPES)
+            host.used = ResourceVec(*shape)
+        if rng.random() < 0.15:
+            host.unavailable_for_scheduling = True
+    probe = make_vm(10_000, rng.choice(SHAPES), now + rng.uniform(1.0, 400_000.0))
+    sched.on_arrival(probe, now)
+    return pool, probe
+
+
+def clear_cache(sched):
+    """Drop the host exits the reference cached, so the scan computes its own."""
+    cache = sched.nilas.cache if isinstance(sched, LavaScheduler) else getattr(sched, "cache", None)
+    if cache is not None:
+        cache.clear()
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), algo=st.sampled_from(sorted(SCHEDULERS)),
+       now=st.sampled_from((0.0, 600.0, 30_000.0)))
+def test_select_host_matches_reference(seed, algo, now):
+    sched = SCHEDULERS[algo](OracleModel())
+    pool, probe = random_pool(seed, sched, now)
+    expected = ref_select(sched, probe, pool, now)
+    clear_cache(sched)
+    for host in pool.hosts.values():
+        if pool.fits(probe.shape, host):
+            assert sched.score(host, probe, pool, now) == ref_score(sched, host, probe, pool, now)
+    clear_cache(sched)
+    assert sched.select_host(probe, pool, now) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stranding_matches_reference(seed):
+    pool, _ = random_pool(seed, BestFitScheduler(), 0.0)
+    mix = [(ResourceVec(*s), w) for s, w in zip(SHAPES, (5.0, 3.0, 2.0, 1.0, 1.0))]
+    expected = ref_stranding(pool, mix, random.Random(seed), consecutive_failures=20)
+    assert inflation_stranding(pool, mix, random.Random(seed), consecutive_failures=20) == expected
