@@ -7,8 +7,9 @@ conservation invariants are bit-exact under placement/removal.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 
 class CapacityExceeded(Exception):
@@ -76,16 +77,26 @@ class VmRecord:
     def __post_init__(self):
         if self.true_exit_time <= self.create_time:
             raise ValueError(f"vm {self.id}: exit {self.true_exit_time} <= create {self.create_time}")
+        if not self.shape.cpu_m and not self.shape.mem_mib:
+            raise ValueError(f"vm {self.id}: zero shape")
 
     def uptime(self, now: float) -> float:
         return max(now - self.create_time, 0.0)
 
 
+class _HostSlots:
+    """Slots of ``HostRecord`` that are not dataclass fields: ``_used`` holds
+    the value of the ``used`` property, and ``_index`` is the index of the
+    pool that files the host."""
+
+    __slots__ = ("_used", "_index")
+
+
 @dataclass(slots=True)
-class HostRecord:
+class HostRecord(_HostSlots):
     id: int
     capacity: ResourceVec
-    used: ResourceVec = ZERO
+    used: ResourceVec = ZERO  # a property over the ``_used`` slot, bound below
     vms: Set[int] = field(default_factory=set)
     lava_state: HostState = HostState.EMPTY
     host_class: Optional[LifetimeClass] = None
@@ -95,19 +106,124 @@ class HostRecord:
     # shapes reserved by in-flight incoming live migrations, vm id -> shape
     incoming: Dict[int, ResourceVec] = field(default_factory=dict)
 
-    @property
-    def free(self) -> ResourceVec:
-        return self.capacity - self.used
-
     def is_empty(self) -> bool:
         return not self.vms and not self.incoming
 
 
+def _set_used(host: HostRecord, used: ResourceVec) -> None:
+    host._used = used
+    index = getattr(host, "_index", None)  # unset while __init__ runs
+    if index is not None:
+        index.refile(host)
+
+
+# Every write of ``used``, also one from outside ``PoolState``, re-files the
+# host in its pool's index.  Hot loops read the ``_used`` slot directly.  The
+# property replaces the slot the dataclass made for the field, which stays
+# unused; the field itself stays, so ``dataclasses.fields`` and ``replace``
+# see ``used`` as before.
+HostRecord.used = property(lambda host: host._used, _set_used)
+
+
 def has_room(host: HostRecord, shape: ResourceVec) -> bool:
     """``host.used + shape`` fits within ``host.capacity``, on plain ints."""
-    used, cap = host.used, host.capacity
+    used, cap = host._used, host.capacity
     return (used.cpu_m + shape.cpu_m <= cap.cpu_m
             and used.mem_mib + shape.mem_mib <= cap.mem_mib)
+
+
+def free_key(host: HostRecord) -> Optional[int]:
+    """Where ``FreeIndex`` files ``host``: its free CPU, or None if its
+    ``used`` is zero."""
+    used = host._used
+    return host.capacity.cpu_m - used.cpu_m if used.cpu_m or used.mem_mib else None
+
+
+class FreeIndex:
+    """The hosts of one pool filed by free capacity, so that a placement
+    visits only the hosts a shape fits on.
+
+    A host with non-zero ``used`` sits in the bucket of its free CPU, and
+    ``keys`` holds the bucket keys in ascending order.  A host with zero
+    ``used`` sits in the id-ordered list of its capacity, keyed by the
+    capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than a
+    ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``.
+    """
+
+    __slots__ = ("hosts", "keys", "buckets", "unused", "filed")
+
+    def __init__(self, hosts: Dict[int, HostRecord]):
+        self.hosts = hosts
+        self.keys: List[int] = []
+        self.buckets: Dict[int, Set[int]] = {}
+        self.unused: Dict[Tuple[int, int], List[int]] = {}
+        self.filed: Dict[int, Optional[int]] = {}
+
+    def add(self, host: HostRecord) -> None:
+        host._index = self
+        self._file(host.id, host.capacity, free_key(host))
+
+    def refile(self, host: HostRecord) -> None:
+        used = host._used  # free_key(host), inlined: it runs on every write
+        key = host.capacity.cpu_m - used.cpu_m if used.cpu_m or used.mem_mib else None
+        old = self.filed[host.id]
+        if key != old:
+            if old is None:
+                cap = host.capacity
+                ids = self.unused[cap.cpu_m, cap.mem_mib]
+                del ids[bisect_left(ids, host.id)]
+            else:
+                ids = self.buckets[old]
+                ids.discard(host.id)
+                if not ids:
+                    del self.buckets[old]
+                    del self.keys[bisect_left(self.keys, old)]
+            self._file(host.id, host.capacity, key)
+
+    def _file(self, hid: int, capacity: ResourceVec, key: Optional[int]) -> None:
+        self.filed[hid] = key
+        if key is None:
+            insort(self.unused.setdefault((capacity.cpu_m, capacity.mem_mib), []), hid)
+        elif key in self.buckets:
+            self.buckets[key].add(hid)
+        else:
+            self.buckets[key] = {hid}
+            insort(self.keys, key)
+
+    def candidates(self, shape: ResourceVec, collapse_empty: bool = True
+                   ) -> Iterator[HostRecord]:
+        """The available hosts with room for ``shape`` (``PoolState.fits``),
+        in no fixed order.  With ``collapse_empty``, of the hosts with no VMs
+        and zero ``used`` only the lowest-id available one of each capacity."""
+        cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
+        hosts, keys, buckets = self.hosts, self.keys, self.buckets
+        for i in range(bisect_left(keys, cpu_m), len(keys)):
+            for hid in buckets[keys[i]]:
+                host = hosts[hid]
+                if (host._used.mem_mib + mem_mib <= host.capacity.mem_mib
+                        and not host.unavailable_for_scheduling):
+                    yield host
+        for (cap_cpu_m, cap_mem_mib), ids in self.unused.items():
+            if cpu_m <= cap_cpu_m and mem_mib <= cap_mem_mib:
+                for hid in ids:
+                    host = hosts[hid]
+                    if not host.unavailable_for_scheduling:
+                        yield host
+                        if collapse_empty and not host.vms:
+                            break
+
+    def check(self) -> None:
+        """Every host of the pool is filed exactly once, under its current
+        ``used``, and refers back to this index."""
+        fresh = FreeIndex(self.hosts)
+        for host in self.hosts.values():
+            if host._index is not self:
+                raise AssertionError(f"host {host.id} refers to another index")
+            fresh._file(host.id, host.capacity, free_key(host))
+        unused = {cap: ids for cap, ids in self.unused.items() if ids}
+        if (self.keys, self.buckets, unused, self.filed) != (
+                fresh.keys, fresh.buckets, fresh.unused, fresh.filed):
+            raise AssertionError("free-capacity index does not match the hosts' used")
 
 
 @dataclass
@@ -115,11 +231,20 @@ class PoolState:
     hosts: Dict[int, HostRecord] = field(default_factory=dict)
     vms: Dict[int, VmRecord] = field(default_factory=dict)
     now: float = 0.0
+    # the hosts filed by free capacity; each write of a host's ``used`` re-files
+    # it, and a pool built from records (a clone) files them in an index of its own
+    index: FreeIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.index = FreeIndex(self.hosts)
+        for host in self.hosts.values():
+            self.index.add(host)
 
     def add_host(self, capacity: ResourceVec) -> HostRecord:
         hid = len(self.hosts)
         host = HostRecord(id=hid, capacity=capacity)
         self.hosts[hid] = host
+        self.index.add(host)
         return host
 
     def fits(self, shape: ResourceVec, host: HostRecord) -> bool:
@@ -133,7 +258,8 @@ class PoolState:
             raise CapacityExceeded(f"vm {vm.id} does not fit on host {host_id}")
         self.vms[vm.id] = vm
         vm.host = host_id
-        host.used = host.used + vm.shape
+        host._used = host._used + vm.shape
+        self.index.refile(host)
         host.vms.add(vm.id)
         if host.lava_state is HostState.EMPTY:
             host.lava_state = HostState.OPEN
@@ -154,7 +280,8 @@ class PoolState:
         host = self.hosts[host_id]
         if not has_room(host, vm.shape):
             raise CapacityExceeded(f"migration reservation for vm {vm.id} overflows host {host_id}")
-        host.used = host.used + vm.shape
+        host._used = host._used + vm.shape
+        self.index.refile(host)
         host.incoming[vm.id] = vm.shape
         if host.lava_state is HostState.EMPTY:
             host.lava_state = HostState.OPEN
@@ -163,7 +290,8 @@ class PoolState:
         """Migration finished: the reservation becomes a normal placement."""
         host = self.hosts[host_id]
         shape = host.incoming.pop(vm.id)
-        host.used = host.used - shape
+        host._used = host._used - shape
+        self.index.refile(host)
         self.remove_keep(vm)
         vm.host = None
         self.place(vm, host_id)
@@ -171,7 +299,8 @@ class PoolState:
     def remove_keep(self, vm: VmRecord) -> None:
         """Detach a live VM from its host without ending its life (migration source side)."""
         host = self.hosts[vm.host]
-        host.used = host.used - vm.shape
+        host._used = host._used - vm.shape
+        self.index.refile(host)
         host.vms.discard(vm.id)
         host.residual_vms.discard(vm.id)
         if host.is_empty():
@@ -206,3 +335,4 @@ class PoolState:
             total_shapes = total_shapes + acc
         if total_used != total_shapes:
             raise AssertionError("pool-wide conservation violated")
+        self.index.check()

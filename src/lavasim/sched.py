@@ -4,12 +4,22 @@ Every algorithm scores feasible hosts with a fixed-length tuple compared
 lexicographically (lower is better) and picks the minimum; the host id is
 always the final component, so ties resolve deterministically.
 
-``Scheduler.select_host`` is the one placement scan.  It tests fit on the
-integer fields of ``used`` and ``capacity``, and builds each algorithm's
+``Scheduler.select_host`` is the one placement decision, for arrivals and
+migration targets alike.  It takes its candidates from the pool's
+free-capacity index (``core.FreeIndex``) and builds each algorithm's
 VM-side terms (the VM's predicted exit, its LA-Binary class) once per call
-through ``host_key``.  It scores only one *empty* host per
-capacity: among available hosts with no VMs and zero ``used``, the
-lowest-id host of each capacity.  This is exact.  Every algorithm scores a
+through ``host_key``.  The index files every host with non-zero ``used`` in
+a bucket keyed by its free CPU, and every host with zero ``used`` in an
+id-ordered list per capacity.  A VM needing ``c`` milli-cores visits only
+the buckets with free CPU of at least ``c``; memory and
+``unavailable_for_scheduling`` are tested at the visit.  Each write of
+``host.used``, also a direct one, re-files the host, so the candidates are
+exactly the hosts ``PoolState.fits`` accepts.  They come in no fixed order,
+which is safe: the host id ends every score tuple, and scoring a host
+touches caches and predictors only through that host.
+
+Of the hosts with no VMs and zero ``used``, only the lowest-id available
+one of each capacity is scored.  This is exact.  Every algorithm scores a
 host with no VMs from its VM set, ``used``, ``capacity`` and ``id`` alone
 (tier "empty", temporal cost 0, best fit from ``used`` and ``capacity``),
 so such hosts of one capacity tie on every component but the final id, and
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .core import HostRecord, HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
 from .predict import (
@@ -74,35 +84,10 @@ def quantize_temporal_cost(delta_t_s: float, cfg: NilasConfig = NilasConfig()) -
 
 def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
     """Normalized leftover after placement, max over dimensions; lower is tighter."""
-    cap, used = host.capacity, host.used
+    cap, used = host.capacity, host._used  # the slot behind ``used``: a plain read
     cpu = (cap.cpu_m - used.cpu_m - shape.cpu_m) / cap.cpu_m
     mem = (cap.mem_mib - used.mem_mib - shape.mem_mib) / cap.mem_mib
     return cpu if cpu >= mem else mem
-
-
-def candidate_hosts(hosts: Iterable[HostRecord], shape: ResourceVec,
-                    collapse_empty: bool = True) -> Iterator[HostRecord]:
-    """The available hosts with room for ``shape`` (``PoolState.fits``);
-    with ``collapse_empty``, only the lowest-id empty host of each capacity
-    among them (see the module docstring)."""
-    cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
-    empty_rep: Dict[ResourceVec, int] = {}  # capacity -> lowest empty host id yielded
-    # the capacity last looked up and its entry: hosts usually share one
-    # capacity object, and hashing a ResourceVec costs more than this test
-    rep_cap, rep_id = None, None
-    for host in hosts:
-        if host.unavailable_for_scheduling:
-            continue
-        used, cap = host.used, host.capacity
-        if used.cpu_m + cpu_m > cap.cpu_m or used.mem_mib + mem_mib > cap.mem_mib:
-            continue
-        if collapse_empty and not host.vms and not used.cpu_m and not used.mem_mib:
-            if cap is not rep_cap:
-                rep_cap, rep_id = cap, empty_rep.get(cap)
-            if rep_id is not None and rep_id < host.id:
-                continue
-            empty_rep[cap] = rep_id = host.id
-        yield host
 
 
 class Scheduler:
@@ -115,7 +100,7 @@ class Scheduler:
     collapse_empty = True
 
     def select_host(self, vm: VmRecord, pool: PoolState, now: float) -> Optional[int]:
-        best = min(candidate_hosts(pool.hosts.values(), vm.shape, self.collapse_empty),
+        best = min(pool.index.candidates(vm.shape, self.collapse_empty),
                    key=self.host_key(vm, pool, now), default=None)
         return None if best is None else best.id
 

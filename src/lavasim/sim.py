@@ -24,7 +24,6 @@ from .sched import (
     NilasConfig,
     Scheduler,
     best_fit_score,
-    candidate_hosts,
     make_scheduler,
 )
 from .workload import TraceRecord
@@ -128,7 +127,8 @@ def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float]:
 
 
 def clone_pool(pool: PoolState) -> PoolState:
-    """Copy every host and VM record; the containers a record owns are copied too."""
+    """Copy every host and VM record; the containers a record owns are copied
+    too, and the clone files its hosts in a free-capacity index of its own."""
     hosts = {hid: dataclasses.replace(h, vms=set(h.vms), residual_vms=set(h.residual_vms),
                                       incoming=dict(h.incoming))
              for hid, h in pool.hosts.items()}
@@ -142,15 +142,15 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
     """Greedily pack shapes sampled from the mix until the pool is exhausted;
     the leftover free fractions are the stranded resources."""
     snap = clone_pool(pool)
-    hosts = snap.hosts.values()
-    for host in hosts:
+    for host in snap.hosts.values():
         host.unavailable_for_scheduling = False  # it also packs defrag candidates
+    candidates = snap.index.candidates
     shapes = [s for s, _ in vm_mix]
     weights = [w for _, w in vm_mix]
     smallest = min(shapes, key=lambda s: (s.cpu_m, s.mem_mib))
 
     def place_best_fit(shape: ResourceVec) -> bool:
-        best = min(candidate_hosts(hosts, shape),
+        best = min(candidates(shape),
                    key=lambda h: (0 if h.vms or h.used.cpu_m else 1,
                                   best_fit_score(h, shape), h.id),
                    default=None)
@@ -167,7 +167,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
                 fails = 0
             else:
                 fails += 1
-        if next(candidate_hosts(hosts, smallest), None) is None:
+        if next(candidates(smallest), None) is None:
             break
 
     total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())

@@ -91,6 +91,8 @@ def parse_trace_text(text: str) -> List[TraceRecord]:
             raise ParseError(f"line {lineno}: lifetime must be positive, got {lifetime}")
         if cpu_m < 0 or mem_mib < 0:
             raise ParseError(f"line {lineno}: negative resources")
+        if not cpu_m and not mem_mib:
+            raise ParseError(f"line {lineno}: zero shape (no CPU and no memory)")
         if vm_id in seen:
             raise DuplicateId(f"line {lineno}: duplicate vm id {vm_id}")
         seen.add(vm_id)

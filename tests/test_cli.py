@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from lavasim.cli import main
+from lavasim.workload import TraceRecord, write_trace
 
 CONFIG_INI = """\
 [pool]
@@ -207,3 +208,14 @@ class TestConfigFile:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_zero_shape_trace_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "zero.tsv"
+        write_trace([TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600,
+                                 cpu_m=0, mem_mib=0)], trace)
+        rc = main(["run", "--trace", str(trace), "--algo", "nilas",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero shape" in err

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from lavasim.core import (
     CapacityExceeded,
+    HostRecord,
     HostState,
     PoolState,
     ResourceVec,
@@ -43,6 +44,15 @@ class TestResourceVec:
     def test_add_sub_roundtrip(self):
         a, b = ResourceVec(5, 7), ResourceVec(3, 2)
         assert a + b - b == a
+
+
+class TestVmRecord:
+    def test_zero_shape_rejected(self):
+        with pytest.raises(ValueError, match="zero shape"):
+            make_vm(0, 0, 0)
+
+    def test_one_zero_dimension_accepted(self):
+        assert make_vm(0, 0, 512).shape == ResourceVec(0, 512)
 
 
 class TestFits:
@@ -165,3 +175,40 @@ def test_place_remove_exact_restore(cpu, mem):
     pool.place(make_vm(7, cpu, mem), 0)
     pool.remove(7)
     assert pool.hosts[0].used == before
+
+
+class TestIndexInvariant:
+    def test_direct_write_refiles(self):
+        pool = pool_with_host()
+        pool.hosts[0].used = ResourceVec(96_000, 100)
+        assert list(pool.index.candidates(ResourceVec(1000, 100))) == []
+        pool.hosts[0].used = ResourceVec(0, 0)
+        assert list(pool.index.candidates(ResourceVec(1000, 100))) == [pool.hosts[0]]
+        pool.index.check()
+
+    def test_unfiled_write_detected(self):
+        pool = pool_with_host()
+        pool.hosts[0]._used = ResourceVec(4000, 100)  # bypasses the re-file
+        with pytest.raises(AssertionError, match="index"):
+            pool.index.check()
+
+    def test_invariants_check_the_index(self):
+        pool = pool_with_host()
+        pool.place(make_vm(0, 4000, 100), 0)
+        pool.check_invariants()
+        pool.index.filed[0] = None
+        with pytest.raises(AssertionError, match="index"):
+            pool.check_invariants()
+
+    def test_host_of_another_index_detected(self):
+        pool, other = pool_with_host(), pool_with_host()
+        pool.hosts[0]._index = other.index
+        with pytest.raises(AssertionError, match="another index"):
+            pool.check_invariants()
+
+    def test_hosts_passed_to_the_constructor_are_filed(self):
+        cap = ResourceVec(8000, 16_384)
+        pool = PoolState(hosts={0: HostRecord(0, cap, used=ResourceVec(1000, 0)),
+                                1: HostRecord(1, cap)})
+        pool.index.check()
+        assert sorted(h.id for h in pool.index.candidates(ResourceVec(500, 512))) == [0, 1]

@@ -1,12 +1,13 @@
 """Differential tests: the placement scan and the stranding packer against
 naive references that score every feasible host with ``ResourceVec``
-arithmetic, as the score formulas read before the integer scan."""
+arithmetic, as the score formulas read before the integer scan, and the
+free-capacity index against the naive feasibility filter."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from lavasim.core import HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
+from lavasim.core import ZERO, HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.predict import FeatureVec, OracleModel, classify_binary
 from lavasim.sched import (
     BestFitScheduler,
@@ -210,3 +211,93 @@ def test_stranding_matches_reference(seed):
     mix = [(ResourceVec(*s), w) for s, w in zip(SHAPES, (5.0, 3.0, 2.0, 1.0, 1.0))]
     expected = ref_stranding(pool, mix, random.Random(seed), consecutive_failures=20)
     assert inflation_stranding(pool, mix, random.Random(seed), consecutive_failures=20) == expected
+
+
+# -- the free-capacity index ---------------------------------------------------
+
+
+def naive_candidates(pool, shape, collapse_empty):
+    """Ids of ``[h for h in hosts if pool.fits(shape, h)]``; collapsed, only
+    the lowest-id host of each capacity among those with no VMs and zero
+    ``used``."""
+    ids, seen = [], set()
+    for host in pool.hosts.values():
+        if not pool.fits(shape, host):
+            continue
+        if collapse_empty and not host.vms and host.used == ZERO:
+            if host.capacity in seen:
+                continue
+            seen.add(host.capacity)
+        ids.append(host.id)
+    return ids
+
+
+def check_candidates(pool):
+    """The index yields, once each, exactly the hosts of the naive filter."""
+    pool.index.check()
+    out = []
+    for shape in (ResourceVec(*s) for s in SHAPES):
+        for collapse in (True, False):
+            got = sorted(h.id for h in pool.index.candidates(shape, collapse))
+            assert got == naive_candidates(pool, shape, collapse), (shape, collapse)
+            out.append(got)
+    return out
+
+
+def snapshot(pool):
+    hosts = [(h.id, h.used, set(h.vms), dict(h.incoming), h.unavailable_for_scheduling)
+             for h in pool.hosts.values()]
+    return hosts, set(pool.vms), check_candidates(pool)
+
+
+OPS = ("place", "remove", "reserve", "commit", "write", "reset", "toggle", "clone")
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**16)), max_size=60))
+def test_index_matches_naive_filter(seed, ops):
+    """Random operation sequences on a mixed-capacity pool: placements,
+    removals, migration reservations and commits, direct ``used`` writes
+    (back to zero too), availability toggles, and clones that later steps
+    change while the pool they came from must stay as it was."""
+    rng = random.Random(seed)
+    pool = PoolState()
+    shared = [ResourceVec(*c) for c in CAPACITIES]
+    for _ in range(rng.randint(1, 10)):
+        i = rng.randrange(len(CAPACITIES))
+        pool.add_host(shared[i] if rng.random() < 0.7 else ResourceVec(*CAPACITIES[i]))
+    originals = []  # (pool a clone was taken from, its snapshot then)
+    reservations = {}  # vm id -> target host id
+    for vm_id, (op, k) in enumerate(ops):
+        hosts = list(pool.hosts.values())
+        host = hosts[k % len(hosts)]
+        shape = ResourceVec(*SHAPES[k % len(SHAPES)])
+        settled = sorted(set(pool.vms) - set(reservations))
+        if op == "place" and pool.fits(shape, host):
+            pool.place(make_vm(vm_id, SHAPES[k % len(SHAPES)], 100.0), host.id)
+        elif op == "remove" and settled:
+            pool.remove(settled[k % len(settled)])
+        elif op == "reserve" and settled:
+            vm = pool.vms[settled[k % len(settled)]]
+            if vm.host != host.id and pool.fits(vm.shape, host):
+                pool.reserve_incoming(vm, host.id)
+                reservations[vm.id] = host.id
+        elif op == "commit" and reservations:
+            vid = sorted(reservations)[k % len(reservations)]
+            target = pool.hosts[reservations.pop(vid)]
+            target.unavailable_for_scheduling = False  # the commit places the VM there
+            pool.commit_incoming(pool.vms[vid], target.id)
+        elif op == "write" and pool.fits(shape, host):
+            host.used = host.used + shape
+        elif op == "reset":
+            shapes = [pool.vms[v].shape for v in host.vms] + list(host.incoming.values())
+            host.used = sum(shapes, ZERO)
+        elif op == "toggle":
+            host.unavailable_for_scheduling = not host.unavailable_for_scheduling
+        elif op == "clone":
+            originals.append((pool, snapshot(pool)))
+            pool = clone_pool(pool)
+        check_candidates(pool)
+    for original, before in originals:
+        assert snapshot(original) == before

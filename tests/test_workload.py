@@ -73,6 +73,11 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_trace_text(text)
 
+    def test_zero_shape(self):
+        rec = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600, cpu_m=0, mem_mib=0)
+        with pytest.raises(ParseError, match="line 2: zero shape"):
+            parse_trace_text(serialize_trace([rec]))
+
     def test_non_integer_field(self):
         text = serialize_trace(sample_records()).replace("\t600\t", "\tsoon\t")
         with pytest.raises(ParseError):
