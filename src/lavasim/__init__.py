@@ -3,7 +3,6 @@
 from .core import (
     CapacityExceeded,
     HostRecord,
-    HostState,
     LifetimeClass,
     PoolState,
     ResourceVec,

@@ -27,12 +27,6 @@ class LifetimeClass(enum.IntEnum):
     LC4 = 4  # >= 100h
 
 
-class HostState(enum.Enum):
-    EMPTY = "empty"
-    OPEN = "open"
-    RECYCLING = "recycling"
-
-
 @dataclass(frozen=True, slots=True)
 class ResourceVec:
     """2-dimensional resource quantity: CPU in milli-cores, memory in MiB."""
@@ -43,10 +37,6 @@ class ResourceVec:
     def __post_init__(self):
         if self.cpu_m < 0 or self.mem_mib < 0:
             raise ValueError(f"negative resource vector: {self}")
-
-    @classmethod
-    def from_units(cls, cores: float, gib: float) -> "ResourceVec":
-        return cls(round(cores * 1000), round(gib * 1024))
 
     def __add__(self, other: "ResourceVec") -> "ResourceVec":
         return ResourceVec(self.cpu_m + other.cpu_m, self.mem_mib + other.mem_mib)
@@ -72,7 +62,6 @@ class VmRecord:
     host: Optional[int] = None
     initial_predicted_exit: Optional[float] = None
     lifetime_class: Optional[LifetimeClass] = None
-    is_residual: bool = False
 
     def __post_init__(self):
         if self.true_exit_time <= self.create_time:
@@ -98,10 +87,6 @@ class HostRecord(_HostSlots):
     capacity: ResourceVec
     used: ResourceVec = ZERO  # a property over the ``_used`` slot, bound below
     vms: Set[int] = field(default_factory=set)
-    lava_state: HostState = HostState.EMPTY
-    host_class: Optional[LifetimeClass] = None
-    residual_vms: Set[int] = field(default_factory=set)
-    deadline: Optional[float] = None
     unavailable_for_scheduling: bool = False
     # shapes reserved by in-flight incoming live migrations, vm id -> shape
     incoming: Dict[int, ResourceVec] = field(default_factory=dict)
@@ -261,8 +246,6 @@ class PoolState:
         host._used = host._used + vm.shape
         self.index.refile(host)
         host.vms.add(vm.id)
-        if host.lava_state is HostState.EMPTY:
-            host.lava_state = HostState.OPEN
 
     def remove(self, vm_id: int) -> VmRecord:
         vm = self.vms.get(vm_id)
@@ -283,8 +266,6 @@ class PoolState:
         host._used = host._used + vm.shape
         self.index.refile(host)
         host.incoming[vm.id] = vm.shape
-        if host.lava_state is HostState.EMPTY:
-            host.lava_state = HostState.OPEN
 
     def commit_incoming(self, vm: VmRecord, host_id: int) -> None:
         """Migration finished: the reservation becomes a normal placement."""
@@ -302,12 +283,6 @@ class PoolState:
         host._used = host._used - vm.shape
         self.index.refile(host)
         host.vms.discard(vm.id)
-        host.residual_vms.discard(vm.id)
-        if host.is_empty():
-            host.lava_state = HostState.EMPTY
-            host.host_class = None
-            host.deadline = None
-            host.residual_vms.clear()
 
     # -- invariants ------------------------------------------------------
 
@@ -327,10 +302,6 @@ class PoolState:
                 acc = acc + shape
             if acc != host.used:
                 raise AssertionError(f"host {host.id} used {host.used} != sum of shapes {acc}")
-            if not host.residual_vms <= host.vms:
-                raise AssertionError(f"host {host.id} residual set not subset of vms")
-            if (host.lava_state is HostState.EMPTY) != host.is_empty():
-                raise AssertionError(f"host {host.id} state {host.lava_state} vs emptiness")
             total_used = total_used + host.used
             total_shapes = total_shapes + acc
         if total_used != total_shapes:

@@ -11,6 +11,7 @@ simulator's semantics.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -32,12 +33,12 @@ class EvacuationOutcome:
 
 def simulate_evacuation(pool: PoolState, host_id: int, ordering: str, model,
                         algorithm: str = "baseline", max_concurrent: int = 3,
-                        migration_s: float = 1200.0) -> EvacuationOutcome:
-    """Evacuate one host on a cloned pool; no new arrivals, real exit times."""
+                        migration_s: float = 1200.0, sched_state=None) -> EvacuationOutcome:
+    """Evacuate one host on clones of ``pool`` and ``sched_state``; no arrivals, real exits."""
     snap = clone_pool(pool)
     host = snap.hosts[host_id]
     cfg = SimConfig(defrag=DefragConfig(max_concurrent=max_concurrent, migration_s=migration_s))
-    sim = Simulator._over_pool(snap, algorithm, model, cfg)
+    sim = Simulator._over_pool(snap, algorithm, model, cfg, copy.deepcopy(sched_state))
     sim._evacuate(host, order_evacuation(snap, host, ordering, model, snap.now))
     return EvacuationOutcome(sim.migrations_done, sim.migrations_saved,
                              sim.migration_deferrals)
@@ -58,8 +59,8 @@ def compare_orderings(instances: List[DefragInstance], algorithm: str = "baselin
         for hid in inst.candidate_hosts:
             row = {"time": inst.time, "host": hid}
             for ordering in ("trace", "lars"):
-                out = simulate_evacuation(inst.pool, hid, ordering, model,
-                                          algorithm, max_concurrent, migration_s)
+                out = simulate_evacuation(inst.pool, hid, ordering, model, algorithm,
+                                          max_concurrent, migration_s, inst.sched_state)
                 row[ordering] = out.migrations
                 row[f"{ordering}_saved"] = out.saved
                 totals[ordering] += out.migrations

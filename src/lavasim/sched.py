@@ -27,15 +27,20 @@ the lowest id wins among them.  The ``used == 0`` half matters: a host with
 no VMs may still hold incoming migration reservations (or a hand-set
 ``used``), and it then scores as itself.  A NILAS ``extra_score`` may read
 anything about a host, so with one set every feasible host is scored.
+
+LAVA's host lifecycle lives in ``LavaScheduler.state``, not in ``core``.  A
+host without an entry there is empty or holds only VMs placed under another
+scheduler, and a deadline event acts only while the host's entry still holds
+the deadline the event carries.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Set, Tuple
 
-from .core import HostRecord, HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
+from .core import HostRecord, LifetimeClass, PoolState, ResourceVec, VmRecord
 from .predict import (
     BINARY_THRESHOLD_S,
     CLASS_UPPER_BOUND_S,
@@ -94,8 +99,10 @@ class Scheduler:
     """Common surface: select a host for a VM, plus LAVA-style state hooks."""
 
     name = "base"
-    # set by the simulator; LAVA calls it with each host whose deadline it arms
-    deadline_armed: Optional[Callable[[HostRecord], None]] = None
+    # set by the simulator; LAVA calls it with (host id, deadline) per armed deadline
+    deadline_armed: Optional[Callable[[int, float], None]] = None
+    # per-host state an evacuation replay carries over: LAVA's table
+    state: Optional[Dict[int, LavaHost]] = None
     # score one empty host per capacity (see the module docstring)
     collapse_empty = True
 
@@ -123,11 +130,14 @@ class Scheduler:
     def on_exit(self, pool: PoolState, vm: VmRecord, host: HostRecord, now: float) -> None:
         pass
 
-    def on_deadline(self, pool: PoolState, host: HostRecord, now: float) -> None:
+    def on_deadline(self, pool: PoolState, host: HostRecord, now: float, deadline: float) -> None:
         pass
 
-    def on_adopt(self, pool: PoolState, now: float) -> None:
-        """A simulator continues ``pool``, whose VMs arrived before this scheduler saw them."""
+    def on_adopt(self, pool: PoolState, now: float, state: Optional[Dict[int, LavaHost]]) -> None:
+        """Continue ``pool``, placed by another scheduler, with a copy of its ``state``."""
+
+    def check_invariants(self, pool: PoolState) -> None:
+        """Raise ``AssertionError`` if this scheduler's state disagrees with ``pool``."""
 
 
 class BestFitScheduler(Scheduler):
@@ -206,7 +216,7 @@ class LaBinaryScheduler(Scheduler):
         if vm.initial_predicted_exit is None:
             vm.initial_predicted_exit = now + self.model.remaining(vm, now)
 
-    def on_adopt(self, pool, now):
+    def on_adopt(self, pool, now, state):
         # VMs placed under another algorithm carry no one-shot prediction yet
         for vm in pool.vms.values():
             self.on_arrival(vm, now)
@@ -228,12 +238,29 @@ class LaBinaryScheduler(Scheduler):
         return key
 
 
+@dataclass(slots=True)
+class LavaHost:
+    """LAVA's state of one host: its class, the deadline armed for it, whether
+    it is recycling (otherwise open), and the residual VMs the drain waits for."""
+
+    host_class: LifetimeClass
+    deadline: float
+    recycling: bool = False
+    residual_vms: Set[int] = field(default_factory=set)
+
+
 class LavaScheduler(Scheduler):
     """Lifetime-class host state machine with NILAS tie-breaking.
 
     Preference order: recycling hosts of a strictly higher class (closest
     class first), open hosts of the same class, any non-empty host, then
     empty hosts.
+
+    ``state`` holds a ``LavaHost`` per host LAVA has placed on, until the host
+    empties; a non-empty host without one (VMs placed under another scheduler)
+    scores like an open host of no class.  ``on_deadline`` acts only while the
+    entry still holds the deadline its event carries: a re-arm, or the host
+    emptying, makes the events of older deadlines stale.
     """
 
     name = "lava"
@@ -243,18 +270,23 @@ class LavaScheduler(Scheduler):
         self.model = model
         self.cfg = cfg
         self.nilas = NilasScheduler(model, cache, nilas_cfg)
+        self.state: Dict[int, LavaHost] = {}
 
     def on_arrival(self, vm, now):
         vm.lifetime_class = lifetime_class(self.model.remaining(vm, now))
 
+    def on_adopt(self, pool, now, state):
+        self.state = {} if state is None else state
+
     def _tier(self, host: HostRecord, vm: VmRecord) -> Tuple[int, int]:
         if not host.vms:
             return (3, 0)
-        if (host.lava_state is HostState.RECYCLING and host.host_class is not None
-                and host.host_class > vm.lifetime_class):
-            return (0, host.host_class - vm.lifetime_class)
-        if (host.lava_state is HostState.OPEN and host.host_class == vm.lifetime_class):
-            return (1, 0)
+        lava = self.state.get(host.id)
+        if lava is not None:
+            if lava.recycling and lava.host_class > vm.lifetime_class:
+                return (0, lava.host_class - vm.lifetime_class)
+            if not lava.recycling and lava.host_class == vm.lifetime_class:
+                return (1, 0)
         return (2, 0)
 
     def host_key(self, vm, pool, now):
@@ -266,29 +298,31 @@ class LavaScheduler(Scheduler):
             return (tier, distance, cost, best_fit_score(host, vm.shape), host.id)
         return key
 
-    def _arm_deadline(self, host: HostRecord, now: float) -> None:
-        bound = CLASS_UPPER_BOUND_S[host.host_class]
-        host.deadline = now + self.cfg.deadline_factor * bound
+    def _arm_deadline(self, host_id: int, host_class: LifetimeClass, now: float) -> float:
+        deadline = now + self.cfg.deadline_factor * CLASS_UPPER_BOUND_S[host_class]
         if self.deadline_armed:
-            self.deadline_armed(host)
+            self.deadline_armed(host_id, deadline)
+        return deadline
+
+    def _reclass(self, host: HostRecord, lava: LavaHost, host_class: int, now: float) -> None:
+        lava.host_class = LifetimeClass(host_class)
+        lava.residual_vms = set(host.vms)
+        lava.deadline = self._arm_deadline(host.id, lava.host_class, now)
 
     def after_place(self, pool, vm, host, now):
         self.nilas.cache.invalidate(host.id)
-        if host.host_class is None:
-            # first VM on a previously empty host: class follows the VM
-            host.host_class = vm.lifetime_class
-            self._arm_deadline(host, now)
-        if (host.lava_state is HostState.RECYCLING
-                and vm.lifetime_class >= host.host_class):
+        lava = self.state.get(host.id)
+        if lava is None:
+            # first LAVA placement on the host: its class follows the VM
+            lava = self.state[host.id] = LavaHost(
+                vm.lifetime_class, self._arm_deadline(host.id, vm.lifetime_class, now))
+        elif lava.recycling and vm.lifetime_class >= lava.host_class:
             # last-resort placement onto a draining host: the VM extends the
             # drain and must be treated as residual, never silently absorbed
-            host.residual_vms.add(vm.id)
-            vm.is_residual = True
-        if host.lava_state is HostState.OPEN and self._over_threshold(host):
-            host.lava_state = HostState.RECYCLING
-            host.residual_vms = set(host.vms)
-            for vid in host.vms:
-                pool.vms[vid].is_residual = True
+            lava.residual_vms.add(vm.id)
+        if not lava.recycling and self._over_threshold(host):
+            lava.recycling = True
+            lava.residual_vms = set(host.vms)
 
     def _over_threshold(self, host: HostRecord) -> bool:
         t = self.cfg.recycle_threshold
@@ -297,26 +331,29 @@ class LavaScheduler(Scheduler):
 
     def on_exit(self, pool, vm, host, now):
         self.nilas.cache.invalidate(host.id)
-        if not host.vms:
-            return  # core.remove already reset the host to Empty
-        if (host.lava_state is HostState.RECYCLING and not host.residual_vms):
-            # all residuals gone: everything left is from a lower class
-            host.host_class = LifetimeClass(max(host.host_class - 1, LifetimeClass.LC1))
-            host.lava_state = HostState.RECYCLING
-            host.residual_vms = set(host.vms)
-            for vid in host.vms:
-                pool.vms[vid].is_residual = True
-            self._arm_deadline(host, now)
+        lava = self.state.get(host.id)
+        if lava is not None:
+            lava.residual_vms.discard(vm.id)
+            if host.is_empty():
+                del self.state[host.id]
+            elif host.vms and lava.recycling and not lava.residual_vms:
+                # all residuals gone: everything left is from a lower class
+                self._reclass(host, lava, max(lava.host_class - 1, LifetimeClass.LC1), now)
 
-    def on_deadline(self, pool, host, now):
-        if not host.vms or host.deadline is None or now < host.deadline:
-            return
+    def on_deadline(self, pool, host, now, deadline):
+        lava = self.state.get(host.id)
+        if lava is None or lava.deadline != deadline or not host.vms:
+            return  # stale: the host was re-armed or emptied since
         # the host outlived its class: promote it and refresh the residual set
-        host.host_class = LifetimeClass(min(host.host_class + 1, LifetimeClass.LC4))
-        host.residual_vms = set(host.vms)
-        for vid in host.vms:
-            pool.vms[vid].is_residual = True
-        self._arm_deadline(host, now)
+        self._reclass(host, lava, min(lava.host_class + 1, LifetimeClass.LC4), now)
+
+    def check_invariants(self, pool):
+        for hid, lava in self.state.items():
+            host = pool.hosts[hid]
+            if host.is_empty():
+                raise AssertionError(f"host {hid} is empty but has a LAVA entry")
+            if not lava.residual_vms <= host.vms:
+                raise AssertionError(f"host {hid} residual set not subset of vms")
 
 
 ALGORITHMS = ("baseline", "la-binary", "nilas", "lava")

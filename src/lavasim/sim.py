@@ -9,18 +9,20 @@ handling.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
 from .predict import PredictionCache
 from .sched import (
     BestFitScheduler,
     LavaConfig,
+    LavaHost,
     NilasConfig,
     Scheduler,
     best_fit_score,
@@ -95,6 +97,7 @@ class DefragInstance:
     time: float
     candidate_hosts: List[int]
     pool: PoolState
+    sched_state: Optional[Dict[int, LavaHost]]  # a copy of the scheduler's ``state``
 
 
 @dataclass
@@ -129,8 +132,7 @@ def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float]:
 def clone_pool(pool: PoolState) -> PoolState:
     """Copy every host and VM record; the containers a record owns are copied
     too, and the clone files its hosts in a free-capacity index of its own."""
-    hosts = {hid: dataclasses.replace(h, vms=set(h.vms), residual_vms=set(h.residual_vms),
-                                      incoming=dict(h.incoming))
+    hosts = {hid: dataclasses.replace(h, vms=set(h.vms), incoming=dict(h.incoming))
              for hid, h in pool.hosts.items()}
     vms = {vid: dataclasses.replace(vm) for vid, vm in pool.vms.items()}
     return dataclasses.replace(pool, hosts=hosts, vms=vms)
@@ -234,16 +236,16 @@ class Simulator:
         self.scheduling_failures = 0
         self.placements: List[str] = []
         self.defrag_instances: List[DefragInstance] = []
-        self.active.deadline_armed = self._on_deadline_armed
+        self.active.deadline_armed = lambda hid, t: self._push(t, EV_DEADLINE, (hid, t))
 
     @classmethod
-    def _over_pool(cls, pool: PoolState, algorithm: str, model,
-                   cfg: SimConfig) -> "Simulator":
+    def _over_pool(cls, pool: PoolState, algorithm: str, model, cfg: SimConfig,
+                   sched_state: Optional[Dict[int, LavaHost]] = None) -> "Simulator":
         """A simulator without a trace that continues ``pool`` from ``pool.now``:
         the exits of its VMs are scheduled and no VM arrives."""
         sim = cls((), 0, ZERO, algorithm, model, cfg=cfg)
         sim.pool = pool
-        sim.active.on_adopt(pool, pool.now)
+        sim.active.on_adopt(pool, pool.now, sched_state)
         for vm in pool.vms.values():
             if vm.true_exit_time > pool.now:
                 sim._push(vm.true_exit_time, EV_EXIT, vm.id)
@@ -261,9 +263,7 @@ class Simulator:
         self._handlers[kind](arg, time)
         if self.cfg.check_invariants:
             self.pool.check_invariants()
-
-    def _on_deadline_armed(self, host: HostRecord) -> None:
-        self._push(host.deadline, EV_DEADLINE, host.id)
+            self.active.check_invariants(self.pool)
 
     # -- main loop -------------------------------------------------------
 
@@ -338,8 +338,9 @@ class Simulator:
         if self._mig_queue and len(self._mig_active) < self.cfg.defrag.max_concurrent:
             self._fill_migration_slots(now)
 
-    def _handle_deadline(self, host_id: int, now: float) -> None:
-        self.active.on_deadline(self.pool, self.pool.hosts[host_id], now)
+    def _handle_deadline(self, event: Tuple[int, float], now: float) -> None:
+        host_id, deadline = event
+        self.active.on_deadline(self.pool, self.pool.hosts[host_id], now, deadline)
 
     # -- defragmentation -------------------------------------------------
 
@@ -355,7 +356,8 @@ class Simulator:
         if self.cfg.record_defrag_instances:
             self.defrag_instances.append(
                 DefragInstance(time=now, candidate_hosts=list(candidates),
-                               pool=clone_pool(self.pool)))
+                               pool=clone_pool(self.pool),
+                               sched_state=copy.deepcopy(self.active.state)))
         for hid in candidates:
             host = self.pool.hosts[hid]
             self._mark_candidate(host, order_evacuation(self.pool, host, self.cfg.defrag.ordering,

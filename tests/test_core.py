@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from lavasim.core import (
     CapacityExceeded,
     HostRecord,
-    HostState,
     PoolState,
     ResourceVec,
     UnknownVm,
@@ -30,10 +29,6 @@ class TestResourceVec:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ResourceVec(-1, 0)
-
-    def test_from_units(self):
-        v = ResourceVec.from_units(4, 16)
-        assert (v.cpu_m, v.mem_mib) == (4000, 16384)
 
     def test_partial_order(self):
         assert ResourceVec(4, 16).fits_within(ResourceVec(96, 384))
@@ -77,7 +72,7 @@ class TestPlaceRemove:
         pool.place(make_vm(1, 4000, 16384), 0)
         host = pool.hosts[0]
         assert host.used == ResourceVec(4000, 16384)
-        assert host.lava_state is HostState.OPEN
+        assert not host.is_empty()
         assert pool.vms[1].host == 0
 
     def test_place_on_full_host(self):
@@ -99,17 +94,7 @@ class TestPlaceRemove:
         pool.remove(1)
         host = pool.hosts[0]
         assert host.used == ResourceVec(0, 0)
-        assert host.lava_state is HostState.EMPTY
-        assert host.host_class is None and host.deadline is None
-
-    def test_remove_prunes_residuals(self):
-        pool = pool_with_host()
-        pool.place(make_vm(1, 1000, 1024), 0)
-        pool.place(make_vm(2, 1000, 1024), 0)
-        pool.hosts[0].residual_vms = {1}
-        pool.remove(1)
-        assert pool.hosts[0].residual_vms == set()
-        assert 2 in pool.hosts[0].vms
+        assert host.is_empty()
 
     def test_remove_unknown(self):
         pool = pool_with_host()
@@ -131,7 +116,7 @@ class TestMigrationBookkeeping:
         assert not pool.hosts[1].is_empty()
         pool.commit_incoming(vm, 1)
         assert pool.hosts[0].used == ResourceVec(0, 0)
-        assert pool.hosts[0].lava_state is HostState.EMPTY
+        assert pool.hosts[0].is_empty()
         assert pool.hosts[1].used == ResourceVec(4000, 4000)
         assert vm.host == 1
         pool.check_invariants()

@@ -1,5 +1,7 @@
 """Evacuation ordering: LARS vs trace order."""
 
+import copy
+
 import pytest
 
 from lavasim.core import PoolState, ResourceVec, VmRecord
@@ -10,7 +12,8 @@ from lavasim.defrag import (
     count_saved_migrations,
     simulate_evacuation,
 )
-from lavasim.predict import OracleModel
+from lavasim.predict import OracleModel, make_predictor
+from lavasim.sched import LavaScheduler
 from lavasim.sim import (
     DefragConfig,
     SimConfig,
@@ -142,3 +145,70 @@ class TestRecordedInstances:
         report = compare_orderings(instances, algorithm="la-binary")
         assert len(report["per_host"]) == len(compare_orderings(instances)["per_host"])
         assert report["baseline_migrations"] > 0
+
+
+def lava_objects(table):
+    """Ids of the ``LavaHost`` entries of a LAVA table and of their residual sets."""
+    return {id(obj) for lava in table.values() for obj in (lava, lava.residual_vms)}
+
+
+@pytest.fixture(scope="module", params=["oracle", "noisy:0.5"])
+def lava_run(request):
+    """A LAVA replay with defrag rounds, its recorded instances, and their
+    replays under LAVA.  Each instance is checked against the live table when
+    it is recorded, and each replay's table when the replay adopts it."""
+    trace = generate(GeneratorConfig(num_vms=3000, seed=0, arrival_rate_per_h=400.0))
+    cfg = SimConfig(warmup=False, record_defrag_instances=True, check_invariants=True,
+                    defrag=DefragConfig(enabled=True, empty_host_trigger=0.5,
+                                        check_interval_s=1800.0))
+    recorded, adopted = [], []
+    record, adopt = Simulator._handle_defrag_check, LavaScheduler.on_adopt
+
+    def record_and_check(self, arg, now):
+        count = len(self.defrag_instances)
+        record(self, arg, now)
+        if len(self.defrag_instances) > count:
+            state = self.defrag_instances[-1].sched_state
+            recorded.append((state == self.active.state,
+                             lava_objects(state) & lava_objects(self.active.state)))
+
+    def adopt_and_keep(self, pool, now, state):
+        before = copy.deepcopy(state)
+        adopt(self, pool, now, state)
+        adopted.append((before, self.state is state, lava_objects(state)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "_handle_defrag_check", record_and_check)
+        sim = Simulator(trace, 10, ResourceVec(16000, 65536), "lava",
+                        make_predictor(request.param, 0), cfg=cfg)
+        sim.run()
+        mp.setattr(LavaScheduler, "on_adopt", adopt_and_keep)
+        report = compare_orderings(sim.defrag_instances, algorithm="lava")
+    return request.param, sim, report, recorded, adopted
+
+
+class TestLavaWithDefrag:
+    PINNED = {"oracle": (24, 6, 4, 27, 25), "noisy:0.5": (17, 4, 3, 20, 20)}
+
+    def test_pinned_counts(self, lava_run):
+        spec, sim, report, _, _ = lava_run
+        assert (sim.migrations_done, sim.migrations_saved, len(sim.defrag_instances),
+                report["baseline_migrations"], report["lars_migrations"]) == self.PINNED[spec]
+
+    def test_instances_copy_the_live_table(self, lava_run):
+        _, sim, _, recorded, _ = lava_run
+        assert len(recorded) == len(sim.defrag_instances)
+        assert any(inst.sched_state for inst in sim.defrag_instances)
+        for equal, shared in recorded:
+            assert equal and not shared
+
+    def test_replays_adopt_a_copy(self, lava_run):
+        """Each replay starts from its instance's table, shares none of its
+        objects, and leaves it as it was."""
+        _, sim, _, _, adopted = lava_run
+        expected = [inst for inst in sim.defrag_instances
+                    for _ in inst.candidate_hosts for _ in ("trace", "lars")]
+        assert len(adopted) == len(expected)
+        for inst, (state, taken, objects) in zip(expected, adopted):
+            assert state == inst.sched_state and taken
+            assert not objects & lava_objects(inst.sched_state)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lavasim.core import (
-    HostState,
     LifetimeClass,
     PoolState,
     ResourceVec,
@@ -19,6 +18,7 @@ from lavasim.sched import (
     DEFAULT_BUCKETS_S,
     LaBinaryScheduler,
     LavaConfig,
+    LavaHost,
     LavaScheduler,
     NilasConfig,
     NilasScheduler,
@@ -228,92 +228,176 @@ class TestLavaStateMachine:
         self.pool.place(vm, host_id)
         self.sched.after_place(self.pool, vm, self.pool.hosts[host_id], now)
 
+    def exit(self, vm_id, now):
+        host = self.pool.hosts[self.pool.vms[vm_id].host]
+        self.sched.on_exit(self.pool, self.pool.remove(vm_id), host, now)
+
+    def test_place_opens_host(self):
+        self.place(make_vm(1, 4000, 4096, exit_=5 * H), 0)
+        lava = self.sched.state[0]
+        assert not lava.recycling and lava.residual_vms == set()
+        assert set(self.sched.state) == {0}  # no entry for the empty hosts
+        self.sched.check_invariants(self.pool)
+
     def test_first_vm_sets_class_and_deadline(self):
         vm = make_vm(1, exit_=5 * H)  # LC2
         self.place(vm, 0)
-        host = self.pool.hosts[0]
-        assert host.host_class is LifetimeClass.LC2
-        assert host.deadline == pytest.approx(1.1 * 10 * H)
+        lava = self.sched.state[0]
+        assert lava.host_class is LifetimeClass.LC2
+        assert lava.deadline == pytest.approx(1.1 * 10 * H)
+
+    def test_remove_last_vm_resets_host(self):
+        self.place(make_vm(1, 4000, 4096, exit_=5 * H), 0)
+        self.exit(1, 60.0)
+        assert 0 not in self.sched.state
+        self.sched.check_invariants(self.pool)
+
+    def test_remove_prunes_residuals(self):
+        self.place(make_vm(1, 1000, 1024, exit_=5 * H), 0)
+        self.place(make_vm(2, 1000, 1024, exit_=5 * H), 0)
+        self.sched.state[0].residual_vms = {1}
+        self.exit(1, 60.0)
+        assert self.sched.state[0].residual_vms == set()
+        assert 2 in self.pool.hosts[0].vms
+
+    def test_reserve_then_commit(self):
+        """A migration moves the VM's entry: the source keeps its entry while
+        it holds only an incoming reservation and drops it when it empties;
+        the target gets one when the VM lands."""
+        first, second = make_vm(1, 4000, 4000, exit_=5 * H), make_vm(2, 4000, 4000, exit_=50 * H)
+        self.place(first, 0)
+        self.place(second, 1)
+        self.pool.reserve_incoming(second, 0)
+        self.exit(1, 60.0)
+        assert self.pool.hosts[0].incoming and 0 in self.sched.state  # reserved, so kept
+        self.sched.check_invariants(self.pool)
+        self.pool.commit_incoming(second, 0)
+        self.sched.on_exit(self.pool, second, self.pool.hosts[1], 120.0)
+        self.sched.after_place(self.pool, second, self.pool.hosts[0], 120.0)
+        assert set(self.sched.state) == {0}
+        assert self.sched.state[0].host_class is LifetimeClass.LC2  # armed by the first VM
+        self.pool.check_invariants()
+        self.sched.check_invariants(self.pool)
+
+    def test_check_invariants(self):
+        self.place(make_vm(1, 1000, 1024, exit_=5 * H), 0)
+        self.sched.state[0].residual_vms = {7}
+        with pytest.raises(AssertionError, match="residual"):
+            self.sched.check_invariants(self.pool)
+        self.sched.state[0].residual_vms = set()
+        self.sched.state[1] = LavaHost(LifetimeClass.LC1, 1.0)
+        with pytest.raises(AssertionError, match="empty"):
+            self.sched.check_invariants(self.pool)
 
     def test_recycling_at_90_percent(self):
         self.place(make_vm(1, 9100, 1000, exit_=5 * H), 0)
-        host = self.pool.hosts[0]
-        assert host.lava_state is HostState.RECYCLING
-        assert host.residual_vms == {1}
-        assert self.pool.vms[1].is_residual
+        lava = self.sched.state[0]
+        assert lava.recycling
+        assert lava.residual_vms == {1}
 
     def test_89_percent_stays_open(self):
         self.place(make_vm(1, 8900, 1000, exit_=5 * H), 0)
-        assert self.pool.hosts[0].lava_state is HostState.OPEN
+        assert not self.sched.state[0].recycling
 
     def test_recycling_on_either_dimension(self):
         self.place(make_vm(1, 1000, 9100, exit_=5 * H), 0)
-        assert self.pool.hosts[0].lava_state is HostState.RECYCLING
+        assert self.sched.state[0].recycling
 
     def test_lower_class_vm_on_recycling_not_residual(self):
         self.place(make_vm(1, 9100, 1000, exit_=50 * H), 0)  # LC3, recycles
         vm2 = make_vm(2, 500, 500, exit_=600.0)  # LC1
         self.place(vm2, 0)
-        assert 2 not in self.pool.hosts[0].residual_vms
-        assert not vm2.is_residual
+        assert self.sched.state[0].residual_vms == {1}
 
     def test_same_or_higher_class_vm_on_recycling_is_residual(self):
         self.place(make_vm(1, 9100, 1000, exit_=50 * H), 0)  # LC3, recycles
         vm2 = make_vm(2, 500, 500, exit_=60 * H)  # LC3: extends the drain
         self.place(vm2, 0)
-        assert 2 in self.pool.hosts[0].residual_vms
-        assert vm2.is_residual
+        assert self.sched.state[0].residual_vms == {1, 2}
 
     def test_demotion_when_residuals_exit(self):
         self.place(make_vm(1, 5000, 1000, exit_=50 * H), 0)   # LC3 opener
         self.place(make_vm(2, 4500, 1000, exit_=49 * H), 0)   # recycles host
-        host = self.pool.hosts[0]
-        assert host.lava_state is HostState.RECYCLING
-        vm3 = make_vm(3, 500, 500, exit_=600.0)  # LC1 filler
-        self.place(vm3, 0)
-        for vid in (1, 2):
-            self.pool.remove(vid)
-            self.sched.on_exit(self.pool, self.pool.hosts[0], host, 100.0) \
-                if False else self.sched.on_exit(
-                    self.pool, make_vm(vid + 10, exit_=1.0), host, 100.0)
-        assert host.host_class is LifetimeClass.LC2  # one step down
-        assert host.residual_vms == {3}
+        lava = self.sched.state[0]
+        assert lava.recycling and lava.residual_vms == {1, 2}
+        self.place(make_vm(3, 500, 500, exit_=600.0), 0)  # LC1 filler
+        self.exit(1, 100.0)
+        assert lava.host_class is LifetimeClass.LC3  # a residual is left
+        self.exit(2, 100.0)
+        assert lava.host_class is LifetimeClass.LC2  # one step down
+        assert lava.recycling and lava.residual_vms == {3}
+        assert lava.deadline == pytest.approx(100.0 + 1.1 * 10 * H)
 
     def test_demotion_floors_at_lc1(self):
         self.place(make_vm(1, 9100, 1000, exit_=600.0), 0)  # LC1, recycles
         self.place(make_vm(2, 500, 500, exit_=500.0), 0)
-        host = self.pool.hosts[0]
-        host.residual_vms = {1}
-        self.pool.remove(1)
-        self.sched.on_exit(self.pool, make_vm(9, exit_=1.0), host, 50.0)
-        assert host.host_class is LifetimeClass.LC1
+        lava = self.sched.state[0]
+        lava.residual_vms = {1}
+        self.exit(1, 50.0)
+        assert lava.host_class is LifetimeClass.LC1
+        assert lava.residual_vms == {2}
 
     def test_promotion_on_deadline(self):
         vm = make_vm(1, exit_=600.0)  # LC1: deadline 1.1h
         self.place(vm, 0)
-        host = self.pool.hosts[0]
-        deadline = host.deadline
-        self.sched.on_deadline(self.pool, host, deadline)
-        assert host.host_class is LifetimeClass.LC2
-        assert host.residual_vms == {1}
-        assert host.deadline == pytest.approx(deadline + 1.1 * 10 * H)
+        host, lava = self.pool.hosts[0], self.sched.state[0]
+        deadline = lava.deadline
+        self.sched.on_deadline(self.pool, host, deadline, deadline)
+        assert lava.host_class is LifetimeClass.LC2
+        assert lava.residual_vms == {1}
+        assert lava.deadline == pytest.approx(deadline + 1.1 * 10 * H)
 
     def test_promotion_caps_at_lc4(self):
         vm = make_vm(1, exit_=2000 * H)
         self.place(vm, 0)
-        host = self.pool.hosts[0]
-        host.host_class = LifetimeClass.LC4
-        self.sched.on_deadline(self.pool, host, host.deadline)
-        assert host.host_class is LifetimeClass.LC4
-        assert host.deadline is not None
+        lava = self.sched.state[0]
+        lava.host_class = LifetimeClass.LC4
+        deadline = lava.deadline
+        self.sched.on_deadline(self.pool, self.pool.hosts[0], deadline, deadline)
+        assert lava.host_class is LifetimeClass.LC4
+        assert lava.deadline > deadline
 
     def test_deadline_before_time_ignored(self):
         vm = make_vm(1, exit_=600.0)
         self.place(vm, 0)
+        lava = self.sched.state[0]
+        before = (lava.host_class, lava.deadline)
+        early = lava.deadline - 1.0
+        self.sched.on_deadline(self.pool, self.pool.hosts[0], early, early)
+        assert (lava.host_class, lava.deadline) == before
+
+    def test_stale_deadline_events(self):
+        """A deadline superseded by a re-arm (a demotion, or the host emptying
+        and reopening) promotes nothing, even when delivered at or after the
+        current deadline; the current one promotes."""
+        fired = []
+        self.sched.deadline_armed = lambda hid, deadline: fired.append((hid, deadline))
         host = self.pool.hosts[0]
-        before = (host.host_class, host.deadline)
-        self.sched.on_deadline(self.pool, host, host.deadline - 1.0)
-        assert (host.host_class, host.deadline) == before
+        # re-armed by demotion
+        self.place(make_vm(1, 5000, 1000, exit_=50 * H), 0)   # LC3, deadline 110h
+        self.place(make_vm(2, 4500, 1000, exit_=49 * H), 0)   # recycles
+        self.place(make_vm(3, 500, 500, exit_=600.0), 0)      # LC1 filler
+        self.exit(1, 100.0)
+        self.exit(2, 100.0)                                   # demoted to LC2
+        (_, old), (_, current) = fired
+        lava = self.sched.state[0]
+        assert lava.host_class is LifetimeClass.LC2 and old >= current == lava.deadline
+        self.sched.on_deadline(self.pool, host, old, old)
+        assert lava.host_class is LifetimeClass.LC2 and lava.deadline == current
+        self.sched.on_deadline(self.pool, host, current, current)
+        assert lava.host_class is LifetimeClass.LC3
+        # re-armed by emptying and reopening
+        fired.clear()
+        self.place(make_vm(4, exit_=600.0), 1)                # LC1, deadline 1.1h
+        self.exit(4, 0.5 * H)
+        assert 1 not in self.sched.state
+        self.place(make_vm(5, create=0.6 * H, exit_=0.6 * H + 600.0), 1, now=0.6 * H)  # 1.7h
+        (_, old), (_, current) = fired
+        assert old < current == self.sched.state[1].deadline
+        self.sched.on_deadline(self.pool, self.pool.hosts[1], current, old)
+        assert self.sched.state[1].host_class is LifetimeClass.LC1
+        self.sched.on_deadline(self.pool, self.pool.hosts[1], current, current)
+        assert self.sched.state[1].host_class is LifetimeClass.LC2
 
 
 class TestLavaTiers:
@@ -322,34 +406,32 @@ class TestLavaTiers:
         sched = LavaScheduler(OracleModel())
         return pool, sched
 
-    def seed_host(self, pool, sched, host_id, state, klass, exit_=50 * H):
+    def seed_host(self, pool, sched, host_id, recycling, klass, exit_=50 * H):
         vm = make_vm(100 + host_id, 500, 500, exit_=exit_)
         sched.on_arrival(vm, 0.0)
         pool.place(vm, host_id)
-        host = pool.hosts[host_id]
-        host.lava_state = state
-        host.host_class = klass
-        return host
+        sched.state[host_id] = LavaHost(klass, 0.0, recycling)
+        return pool.hosts[host_id]
 
     def test_recycling_closest_class_first(self):
         pool, sched = self.make()
-        self.seed_host(pool, sched, 0, HostState.RECYCLING, LifetimeClass.LC2)
-        self.seed_host(pool, sched, 1, HostState.RECYCLING, LifetimeClass.LC4)
+        self.seed_host(pool, sched, 0, True, LifetimeClass.LC2)
+        self.seed_host(pool, sched, 1, True, LifetimeClass.LC4)
         vm = make_vm(1, exit_=600.0)  # LC1
         sched.on_arrival(vm, 0.0)
         assert sched.select_host(vm, pool, 0.0) == 0
 
     def test_open_same_class_when_no_recycling(self):
         pool, sched = self.make()
-        self.seed_host(pool, sched, 0, HostState.OPEN, LifetimeClass.LC1)
-        self.seed_host(pool, sched, 1, HostState.OPEN, LifetimeClass.LC3)
+        self.seed_host(pool, sched, 0, False, LifetimeClass.LC1)
+        self.seed_host(pool, sched, 1, False, LifetimeClass.LC3)
         vm = make_vm(1, exit_=50 * H)  # LC3
         sched.on_arrival(vm, 0.0)
         assert sched.select_host(vm, pool, 0.0) == 1
 
     def test_nonempty_before_empty(self):
         pool, sched = self.make()
-        self.seed_host(pool, sched, 0, HostState.OPEN, LifetimeClass.LC1)
+        self.seed_host(pool, sched, 0, False, LifetimeClass.LC1)
         vm = make_vm(1, exit_=5 * H)  # LC2: no matching tier 0/1 host
         sched.on_arrival(vm, 0.0)
         assert sched.select_host(vm, pool, 0.0) == 0
@@ -362,17 +444,15 @@ class TestLavaTiers:
         for _ in range(40):
             pool, sched = self.make(6)
             for hid in range(5):
-                state = rng.choice([HostState.OPEN, HostState.RECYCLING])
+                recycling = rng.choice([False, True])
                 klass = LifetimeClass(rng.randint(1, 4))
-                self.seed_host(pool, sched, hid, state, klass)
+                self.seed_host(pool, sched, hid, recycling, klass)
             vm = make_vm(1, exit_=rng.choice([600.0, 5 * H, 50 * H]))
             sched.on_arrival(vm, 0.0)
             chosen = sched.select_host(vm, pool, 0.0)
-            tier0 = [h.id for h in pool.hosts.values()
-                     if h.vms and h.lava_state is HostState.RECYCLING
-                     and h.host_class is not None
-                     and h.host_class > vm.lifetime_class
-                     and pool.fits(vm.shape, h)]
+            tier0 = [hid for hid, lava in sched.state.items()
+                     if lava.recycling and lava.host_class > vm.lifetime_class
+                     and pool.fits(vm.shape, pool.hosts[hid])]
             if tier0:
                 assert chosen in tier0
 
@@ -381,7 +461,7 @@ class TestLavaTiers:
         arrivals outliving residuals never trigger a promotion."""
         pool, sched = self.make(2)
         fired = []
-        sched.deadline_armed = lambda host: fired.append(host.deadline)
+        sched.deadline_armed = lambda hid, deadline: fired.append((hid, deadline))
         vm = make_vm(1, exit_=0.9 * H)  # LC1, exits before the 1.1h deadline
         sched.on_arrival(vm, 0.0)
         pool.place(vm, 0)
@@ -391,8 +471,9 @@ class TestLavaTiers:
         pool.remove(1)
         sched.on_exit(pool, vm, host, pool.now)
         # the armed deadline fires on an empty host: promotion must not occur
-        sched.on_deadline(pool, host, fired[0])
-        assert host.host_class is None and host.lava_state is HostState.EMPTY
+        (hid, deadline), = fired
+        sched.on_deadline(pool, pool.hosts[hid], deadline, deadline)
+        assert hid not in sched.state and len(fired) == 1
 
 
 class TestLavaConfigValidation:

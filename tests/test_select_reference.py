@@ -7,11 +7,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from lavasim.core import ZERO, HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
+from lavasim.core import ZERO, LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.predict import FeatureVec, OracleModel, classify_binary
 from lavasim.sched import (
     BestFitScheduler,
     LaBinaryScheduler,
+    LavaHost,
     LavaScheduler,
     NilasConfig,
     NilasScheduler,
@@ -50,12 +51,13 @@ def ref_score(sched, host, vm, pool, now):
             tier = 0 if host_long == vm_long else 1
         return (tier, ref_best_fit(host, vm.shape), host.id)
     if isinstance(sched, LavaScheduler):
+        lava = sched.state.get(host.id)
         if not host.vms:
             tier, distance = 3, 0
-        elif (host.lava_state is HostState.RECYCLING and host.host_class is not None
-              and host.host_class > vm.lifetime_class):
-            tier, distance = 0, host.host_class - vm.lifetime_class
-        elif host.lava_state is HostState.OPEN and host.host_class == vm.lifetime_class:
+        elif lava is not None and lava.recycling and lava.host_class > vm.lifetime_class:
+            tier, distance = 0, lava.host_class - vm.lifetime_class
+        elif (lava is not None and not lava.recycling
+              and lava.host_class == vm.lifetime_class):
             tier, distance = 1, 0
         else:
             tier, distance = 2, 0
@@ -143,9 +145,9 @@ def make_vm(vm_id, shape, exit_):
 
 def random_pool(seed, sched, now):
     """Mixed capacities (shared and separate capacity objects), VMs placed
-    through the scheduler's hooks, LAVA states, incoming reservations on
-    hosts with and without VMs, closed hosts, and hosts with a hand-set
-    ``used`` and no VMs."""
+    through the scheduler's hooks, random LAVA entries and hosts with VMs but
+    no entry, incoming reservations on hosts with and without VMs, closed
+    hosts, and hosts with a hand-set ``used`` and no VMs."""
     rng = random.Random(seed)
     pool = PoolState()
     shared = [ResourceVec(*c) for c in CAPACITIES]
@@ -163,9 +165,12 @@ def random_pool(seed, sched, now):
             if pool.fits(vm.shape, host):
                 pool.place(vm, host.id)
                 sched.after_place(pool, vm, host, 0.0)
-        if host.vms and rng.random() < 0.3:
-            host.lava_state = rng.choice((HostState.OPEN, HostState.RECYCLING))
-            host.host_class = LifetimeClass(rng.randint(1, 4))
+        if host.vms and sched.state is not None and rng.random() < 0.4:
+            if rng.random() < 0.25:
+                del sched.state[host.id]  # as if its VMs were placed by another scheduler
+            else:
+                sched.state[host.id] = LavaHost(LifetimeClass(rng.randint(1, 4)), 0.0,
+                                                recycling=rng.random() < 0.5)
     for vm in list(pool.vms.values()):
         if rng.random() < 0.2:
             target = rng.choice(hosts)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lavasim.core import HostState, LifetimeClass, PoolState, ResourceVec, VmRecord
+from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.predict import OracleModel
 from lavasim.sim import (
     HeterogeneousPool,
@@ -123,12 +123,8 @@ class TestClonePool:
         pool.place(vm1, 1)
         pool.reserve_incoming(vm1, 0)
         host = pool.hosts[0]
-        host.lava_state, host.host_class, host.deadline = (HostState.RECYCLING,
-                                                           LifetimeClass.LC2, 7.0)
-        host.residual_vms.add(0)
         host.unavailable_for_scheduling = True
-        vm0.initial_predicted_exit, vm0.lifetime_class, vm0.is_residual = (
-            90.0, LifetimeClass.LC2, True)
+        vm0.initial_predicted_exit, vm0.lifetime_class = 90.0, LifetimeClass.LC2
         clone = clone_pool(pool)
         assert clone.now == pool.now
         pairs = ([(h, clone.hosts[h.id]) for h in pool.hosts.values()]
@@ -141,7 +137,7 @@ class TestClonePool:
                                else f.default)
                     assert getattr(src, f.name) != default, f"set {f.name} in this test"
                 assert getattr(dst, f.name) == getattr(src, f.name), f.name
-        for name in ("vms", "residual_vms", "incoming"):
+        for name in ("vms", "incoming"):
             assert getattr(clone.hosts[0], name) is not getattr(host, name)
 
 
