@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 
 class CapacityExceeded(Exception):
@@ -132,10 +132,11 @@ class FreeIndex:
     ``keys`` holds the bucket keys in ascending order.  A host with zero
     ``used`` sits in the id-ordered list of its capacity, keyed by the
     capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than a
-    ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``.
+    ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``, and
+    ``cap_max`` is the largest CPU capacity of a host added.
     """
 
-    __slots__ = ("hosts", "keys", "buckets", "unused", "filed")
+    __slots__ = ("hosts", "keys", "buckets", "unused", "filed", "cap_max")
 
     def __init__(self, hosts: Dict[int, HostRecord]):
         self.hosts = hosts
@@ -143,9 +144,11 @@ class FreeIndex:
         self.buckets: Dict[int, Set[int]] = {}
         self.unused: Dict[Tuple[int, int], List[int]] = {}
         self.filed: Dict[int, Optional[int]] = {}
+        self.cap_max = 0
 
     def add(self, host: HostRecord) -> None:
         host._index = self
+        self.cap_max = max(self.cap_max, host.capacity.cpu_m)
         self._file(host.id, host.capacity, free_key(host))
 
     def refile(self, host: HostRecord) -> None:
@@ -175,15 +178,27 @@ class FreeIndex:
             self.buckets[key] = {hid}
             insort(self.keys, key)
 
-    def candidates(self, shape: ResourceVec, collapse_empty: bool = True
+    def candidates(self, shape: ResourceVec, collapse_empty: bool = True,
+                   stop: Optional[Callable[[float], bool]] = None
                    ) -> Iterator[HostRecord]:
-        """The available hosts with room for ``shape`` (``PoolState.fits``),
-        in no fixed order.  With ``collapse_empty``, of the hosts with no VMs
-        and zero ``used`` only the lowest-id available one of each capacity."""
+        """The available hosts with room for ``shape`` (``PoolState.fits``):
+        first the hosts with non-zero ``used``, bucket by bucket in ascending
+        free CPU, then the hosts with zero ``used``.  With ``collapse_empty``,
+        of the hosts with no VMs and zero ``used`` only the lowest-id
+        available one of each capacity.
+
+        Before the bucket of free CPU ``k`` is visited, ``stop`` (if given)
+        is asked with ``(k - shape.cpu_m) / cap_max``, a lower bound on the
+        free-CPU fraction after placement of every host in that bucket and
+        in all later ones; if it answers true, the remaining buckets are
+        skipped and the hosts with zero ``used`` still follow."""
         cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
         hosts, keys, buckets = self.hosts, self.keys, self.buckets
         for i in range(bisect_left(keys, cpu_m), len(keys)):
-            for hid in buckets[keys[i]]:
+            key = keys[i]
+            if stop is not None and stop((key - cpu_m) / self.cap_max):
+                break
+            for hid in buckets[key]:
                 host = hosts[hid]
                 if (host._used.mem_mib + mem_mib <= host.capacity.mem_mib
                         and not host.unavailable_for_scheduling):
@@ -209,6 +224,8 @@ class FreeIndex:
         if (self.keys, self.buckets, unused, self.filed) != (
                 fresh.keys, fresh.buckets, fresh.unused, fresh.filed):
             raise AssertionError("free-capacity index does not match the hosts' used")
+        if self.cap_max != max((h.capacity.cpu_m for h in self.hosts.values()), default=0):
+            raise AssertionError("cap_max is not the largest host CPU capacity")
 
 
 @dataclass

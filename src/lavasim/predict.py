@@ -201,6 +201,7 @@ class EmpiricalLifetimeModel:
         self.strata: Dict[str, _SurvivalCurve] = {}
         self.global_curve: Optional[_SurvivalCurve] = None
         self._kept_values: Dict[str, set] = {}
+        self._stratum_keys: Dict[FeatureVec, str] = {}  # _collapse's answers
 
     @property
     def is_fitted(self) -> bool:
@@ -210,19 +211,23 @@ class EmpiricalLifetimeModel:
         return {"min_count": self.min_count, "cap_s": self.cap_s, "floor_s": self.floor_s}
 
     def _collapse(self, fv: FeatureVec) -> str:
-        parts = []
-        for name in FeatureVec._CATEGORICAL:
-            value = getattr(fv, name)
-            kept = self._kept_values.get(name, ())
-            parts.append(value if value in kept else "Other")
-        parts.append("1" if fv.has_ssd else "0")
-        parts.append("1" if fv.provisioning_model else "0")
-        return self.KEY_SEP.join(parts)
+        key = self._stratum_keys.get(fv)
+        if key is None:
+            parts = []
+            for name in FeatureVec._CATEGORICAL:
+                value = getattr(fv, name)
+                kept = self._kept_values.get(name, ())
+                parts.append(value if value in kept else "Other")
+            parts.append("1" if fv.has_ssd else "0")
+            parts.append("1" if fv.provisioning_model else "0")
+            key = self._stratum_keys[fv] = self.KEY_SEP.join(parts)
+        return key
 
     def fit(self, examples: Iterable[Tuple[FeatureVec, float]]) -> "EmpiricalLifetimeModel":
         rows = [(fv, min(int(round(life)), self.cap_s)) for fv, life in examples]
         if not rows:
             raise EmptyTrainingSet("no training examples")
+        self._stratum_keys.clear()
         for name in FeatureVec._CATEGORICAL:
             counts = Counter(getattr(fv, name) for fv, _ in rows)
             self._kept_values[name] = {v for v, c in counts.items() if c >= self.min_count}

@@ -14,9 +14,30 @@ id-ordered list per capacity.  A VM needing ``c`` milli-cores visits only
 the buckets with free CPU of at least ``c``; memory and
 ``unavailable_for_scheduling`` are tested at the visit.  Each write of
 ``host.used``, also a direct one, re-files the host, so the candidates are
-exactly the hosts ``PoolState.fits`` accepts.  They come in no fixed order,
-which is safe: the host id ends every score tuple, and scoring a host
-touches caches and predictors only through that host.
+exactly the hosts ``PoolState.fits`` accepts.  The buckets come in ascending
+free CPU and the zero-``used`` lists after them; the order within a bucket
+does not matter, because the host id ends every score tuple.
+
+The scan (``best_host``) stops walking buckets once no later bucket can hold
+the winner.  Before it visits the bucket of free CPU ``k`` it takes
+``(k - c) / cap_max``, with ``cap_max`` the pool's largest host CPU
+capacity.  Every host in that bucket or a later one has free CPU
+``k' >= k >= c`` and capacity ``cap <= cap_max``, so its CPU term of
+``best_fit_score``, ``(k' - c) / cap``, is at least the bound: the
+numerators are exact integers and correctly rounded division is monotone,
+so this holds in floats too.  ``best_fit_score`` is the larger of the CPU
+and memory terms, so the bound holds for it as well.  A scheduler whose
+score tuple starts with a prefix that has a known least value
+(``key_floor``), followed by the best-fit term, stops once the best host so
+far has that least prefix and the bound is strictly greater than its best
+fit.  No host in a bucket still unseen can then beat it; at equality one
+might tie and win on a lower id.  The bound says nothing about the hosts
+with zero ``used``, which sit in no bucket, so their lists are walked after
+a stop too (collapsed, one host per capacity).  Best Fit and LA-Binary
+declare ``(0,)``.  NILAS and LAVA declare none and score every
+candidate: scoring a host with VMs fills its ``PredictionCache`` entry, and
+skipping hosts would change when entries are filled, which is not provably
+without effect while the cache refreshes on a timer (the empirical model).
 
 Of the hosts with no VMs and zero ``used``, only the lowest-id available
 one of each capacity is scored.  This is exact.  Every algorithm scores a
@@ -40,7 +61,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from .core import HostRecord, LifetimeClass, PoolState, ResourceVec, VmRecord
+from .core import FreeIndex, HostRecord, LifetimeClass, PoolState, ResourceVec, VmRecord
 from .predict import (
     BINARY_THRESHOLD_S,
     CLASS_UPPER_BOUND_S,
@@ -95,6 +116,28 @@ def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
     return cpu if cpu >= mem else mem
 
 
+def best_host(index: FreeIndex, shape: ResourceVec, key: Callable[[HostRecord], tuple],
+              floor: Optional[tuple], collapse_empty: bool = True) -> Optional[HostRecord]:
+    """The candidate of ``index`` for ``shape`` with the least ``key``.
+
+    ``floor`` is the least prefix ``key`` can return, with the best-fit term
+    right after it, or None to score every candidate.  The bucket walk stops
+    once the best key so far starts with ``floor`` and the bucket's bound
+    (see the module docstring) is strictly greater than its best-fit term."""
+    best = best_key = None
+    stop = None
+    if floor is not None:
+        n = len(floor)
+
+        def stop(bound: float) -> bool:
+            return best_key is not None and bound > best_key[n] and best_key[:n] == floor
+    for host in index.candidates(shape, collapse_empty, stop):
+        k = key(host)
+        if best_key is None or k < best_key:
+            best, best_key = host, k
+    return best
+
+
 class Scheduler:
     """Common surface: select a host for a VM, plus LAVA-style state hooks."""
 
@@ -105,10 +148,13 @@ class Scheduler:
     state: Optional[Dict[int, LavaHost]] = None
     # score one empty host per capacity (see the module docstring)
     collapse_empty = True
+    # least prefix of a score tuple, followed by its best-fit term; None
+    # scores every candidate (see the module docstring)
+    key_floor: Optional[tuple] = None
 
     def select_host(self, vm: VmRecord, pool: PoolState, now: float) -> Optional[int]:
-        best = min(pool.index.candidates(vm.shape, self.collapse_empty),
-                   key=self.host_key(vm, pool, now), default=None)
+        best = best_host(pool.index, vm.shape, self.host_key(vm, pool, now),
+                         self.key_floor, self.collapse_empty)
         return None if best is None else best.id
 
     def host_key(self, vm: VmRecord, pool: PoolState,
@@ -144,6 +190,7 @@ class BestFitScheduler(Scheduler):
     """Multi-dimensional Best Fit; prefers already-started hosts over empty ones."""
 
     name = "baseline"
+    key_floor = (0,)
 
     def host_key(self, vm, pool, now):
         return lambda host: (0 if host.vms else 1, best_fit_score(host, vm.shape), host.id)
@@ -207,6 +254,7 @@ class LaBinaryScheduler(Scheduler):
     and the host class derives from initial predictions only."""
 
     name = "la-binary"
+    key_floor = (0,)
 
     def __init__(self, model, threshold_s: float = BINARY_THRESHOLD_S):
         self.model = model

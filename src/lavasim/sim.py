@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
-from .predict import PredictionCache
+from .predict import FeatureVec, PredictionCache
 from .sched import (
     BestFitScheduler,
     LavaConfig,
@@ -26,6 +26,7 @@ from .sched import (
     NilasConfig,
     Scheduler,
     best_fit_score,
+    best_host,
     make_scheduler,
 )
 from .workload import TraceRecord
@@ -146,16 +147,15 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
     snap = clone_pool(pool)
     for host in snap.hosts.values():
         host.unavailable_for_scheduling = False  # it also packs defrag candidates
-    candidates = snap.index.candidates
     shapes = [s for s, _ in vm_mix]
     weights = [w for _, w in vm_mix]
     smallest = min(shapes, key=lambda s: (s.cpu_m, s.mem_mib))
 
     def place_best_fit(shape: ResourceVec) -> bool:
-        best = min(candidates(shape),
-                   key=lambda h: (0 if h.vms or h.used.cpu_m else 1,
-                                  best_fit_score(h, shape), h.id),
-                   default=None)
+        best = best_host(snap.index, shape,
+                         lambda h: (0 if h.vms or h.used.cpu_m else 1,
+                                    best_fit_score(h, shape), h.id),
+                         (0,))
         if best is None:
             return False
         best.used = best.used + shape
@@ -169,7 +169,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
                 fails = 0
             else:
                 fails += 1
-        if next(candidates(smallest), None) is None:
+        if next(snap.index.candidates(smallest), None) is None:
             break
 
     total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())
@@ -224,6 +224,9 @@ class Simulator:
                           EV_DEFRAG: self._handle_defrag_check,
                           EV_ARRIVAL: self._handle_arrival, EV_SAMPLE: self._handle_sample}
         self._measure_start = 0.0
+        # (shape, features) per distinct record shape and features; both are
+        # frozen, so the VMs of one key share them
+        self._arrival_terms: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
         self._series: List[Tuple[float, float, float, float, int, float, float]] = []
         # defrag state
         self._mig_active: Dict[int, MigrationTask] = {}
@@ -305,7 +308,12 @@ class Simulator:
         return used_c / cap_c, used_m / cap_m
 
     def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
-        vm = VmRecord(id=rec.vm_id, shape=rec.shape(), features=rec.feature_vec(),
+        key = (rec.cpu_m, rec.mem_mib, rec.zone, rec.vm_family, rec.vm_category,
+               rec.has_ssd, rec.priority, rec.provisioning_model)
+        terms = self._arrival_terms.get(key)
+        if terms is None:
+            terms = self._arrival_terms[key] = (rec.shape(), rec.feature_vec())
+        vm = VmRecord(id=rec.vm_id, shape=terms[0], features=terms[1],
                       create_time=rec.create_time_s,
                       true_exit_time=rec.create_time_s + rec.lifetime_s)
         self.active.on_arrival(vm, now)

@@ -175,6 +175,13 @@ class TestEmpiricalModel:
         assert "rare" not in model._kept_values["vm_family"]
         assert model.predict_remaining(rare, 0.0) == pytest.approx(50 * H)
 
+    def test_refit_recomputes_stratum_keys(self):
+        fv = FeatureVec(zone="z1")
+        model = fit_model([(fv, H)] * 10)
+        assert model._collapse(fv).startswith("z1|")
+        model.fit([(FeatureVec(zone="z2"), H)] * 10)
+        assert model._collapse(fv).startswith("Other|")
+
     def test_unseen_features_use_global_curve(self):
         fv = FeatureVec(vm_family="f", zone="z0")
         rows = [(fv, H)] * 90 + [(fv, 100 * H)] * 10

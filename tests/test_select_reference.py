@@ -4,11 +4,13 @@ arithmetic, as the score formulas read before the integer scan, and the
 free-capacity index against the naive feasibility filter."""
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lavasim.core import ZERO, LifetimeClass, PoolState, ResourceVec, VmRecord
-from lavasim.predict import FeatureVec, OracleModel, classify_binary
+from lavasim.predict import FeatureVec, OracleModel, PredictionCache, classify_binary
 from lavasim.sched import (
     BestFitScheduler,
     LaBinaryScheduler,
@@ -16,6 +18,7 @@ from lavasim.sched import (
     LavaScheduler,
     NilasConfig,
     NilasScheduler,
+    best_fit_score,
     quantize_temporal_cost,
 )
 from lavasim.sim import clone_pool, inflation_stranding
@@ -216,6 +219,135 @@ def test_stranding_matches_reference(seed):
     mix = [(ResourceVec(*s), w) for s, w in zip(SHAPES, (5.0, 3.0, 2.0, 1.0, 1.0))]
     expected = ref_stranding(pool, mix, random.Random(seed), consecutive_failures=20)
     assert inflation_stranding(pool, mix, random.Random(seed), consecutive_failures=20) == expected
+
+
+# -- the bounded scan ---------------------------------------------------------
+
+SMALL, BIG = ResourceVec(8000, 16_384), ResourceVec(16_000, 32_768)
+
+
+def crafted_pool(capacities, used, vm_exit=400_000.0):
+    """Host ``i`` has ``capacities[i]`` and, if ``used[i]`` is given, one VM of
+    that shape; a host gets no VM where ``used[i]`` is None."""
+    pool = PoolState()
+    for cap in capacities:
+        pool.add_host(cap)
+    for hid, shape in enumerate(used):
+        if shape is not None:
+            pool.place(make_vm(100 + hid, shape, vm_exit), hid)
+    return pool
+
+
+class Counting(BestFitScheduler):
+    """Best Fit that records the hosts it scores."""
+
+    def __init__(self):
+        self.scored = []
+
+    def host_key(self, vm, pool, now):
+        key = super().host_key(vm, pool, now)
+
+        def counted(host):
+            self.scored.append(host.id)
+            return key(host)
+        return counted
+
+
+def select_both(algo, pool, probe, expected):
+    sched = SCHEDULERS[algo](OracleModel())
+    sched.on_arrival(probe, 0.0)
+    for vm in pool.vms.values():
+        sched.on_arrival(vm, 0.0)
+    assert ref_select(sched, probe, pool, 0.0) == expected
+    assert sched.select_host(probe, pool, 0.0) == expected
+
+
+@pytest.mark.parametrize("algo", ["baseline", "la-binary"])
+def test_bound_equal_to_best_fit_does_not_stop(algo):
+    """Host 1 fits tightly on CPU and scores 0.5 by its memory term; host 0
+    sits in the bucket whose bound is exactly 0.5 and scores 0.5 too.  The
+    scan must visit that bucket: host 0 wins the tie on its lower id."""
+    pool = crafted_pool((SMALL, SMALL), ((3000, 7168), (6000, 7168)))
+    probe = make_vm(1, (1000, 1024), 1000.0)
+    hosts = pool.hosts
+    assert best_fit_score(hosts[0], probe.shape) == best_fit_score(hosts[1], probe.shape) == 0.5
+    assert (hosts[0].capacity.cpu_m - hosts[0].used.cpu_m - 1000) / pool.index.cap_max == 0.5
+    select_both(algo, pool, probe, 0)
+
+
+@pytest.mark.parametrize("algo", ["baseline", "la-binary"])
+def test_bound_uses_largest_capacity(algo):
+    """Host 1's bucket bounds its own small host at 0.35, above the best so
+    far (host 0, 0.3125), but a later bucket holds a large host scoring 0.2:
+    the bound divides by the largest capacity in the pool, not a host's own."""
+    pool = crafted_pool((SMALL, SMALL, BIG), ((6200, 10240), (4200, 12288), (11800, 26624)))
+    probe = make_vm(1, (1000, 1024), 1000.0)
+    assert [best_fit_score(h, probe.shape) for h in pool.hosts.values()] == [0.3125, 0.35, 0.2]
+    select_both(algo, pool, probe, 2)
+
+
+@pytest.mark.parametrize("algo", ["baseline", "la-binary"])
+def test_zero_used_hosts_follow_a_stop(algo):
+    """Host 0 holds a VM but had its ``used`` hand-set to zero, so it sits in
+    no bucket.  The walk stops before host 2's bucket (bound 0.93 above host
+    1's 0.906) and must still score host 0, which wins with 0.875."""
+    pool = crafted_pool((SMALL, BIG, BIG), ((1000, 1024), (500, 1024), (100, 1024)))
+    pool.hosts[0].used = ZERO
+    probe = make_vm(1, (1000, 8192), 1000.0)
+    assert [best_fit_score(h, probe.shape) for h in pool.hosts.values()] == [0.875, 0.90625, 0.93125]
+    select_both(algo, pool, probe, 0)
+
+
+def ladder():
+    """Six hosts whose free CPU climbs from 2000 to 7000 milli-cores, with
+    long-lived VMs that leave 1024 MiB free, and two empty hosts.  The tightest
+    host scores 0.125, and every later bucket is bounded above it."""
+    used = [(6000 - 1000 * i, 14_336) for i in range(6)] + [None, None]
+    return crafted_pool((SMALL,) * 8, used)
+
+
+def test_cutoff_skips_buckets():
+    pool = ladder()
+    probe = make_vm(1, (1000, 1024), 1000.0)
+    sched = Counting()
+    assert sched.select_host(probe, pool, 0.0) == 0 == ref_select(sched, probe, pool, 0.0)
+    assert sched.scored == [0, 6]  # the tightest host and one empty host
+    assert sum(pool.fits(probe.shape, h) for h in pool.hosts.values()) == 8
+
+
+class CountingCache(PredictionCache):
+    def __init__(self):
+        super().__init__()
+        self.asked = Counter()
+
+    def host_exit_time(self, host, pool, model, now):
+        self.asked[host.id] += 1
+        return super().host_exit_time(host, pool, model, now)
+
+
+@pytest.mark.parametrize("algo", ["nilas", "lava"])
+def test_cached_scorers_score_every_host_with_vms(algo):
+    """NILAS and LAVA fill ``PredictionCache`` entries while they score, so
+    they visit every feasible host with VMs, also where Best Fit stops early
+    (on this pool Best Fit scores two hosts).  On the ladder every host with
+    VMs would otherwise lose only on best fit: the probe is a short-lived VM,
+    so the temporal cost is 0, and for LAVA each host is recycling one class
+    above it."""
+    pool = ladder()
+    cache = CountingCache()
+    model = OracleModel()
+    sched = NilasScheduler(model, cache) if algo == "nilas" else LavaScheduler(model, cache)
+    probe = make_vm(1, (1000, 1024), 1000.0)
+    sched.on_arrival(probe, 0.0)
+    if algo == "lava":
+        for host in pool.hosts.values():
+            if host.vms:
+                sched.state[host.id] = LavaHost(LifetimeClass(probe.lifetime_class + 1), 0.0,
+                                                recycling=True)
+    assert sched.select_host(probe, pool, 0.0) == 0
+    with_vms = {h.id for h in pool.hosts.values() if h.vms and pool.fits(probe.shape, h)}
+    assert len(with_vms) == 6
+    assert cache.asked == {hid: 1 for hid in with_vms}
 
 
 # -- the free-capacity index ---------------------------------------------------

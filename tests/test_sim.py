@@ -178,6 +178,37 @@ class TestSimulatorBasics:
         assert sim.scheduling_failures == 0
 
 
+class Recording(OracleModel):
+    """The oracle, recording each VM it is asked about."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def remaining(self, vm, now):
+        self.seen[vm.id] = (vm.features, vm.shape)
+        return super().remaining(vm, now)
+
+
+class TestSharedArrivalTerms:
+    def test_each_key_field_separates(self):
+        """Each record differs from the first in one of the fields that
+        decide a VM's shape and features; every VM still gets its own."""
+        base = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=5000, cpu_m=1000,
+                           mem_mib=2048)
+        changes = [("cpu_m", 2000), ("mem_mib", 4096), ("zone", "z1"), ("vm_family", "f1"),
+                   ("vm_category", "c1"), ("has_ssd", True), ("priority", "spot"),
+                   ("provisioning_model", True)]
+        trace = [base] + [dataclasses.replace(base, vm_id=i, create_time_s=10 * i, **{f: v})
+                          for i, (f, v) in enumerate(changes, 1)]
+        trace.append(dataclasses.replace(base, vm_id=len(trace), create_time_s=100))
+        model = Recording()
+        Simulator(trace, 4, ResourceVec(8000, 32_768), "lava", model,
+                  cfg=SimConfig(warmup=False)).run()
+        assert sorted(model.seen) == [r.vm_id for r in trace]
+        for r in trace:
+            assert model.seen[r.vm_id] == (r.feature_vec(), r.shape())
+
+
 class TestWarmup:
     def test_warmup_placements_use_baseline(self):
         trace = [rec(0, 0, 7200), rec(1, 4000, 7200)]
