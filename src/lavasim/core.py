@@ -74,18 +74,20 @@ class VmRecord:
 
 
 class _HostSlots:
-    """Slots of ``HostRecord`` that are not dataclass fields: ``_used`` holds
-    the value of the ``used`` property, and ``_index`` is the index of the
-    pool that files the host."""
+    """Slots of ``HostRecord`` that are not dataclass fields: the plain ints
+    ``used_cpu_m`` and ``used_mem_mib`` hold the value of the ``used``
+    property, and ``_index`` is the index of the pool that files the host.
+    A write of the ints skips the re-file, so only ``PoolState`` writes them
+    and re-files the host itself."""
 
-    __slots__ = ("_used", "_index")
+    __slots__ = ("used_cpu_m", "used_mem_mib", "_index")
 
 
 @dataclass(slots=True)
 class HostRecord(_HostSlots):
     id: int
     capacity: ResourceVec
-    used: ResourceVec = ZERO  # a property over the ``_used`` slot, bound below
+    used: ResourceVec = ZERO  # a property over the two ``used_*`` int slots, bound below
     vms: Set[int] = field(default_factory=set)
     unavailable_for_scheduling: bool = False
     # shapes reserved by in-flight incoming live migrations, vm id -> shape
@@ -95,33 +97,38 @@ class HostRecord(_HostSlots):
         return not self.vms and not self.incoming
 
 
+def _get_used(host: HostRecord) -> ResourceVec:
+    return ResourceVec(host.used_cpu_m, host.used_mem_mib)
+
+
 def _set_used(host: HostRecord, used: ResourceVec) -> None:
-    host._used = used
+    host.used_cpu_m, host.used_mem_mib = used.cpu_m, used.mem_mib
     index = getattr(host, "_index", None)  # unset while __init__ runs
     if index is not None:
         index.refile(host)
 
 
-# Every write of ``used``, also one from outside ``PoolState``, re-files the
-# host in its pool's index.  Hot loops read the ``_used`` slot directly.  The
-# property replaces the slot the dataclass made for the field, which stays
+# ``used`` is the API boundary: it reads as a ``ResourceVec``, and every write
+# of it, also one from outside ``PoolState``, re-files the host in its pool's
+# index.  Placement and hot loops add and read the ``used_*`` ints directly.
+# The property replaces the slot the dataclass made for the field, which stays
 # unused; the field itself stays, so ``dataclasses.fields`` and ``replace``
 # see ``used`` as before.
-HostRecord.used = property(lambda host: host._used, _set_used)
+HostRecord.used = property(_get_used, _set_used)
 
 
 def has_room(host: HostRecord, shape: ResourceVec) -> bool:
     """``host.used + shape`` fits within ``host.capacity``, on plain ints."""
-    used, cap = host._used, host.capacity
-    return (used.cpu_m + shape.cpu_m <= cap.cpu_m
-            and used.mem_mib + shape.mem_mib <= cap.mem_mib)
+    cap = host.capacity
+    return (host.used_cpu_m + shape.cpu_m <= cap.cpu_m
+            and host.used_mem_mib + shape.mem_mib <= cap.mem_mib)
 
 
 def free_key(host: HostRecord) -> Optional[int]:
     """Where ``FreeIndex`` files ``host``: its free CPU, or None if its
     ``used`` is zero."""
-    used = host._used
-    return host.capacity.cpu_m - used.cpu_m if used.cpu_m or used.mem_mib else None
+    used_cpu_m = host.used_cpu_m
+    return host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib else None
 
 
 class FreeIndex:
@@ -152,8 +159,9 @@ class FreeIndex:
         self._file(host.id, host.capacity, free_key(host))
 
     def refile(self, host: HostRecord) -> None:
-        used = host._used  # free_key(host), inlined: it runs on every write
-        key = host.capacity.cpu_m - used.cpu_m if used.cpu_m or used.mem_mib else None
+        used_cpu_m = host.used_cpu_m  # free_key(host), inlined: it runs on every write
+        key = (host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib
+               else None)
         old = self.filed[host.id]
         if key != old:
             if old is None:
@@ -200,7 +208,7 @@ class FreeIndex:
                 break
             for hid in buckets[key]:
                 host = hosts[hid]
-                if (host._used.mem_mib + mem_mib <= host.capacity.mem_mib
+                if (host.used_mem_mib + mem_mib <= host.capacity.mem_mib
                         and not host.unavailable_for_scheduling):
                     yield host
         for (cap_cpu_m, cap_mem_mib), ids in self.unused.items():
@@ -260,7 +268,9 @@ class PoolState:
             raise CapacityExceeded(f"vm {vm.id} does not fit on host {host_id}")
         self.vms[vm.id] = vm
         vm.host = host_id
-        host._used = host._used + vm.shape
+        shape = vm.shape
+        host.used_cpu_m += shape.cpu_m
+        host.used_mem_mib += shape.mem_mib
         self.index.refile(host)
         host.vms.add(vm.id)
 
@@ -280,15 +290,18 @@ class PoolState:
         host = self.hosts[host_id]
         if not has_room(host, vm.shape):
             raise CapacityExceeded(f"migration reservation for vm {vm.id} overflows host {host_id}")
-        host._used = host._used + vm.shape
+        shape = vm.shape
+        host.used_cpu_m += shape.cpu_m
+        host.used_mem_mib += shape.mem_mib
         self.index.refile(host)
-        host.incoming[vm.id] = vm.shape
+        host.incoming[vm.id] = shape
 
     def commit_incoming(self, vm: VmRecord, host_id: int) -> None:
         """Migration finished: the reservation becomes a normal placement."""
         host = self.hosts[host_id]
         shape = host.incoming.pop(vm.id)
-        host._used = host._used - shape
+        host.used_cpu_m -= shape.cpu_m
+        host.used_mem_mib -= shape.mem_mib
         self.index.refile(host)
         self.remove_keep(vm)
         vm.host = None
@@ -297,7 +310,9 @@ class PoolState:
     def remove_keep(self, vm: VmRecord) -> None:
         """Detach a live VM from its host without ending its life (migration source side)."""
         host = self.hosts[vm.host]
-        host._used = host._used - vm.shape
+        shape = vm.shape
+        host.used_cpu_m -= shape.cpu_m
+        host.used_mem_mib -= shape.mem_mib
         self.index.refile(host)
         host.vms.discard(vm.id)
 

@@ -110,9 +110,9 @@ def quantize_temporal_cost(delta_t_s: float, cfg: NilasConfig = NilasConfig()) -
 
 def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
     """Normalized leftover after placement, max over dimensions; lower is tighter."""
-    cap, used = host.capacity, host._used  # the slot behind ``used``: a plain read
-    cpu = (cap.cpu_m - used.cpu_m - shape.cpu_m) / cap.cpu_m
-    mem = (cap.mem_mib - used.mem_mib - shape.mem_mib) / cap.mem_mib
+    cap = host.capacity
+    cpu = (cap.cpu_m - host.used_cpu_m - shape.cpu_m) / cap.cpu_m
+    mem = (cap.mem_mib - host.used_mem_mib - shape.mem_mib) / cap.mem_mib
     return cpu if cpu >= mem else mem
 
 
@@ -374,8 +374,8 @@ class LavaScheduler(Scheduler):
 
     def _over_threshold(self, host: HostRecord) -> bool:
         t = self.cfg.recycle_threshold
-        return (host.used.cpu_m > t * host.capacity.cpu_m
-                or host.used.mem_mib > t * host.capacity.mem_mib)
+        return (host.used_cpu_m > t * host.capacity.cpu_m
+                or host.used_mem_mib > t * host.capacity.mem_mib)
 
     def on_exit(self, pool, vm, host, now):
         self.nilas.cache.invalidate(host.id)

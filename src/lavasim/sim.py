@@ -5,6 +5,16 @@ optimal empty-host bound.
 Migrations run only here: a replay's defrag rounds and the evacuation
 replays of ``defrag.py`` use the same queue, slot filling and pending-exit
 handling.
+
+Events come from two sources.  The trace, sorted by create time, is walked
+by position, one arrival at a time; the event heap holds everything else
+(exits, migration ends, deadlines, defrag checks and samples), as
+``(time, kind, seq, arg)`` entries that ``_step`` pops and dispatches.  The
+tie rule is the ``EV_*`` order: before an arrival at ``t`` runs, every heap
+event with ``(time, kind) < (t, EV_ARRIVAL)`` runs, so at one timestamp
+exits, migration ends, deadlines and defrag checks come first, then the
+arrivals in trace order, then the samples; heap events of one kind run in
+the order they were pushed.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
@@ -116,26 +127,37 @@ def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float]:
     nonempty_used = nonempty_cap = 0
     n_empty = 0
     for host in pool.hosts.values():
-        free = host.capacity.cpu_m - host.used.cpu_m
-        free_cpu += free
+        cap_cpu_m, used_cpu_m = host.capacity.cpu_m, host.used_cpu_m
+        free_cpu += cap_cpu_m - used_cpu_m
         if host.is_empty():
             n_empty += 1
-            empty_cpu += host.capacity.cpu_m
+            empty_cpu += cap_cpu_m
         else:
-            nonempty_used += host.used.cpu_m
-            nonempty_cap += host.capacity.cpu_m
+            nonempty_used += used_cpu_m
+            nonempty_cap += cap_cpu_m
     empty_pct = 100.0 * n_empty / n if n else 0.0
     ratio = empty_cpu / free_cpu if free_cpu > 0 else 0.0
     density = nonempty_used / nonempty_cap if nonempty_cap > 0 else 1.0
     return empty_pct, ratio, density
 
 
+def _init_values(cls) -> attrgetter:
+    """record -> the values of its ``__init__`` fields, in positional order."""
+    return attrgetter(*(f.name for f in dataclasses.fields(cls) if f.init))
+
+
+_HOST_VALUES = _init_values(HostRecord)
+_VM_VALUES = _init_values(VmRecord)
+
+
 def clone_pool(pool: PoolState) -> PoolState:
     """Copy every host and VM record; the containers a record owns are copied
     too, and the clone files its hosts in a free-capacity index of its own."""
-    hosts = {hid: dataclasses.replace(h, vms=set(h.vms), incoming=dict(h.incoming))
-             for hid, h in pool.hosts.items()}
-    vms = {vid: dataclasses.replace(vm) for vid, vm in pool.vms.items()}
+    hosts = {}
+    for hid, h in pool.hosts.items():
+        copied = hosts[hid] = HostRecord(*_HOST_VALUES(h))
+        copied.vms, copied.incoming = set(h.vms), dict(h.incoming)
+    vms = {vid: VmRecord(*_VM_VALUES(vm)) for vid, vm in pool.vms.items()}
     return dataclasses.replace(pool, hosts=hosts, vms=vms)
 
 
@@ -153,7 +175,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
 
     def place_best_fit(shape: ResourceVec) -> bool:
         best = best_host(snap.index, shape,
-                         lambda h: (0 if h.vms or h.used.cpu_m else 1,
+                         lambda h: (0 if h.vms or h.used_cpu_m else 1,
                                     best_fit_score(h, shape), h.id),
                          (0,))
         if best is None:
@@ -174,8 +196,8 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
 
     total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())
     total_mem = sum(h.capacity.mem_mib for h in snap.hosts.values())
-    free_cpu = sum(h.capacity.cpu_m - h.used.cpu_m for h in snap.hosts.values())
-    free_mem = sum(h.capacity.mem_mib - h.used.mem_mib for h in snap.hosts.values())
+    free_cpu = sum(h.capacity.cpu_m - h.used_cpu_m for h in snap.hosts.values())
+    free_mem = sum(h.capacity.mem_mib - h.used_mem_mib for h in snap.hosts.values())
     return free_cpu / total_cpu, free_mem / total_mem
 
 
@@ -187,8 +209,8 @@ def optimal_empty_bound(pool: PoolState) -> float:
     if any(h.capacity != cap for h in hosts):
         raise HeterogeneousPool("optimal bound assumes identical host capacity")
     n = len(hosts)
-    free_cpu = sum(cap.cpu_m - h.used.cpu_m for h in hosts)
-    free_mem = sum(cap.mem_mib - h.used.mem_mib for h in hosts)
+    free_cpu = sum(cap.cpu_m - h.used_cpu_m for h in hosts)
+    free_mem = sum(cap.mem_mib - h.used_mem_mib for h in hosts)
     bound_hosts = min(free_cpu // cap.cpu_m, free_mem // cap.mem_mib)
     return bound_hosts / n
 
@@ -217,13 +239,14 @@ class Simulator:
         self.warmup_sched: Scheduler = BestFitScheduler()
         self.algorithm = algorithm
         # event heap: (time, kind, seq, arg); kind is one of the EV_* codes
+        # but EV_ARRIVAL, since arrivals are streamed from the trace
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
         self._handlers = {EV_EXIT: self._handle_exit, EV_MIG_END: self._handle_migration_end,
                           EV_DEADLINE: self._handle_deadline,
-                          EV_DEFRAG: self._handle_defrag_check,
-                          EV_ARRIVAL: self._handle_arrival, EV_SAMPLE: self._handle_sample}
+                          EV_DEFRAG: self._handle_defrag_check, EV_SAMPLE: self._handle_sample}
         self._measure_start = 0.0
+        self._stranded: Optional[Tuple[float, float]] = None
         # (shape, features) per distinct record shape and features; both are
         # frozen, so the VMs of one key share them
         self._arrival_terms: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
@@ -265,8 +288,11 @@ class Simulator:
         self.pool.now = time
         self._handlers[kind](arg, time)
         if self.cfg.check_invariants:
-            self.pool.check_invariants()
-            self.active.check_invariants(self.pool)
+            self._check_invariants()
+
+    def _check_invariants(self) -> None:
+        self.pool.check_invariants()
+        self.active.check_invariants(self.pool)
 
     # -- main loop -------------------------------------------------------
 
@@ -278,8 +304,6 @@ class Simulator:
         t_end = trace[-1].create_time_s
         self._measure_start = t0 + self.cfg.warmup_s if self.cfg.warmup else t0
 
-        for rec in trace:
-            self._push(rec.create_time_s, EV_ARRIVAL, rec)
         t = t0
         while t <= t_end:
             self._push(t, EV_SAMPLE, None)
@@ -290,7 +314,25 @@ class Simulator:
                 self._push(t, EV_DEFRAG, None)
                 t += self.cfg.defrag.check_interval_s
 
-        while self._heap:
+        heap, check = self._heap, self.cfg.check_invariants
+        for rec in trace:
+            now = rec.create_time_s
+            # no heap entry has kind EV_ARRIVAL, so this compares (time, kind)
+            # only: the heap events that come before the arrival
+            before = (now, EV_ARRIVAL)
+            while heap and heap[0] < before:
+                self._step()
+            self.pool.now = now
+            self._handle_arrival(rec, now)
+            if check:
+                self._check_invariants()
+        while heap and heap[0][0] <= t_end:
+            self._step()
+        if self.cfg.measure_stranding:
+            # the pool at the end of the measured window, before the drain
+            self._stranded = inflation_stranding(self.pool, trace_shape_mix(trace),
+                                                 random.Random(self.cfg.stranding_seed))
+        while heap:
             self._step()
         return self._build_result(self._series, self._measure_start, t_end)
 
@@ -303,8 +345,8 @@ class Simulator:
     def _utilization(self) -> Tuple[float, float]:
         cap_c = sum(h.capacity.cpu_m for h in self.pool.hosts.values())
         cap_m = sum(h.capacity.mem_mib for h in self.pool.hosts.values())
-        used_c = sum(h.used.cpu_m for h in self.pool.hosts.values())
-        used_m = sum(h.used.mem_mib for h in self.pool.hosts.values())
+        used_c = sum(h.used_cpu_m for h in self.pool.hosts.values())
+        used_m = sum(h.used_mem_mib for h in self.pool.hosts.values())
         return used_c / cap_c, used_m / cap_m
 
     def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
@@ -456,12 +498,8 @@ class Simulator:
             "migrations_saved": self.migrations_saved,
             "migration_deferrals": self.migration_deferrals,
         }
-        if self.cfg.measure_stranding and self.trace:
-            mix = trace_shape_mix(self.trace)
-            rng = random.Random(self.cfg.stranding_seed)
-            cpu_s, mem_s = inflation_stranding(self.pool, mix, rng)
-            summary["stranded_cpu_frac"] = cpu_s
-            summary["stranded_mem_frac"] = mem_s
+        if self._stranded is not None:
+            summary["stranded_cpu_frac"], summary["stranded_mem_frac"] = self._stranded
         return summary
 
 
@@ -479,8 +517,8 @@ def select_candidates(pool: PoolState, count: int) -> List[int]:
         (h for h in pool.hosts.values()
          if h.vms and not h.incoming and not h.unavailable_for_scheduling),
         key=lambda h: (len(h.vms),
-                       -(h.capacity.cpu_m - h.used.cpu_m) / h.capacity.cpu_m
-                       - (h.capacity.mem_mib - h.used.mem_mib) / h.capacity.mem_mib,
+                       -(h.capacity.cpu_m - h.used_cpu_m) / h.capacity.cpu_m
+                       - (h.capacity.mem_mib - h.used_mem_mib) / h.capacity.mem_mib,
                        h.id))
     return [h.id for h in ranked[:count]]
 

@@ -164,12 +164,13 @@ def generate(cfg: GeneratorConfig) -> List[TraceRecord]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_vms
     gaps = rng.exponential(3600.0 / cfg.arrival_rate_per_h, size=n)
-    arrivals = np.floor(np.cumsum(gaps)).astype(np.int64)
+    # the draws as Python lists: indexing numpy scalars one at a time is slow
+    arrivals = np.floor(np.cumsum(gaps)).astype(np.int64).tolist()
     stratum_idx = rng.choice(len(cfg.strata), size=n,
-                             p=[s.weight for s in cfg.strata])
-    normals = rng.standard_normal(n)
+                             p=[s.weight for s in cfg.strata]).tolist()
+    normals = rng.standard_normal(n).tolist()
     shape_idx = rng.choice(len(cfg.shape_catalog), size=n,
-                           p=[w for _, _, w in cfg.shape_catalog])
+                           p=[w for _, _, w in cfg.shape_catalog]).tolist()
     records = []
     for i in range(n):
         s = cfg.strata[stratum_idx[i]]
@@ -177,7 +178,7 @@ def generate(cfg: GeneratorConfig) -> List[TraceRecord]:
         lifetime_s = max(int(round(lifetime_h * 3600.0)), 1)
         cpu_m, mem_mib, _ = cfg.shape_catalog[shape_idx[i]]
         records.append(TraceRecord(
-            vm_id=i, create_time_s=int(arrivals[i]), lifetime_s=lifetime_s,
+            vm_id=i, create_time_s=arrivals[i], lifetime_s=lifetime_s,
             cpu_m=cpu_m, mem_mib=mem_mib, zone=cfg.zone, vm_family=s.family))
     return records
 

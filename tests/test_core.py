@@ -173,7 +173,7 @@ class TestIndexInvariant:
 
     def test_unfiled_write_detected(self):
         pool = pool_with_host()
-        pool.hosts[0]._used = ResourceVec(4000, 100)  # bypasses the re-file
+        pool.hosts[0].used_cpu_m = 4000  # bypasses the re-file
         with pytest.raises(AssertionError, match="index"):
             pool.index.check()
 

@@ -4,10 +4,16 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.predict import OracleModel
+from lavasim.sched import LavaConfig
 from lavasim.sim import (
+    EV_ARRIVAL,
+    EV_DEFRAG,
+    EV_SAMPLE,
+    DefragConfig,
     HeterogeneousPool,
     SimConfig,
     Simulator,
@@ -258,3 +264,162 @@ class TestDeterminismAndInvariants:
                            OracleModel(), cfg=SimConfig(warmup=False)).run()
         mean_empty = sum(r[1] for r in result.series) / len(result.series)
         assert result.summary["avg_empty_hosts_pct"] == pytest.approx(mean_empty)
+
+
+class TestStrandingWindow:
+    def test_measured_on_the_pool_at_the_end_of_the_window(self):
+        """VM 0 is resident at the last arrival (VM 1, which does not fit),
+        and every VM has left once the heap drains.  At the end of the window
+        one more 400 m VM fits and 200 m stay free; the drained pool, with
+        this packer seed, takes a 1000 m VM first and strands nothing."""
+        trace = [rec(0, 0, 1000, cpu=400, mem=2048), rec(1, 10, 1000)]
+        cfg = SimConfig(warmup=False, measure_stranding=True, stranding_seed=0)
+        sim = Simulator(trace, 1, CAP, "baseline", OracleModel(), cfg=cfg)
+        summary = sim.run().summary
+        assert sim.scheduling_failures == 1 and not sim.pool.vms
+        drained = inflation_stranding(sim.pool, trace_shape_mix(trace), random.Random(0))
+        assert drained == (0.0, 0.0)
+        assert (summary["stranded_cpu_frac"], summary["stranded_mem_frac"]) == (
+            pytest.approx(0.2), 0.0)
+
+
+# -- the streamed loop against the loop that heaps every arrival --------------
+
+
+class HeapEverything(Simulator):
+    """The replay loop before arrivals were streamed from the trace: every
+    arrival, sample and defrag check is pushed onto the event heap before
+    the loop starts, and ``_step`` dispatches arrivals like any other event."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._handlers[EV_ARRIVAL] = self._handle_arrival
+
+    def run(self):
+        trace = self.trace
+        if not trace:
+            return self._empty_result()
+        t0 = trace[0].create_time_s
+        t_end = trace[-1].create_time_s
+        self._measure_start = t0 + self.cfg.warmup_s if self.cfg.warmup else t0
+        for r in trace:
+            self._push(r.create_time_s, EV_ARRIVAL, r)
+        t = t0
+        while t <= t_end:
+            self._push(t, EV_SAMPLE, None)
+            t += self.cfg.sample_interval_s
+        if self.cfg.defrag.enabled:
+            t = t0 + self.cfg.defrag.check_interval_s
+            while t <= t_end:
+                self._push(t, EV_DEFRAG, None)
+                t += self.cfg.defrag.check_interval_s
+        while self._heap:
+            self._step()
+        return self._build_result(self._series, self._measure_start, t_end)
+
+
+# every time is a multiple of 1800 s, and so are samples, defrag checks,
+# migrations and (with deadline factor 1) LAVA deadlines: ties are common
+GRID_S = 1800
+LIFETIMES = (1, GRID_S, 2 * GRID_S, 3 * GRID_S, 20 * GRID_S, 200 * GRID_S)
+TIE_SHAPES = ((1000, 4096), (2000, 8192), (4000, 16_384))
+TIE_CAP = ResourceVec(4000, 16_384)
+
+
+@st.composite
+def tie_traces(draw):
+    n = draw(st.integers(1, 14))
+    times = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    trace = []
+    for i, t in enumerate(times):
+        cpu, mem = draw(st.sampled_from(TIE_SHAPES))
+        trace.append(TraceRecord(vm_id=i, create_time_s=t * GRID_S,
+                                 lifetime_s=draw(st.sampled_from(LIFETIMES)),
+                                 cpu_m=cpu, mem_mib=mem))
+    return trace
+
+
+def tie_config(warmup=False, ordering="trace", max_concurrent=1, interval_s=GRID_S):
+    """Samples and defrag checks every ``interval_s``; a defrag round runs
+    whenever some host is not empty."""
+    return SimConfig(warmup=warmup, warmup_s=GRID_S, sample_interval_s=interval_s,
+                     check_invariants=True, record_placements=True,
+                     record_defrag_instances=True,
+                     defrag=DefragConfig(enabled=True, empty_host_trigger=1.0,
+                                         check_interval_s=interval_s, candidates_per_round=1,
+                                         ordering=ordering, max_concurrent=max_concurrent,
+                                         migration_s=GRID_S))
+
+
+def tie_run(cls, trace, algo, cfg, hosts=3):
+    sim = cls(trace, hosts, TIE_CAP, algo, OracleModel(),
+              lava_cfg=LavaConfig(deadline_factor=1.0), cfg=cfg)
+    return sim, sim.run()
+
+
+@settings(deadline=None, max_examples=300)
+@given(trace=tie_traces(), algo=st.sampled_from(["baseline", "la-binary", "nilas", "lava"]),
+       warmup=st.booleans(), ordering=st.sampled_from(["trace", "lars"]),
+       max_concurrent=st.integers(1, 2))
+def test_streamed_loop_matches_heap_everything(trace, algo, warmup, ordering, max_concurrent):
+    cfg = tie_config(warmup, ordering, max_concurrent)
+    _, got = tie_run(Simulator, trace, algo, cfg)
+    _, want = tie_run(HeapEverything, trace, algo, cfg)
+    assert got.series == want.series
+    assert got.summary == want.summary
+    assert got.placements == want.placements
+    assert ([(d.time, d.candidate_hosts) for d in got.defrag_instances]
+            == [(d.time, d.candidate_hosts) for d in want.defrag_instances])
+
+
+class LogEvents:
+    """Logs each handled event as (time, kind, argument)."""
+
+    def __init__(self, *args, **kwargs):
+        self.log = []
+        super().__init__(*args, **kwargs)
+
+    def _handle_exit(self, vm_id, now):
+        self.log.append((now, "exit", vm_id))
+        super()._handle_exit(vm_id, now)
+
+    def _handle_deadline(self, event, now):
+        self.log.append((now, "deadline", event[0]))
+        super()._handle_deadline(event, now)
+
+    def _handle_defrag_check(self, arg, now):
+        self.log.append((now, "defrag", None))
+        super()._handle_defrag_check(arg, now)
+
+    def _handle_arrival(self, r, now):
+        self.log.append((now, "arrival", r.vm_id))
+        super()._handle_arrival(r, now)
+
+    def _handle_sample(self, arg, now):
+        self.log.append((now, "sample", None))
+        super()._handle_sample(arg, now)
+
+
+class LoggedSimulator(LogEvents, Simulator):
+    pass
+
+
+class LoggedHeapEverything(LogEvents, HeapEverything):
+    pass
+
+
+def test_events_of_one_second_run_in_kind_order():
+    """At 3600 s: VM 1 exits, the deadline LAVA armed for host 0 at 0 s
+    (class LC1, factor 1) fires, the defrag check runs, VMs 2 and 3 arrive
+    in trace order, and the sample is taken, in that order."""
+    t = 2 * GRID_S
+    trace = [rec(0, 0, 3000), rec(1, 600, 3000), rec(2, t, 3000), rec(3, t, 3000)]
+    cfg = tie_config(interval_s=t)
+    sim, got = tie_run(LoggedSimulator, trace, "lava", cfg, hosts=2)
+    ref, want = tie_run(LoggedHeapEverything, trace, "lava", cfg, hosts=2)
+    assert [e for e in sim.log if e[0] == t] == [
+        (t, "exit", 1), (t, "deadline", 0), (t, "defrag", None),
+        (t, "arrival", 2), (t, "arrival", 3), (t, "sample", None)]
+    assert sim.log == ref.log
+    assert (got.series, got.summary, got.placements) == (want.series, want.summary,
+                                                         want.placements)
