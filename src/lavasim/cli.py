@@ -58,7 +58,7 @@ def _int_list(text: str) -> Tuple[int, ...]:
 # values become keyword arguments of the section's config dataclass
 CONFIG_KEYS = {
     "pool": {"hosts": int, "cpu_m": int, "mem_mib": int},
-    "nilas": {"position": str, "bucket_boundaries_s": _int_list},
+    "nilas": {"bucket_boundaries_s": _int_list},
     "lava": {"recycle_threshold": float, "deadline_factor": float},
     "sim": {"warmup": bool, "warmup_s": float, "sample_interval_s": float,
             "check_invariants": bool, "measure_stranding": bool},
@@ -95,9 +95,6 @@ def load_config(path: Optional[str]) -> Dict[str, Dict[str, object]]:
 
 def resolve_configs(raw: Dict[str, Dict[str, object]], args) -> Tuple[
         PoolConfig, NilasConfig, LavaConfig, SimConfig]:
-    n_raw = dict(raw.get("nilas", {}))
-    if getattr(args, "nilas_position", None):
-        n_raw["position"] = args.nilas_position
     s_raw = dict(raw.get("sim", {}))
     if getattr(args, "cold_start", False):
         s_raw["warmup"] = False
@@ -105,7 +102,7 @@ def resolve_configs(raw: Dict[str, Dict[str, object]], args) -> Tuple[
         s_raw["check_invariants"] = True
     sim = SimConfig(record_placements=getattr(args, "placements", False),
                     defrag=DefragConfig(**raw.get("defrag", {})), **s_raw)
-    return (PoolConfig(**raw.get("pool", {})), NilasConfig(**n_raw),
+    return (PoolConfig(**raw.get("pool", {})), NilasConfig(**raw.get("nilas", {})),
             LavaConfig(**raw.get("lava", {})), sim)
 
 
@@ -178,6 +175,14 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _map(worker, payloads: list, jobs: int) -> list:
+    """``[worker(p) for p in payloads]``, in ``jobs`` processes if ``jobs > 1``."""
+    if jobs <= 1:
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
+        return list(pool_exec.map(worker, payloads))
+
+
 def _compare_worker(payload):
     trace_path, algo, predictor, pool, nilas, lava, sim_cfg, seed = payload
     trace = parse_trace(trace_path)
@@ -192,12 +197,7 @@ def cmd_compare(args) -> int:
     pool, nilas, lava, sim_cfg = resolve_configs(load_config(args.config), args)
     payloads = [(args.trace, algo, args.predictor, pool, nilas, lava, sim_cfg,
                  args.seed) for algo in args.algos]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool_exec:
-            results = list(pool_exec.map(_compare_worker, payloads))
-    else:
-        results = [_compare_worker(p) for p in payloads]
-    results = {algo: summary for algo, summary in results}
+    results = dict(_map(_compare_worker, payloads, args.jobs))
     base = results[args.algos[0]]["avg_empty_hosts_pct"]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "comparison.csv")
@@ -240,11 +240,7 @@ def cmd_sweep_accuracy(args) -> int:
                 payloads.append((args.trace, algo, acc, seed, pool, nilas, lava, sim_cfg))
     baseline_payloads = [(args.trace, "baseline", None, args.seed, pool, nilas,
                           lava, sim_cfg)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool_exec:
-            rows = list(pool_exec.map(_sweep_worker, payloads + baseline_payloads))
-    else:
-        rows = [_sweep_worker(p) for p in payloads + baseline_payloads]
+    rows = _map(_sweep_worker, payloads + baseline_payloads, args.jobs)
     baseline_pct = next(r[3] for r in rows if r[0] == "baseline")
     rows = sorted(r for r in rows if r[0] != "baseline")
     os.makedirs(args.out, exist_ok=True)
@@ -345,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         if jobs:
             sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--cold-start", action="store_true")
-        sp.add_argument("--nilas-position", choices=("above-binpacking", "highest"),
-                        default=None)
         if predictor:
             sp.add_argument("--predictor", default="oracle",
                             help="oracle | noisy:<acc> | empirical:<model-file>")

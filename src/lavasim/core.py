@@ -186,14 +186,12 @@ class FreeIndex:
             self.buckets[key] = {hid}
             insort(self.keys, key)
 
-    def candidates(self, shape: ResourceVec, collapse_empty: bool = True,
-                   stop: Optional[Callable[[float], bool]] = None
+    def candidates(self, shape: ResourceVec, stop: Optional[Callable[[float], bool]] = None
                    ) -> Iterator[HostRecord]:
         """The available hosts with room for ``shape`` (``PoolState.fits``):
         first the hosts with non-zero ``used``, bucket by bucket in ascending
-        free CPU, then the hosts with zero ``used``.  With ``collapse_empty``,
-        of the hosts with no VMs and zero ``used`` only the lowest-id
-        available one of each capacity.
+        free CPU, then the hosts with zero ``used``, of which those with no
+        VMs collapse to the lowest-id available one of each capacity.
 
         Before the bucket of free CPU ``k`` is visited, ``stop`` (if given)
         is asked with ``(k - shape.cpu_m) / cap_max``, a lower bound on the
@@ -217,7 +215,7 @@ class FreeIndex:
                     host = hosts[hid]
                     if not host.unavailable_for_scheduling:
                         yield host
-                        if collapse_empty and not host.vms:
+                        if not host.vms:
                             break
 
     def check(self) -> None:

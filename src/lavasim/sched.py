@@ -46,8 +46,7 @@ host with no VMs from its VM set, ``used``, ``capacity`` and ``id`` alone
 so such hosts of one capacity tie on every component but the final id, and
 the lowest id wins among them.  The ``used == 0`` half matters: a host with
 no VMs may still hold incoming migration reservations (or a hand-set
-``used``), and it then scores as itself.  A NILAS ``extra_score`` may read
-anything about a host, so with one set every feasible host is scored.
+``used``), and it then scores as itself.
 
 LAVA's host lifecycle lives in ``LavaScheduler.state``, not in ``core``.  A
 host without an entry there is empty or holds only VMs placed under another
@@ -77,14 +76,11 @@ DEFAULT_BUCKETS_S = (0, 1800, 3600, 5400, 7200, 10800, 14400, 21600, 43200, 8640
 @dataclass(frozen=True)
 class NilasConfig:
     bucket_boundaries_s: Tuple[int, ...] = DEFAULT_BUCKETS_S
-    position: str = "above-binpacking"  # or "highest"
 
     def __post_init__(self):
         b = self.bucket_boundaries_s
         if b[0] != 0 or list(b) != sorted(set(b)):
             raise ValueError("bucket boundaries must be strictly increasing and start at 0")
-        if self.position not in ("above-binpacking", "highest"):
-            raise ValueError(f"unknown NILAS position {self.position!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
 
 
 def best_host(index: FreeIndex, shape: ResourceVec, key: Callable[[HostRecord], tuple],
-              floor: Optional[tuple], collapse_empty: bool = True) -> Optional[HostRecord]:
+              floor: Optional[tuple]) -> Optional[HostRecord]:
     """The candidate of ``index`` for ``shape`` with the least ``key``.
 
     ``floor`` is the least prefix ``key`` can return, with the best-fit term
@@ -131,7 +127,7 @@ def best_host(index: FreeIndex, shape: ResourceVec, key: Callable[[HostRecord], 
 
         def stop(bound: float) -> bool:
             return best_key is not None and bound > best_key[n] and best_key[:n] == floor
-    for host in index.candidates(shape, collapse_empty, stop):
+    for host in index.candidates(shape, stop):
         k = key(host)
         if best_key is None or k < best_key:
             best, best_key = host, k
@@ -146,15 +142,12 @@ class Scheduler:
     deadline_armed: Optional[Callable[[int, float], None]] = None
     # per-host state an evacuation replay carries over: LAVA's table
     state: Optional[Dict[int, LavaHost]] = None
-    # score one empty host per capacity (see the module docstring)
-    collapse_empty = True
     # least prefix of a score tuple, followed by its best-fit term; None
     # scores every candidate (see the module docstring)
     key_floor: Optional[tuple] = None
 
     def select_host(self, vm: VmRecord, pool: PoolState, now: float) -> Optional[int]:
-        best = best_host(pool.index, vm.shape, self.host_key(vm, pool, now),
-                         self.key_floor, self.collapse_empty)
+        best = best_host(pool.index, vm.shape, self.host_key(vm, pool, now), self.key_floor)
         return None if best is None else best.id
 
     def host_key(self, vm: VmRecord, pool: PoolState,
@@ -197,26 +190,16 @@ class BestFitScheduler(Scheduler):
 
 
 class NilasScheduler(Scheduler):
-    """Temporal-cost tie-breaking over best fit, driven by repredicted exits.
-
-    ``extra_score`` models a higher-ranked business scoring component; the
-    position knob controls whether the temporal cost sits below it (the
-    non-invasive deployment) or above it (the ideal-setting ablation).
-    """
+    """Best fit under a temporal cost driven by repredicted exits: hosts with
+    VMs first, then the least temporal cost, then the tightest fit."""
 
     name = "nilas"
 
     def __init__(self, model, cache: Optional[PredictionCache] = None,
-                 cfg: NilasConfig = NilasConfig(),
-                 extra_score: Optional[Callable[[HostRecord, VmRecord], float]] = None):
+                 cfg: NilasConfig = NilasConfig()):
         self.model = model
         self.cache = cache if cache is not None else PredictionCache()
         self.cfg = cfg
-        self.extra_score = extra_score
-
-    @property
-    def collapse_empty(self) -> bool:
-        return self.extra_score is None
 
     def temporal_key(self, vm, pool, now) -> Callable[[HostRecord], int]:
         """Temporal cost of placing ``vm`` on a host with VMs, host -> bucket."""
@@ -235,11 +218,7 @@ class NilasScheduler(Scheduler):
         def key(host):
             empty = 0 if host.vms else 1
             cost = 0 if empty else temporal(host)
-            packing = best_fit_score(host, vm.shape)
-            extra = self.extra_score(host, vm) if self.extra_score else 0.0
-            if self.cfg.position == "highest":
-                return (empty, cost, extra, packing, host.id)
-            return (extra, empty, cost, packing, host.id)
+            return (empty, cost, best_fit_score(host, vm.shape), host.id)
         return key
 
     def after_place(self, pool, vm, host, now):

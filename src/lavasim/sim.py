@@ -7,7 +7,7 @@ replays of ``defrag.py`` use the same queue, slot filling and pending-exit
 handling.
 
 Events come from two sources.  The trace, sorted by create time, is walked
-by position, one arrival at a time; the event heap holds everything else
+by index, one arrival at a time; the event heap holds everything else
 (exits, migration ends, deadlines, defrag checks and samples), as
 ``(time, kind, seq, arg)`` entries that ``_step`` pops and dispatches.  The
 tie rule is the ``EV_*`` order: before an arrival at ``t`` runs, every heap
@@ -142,7 +142,7 @@ def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float]:
 
 
 def _init_values(cls) -> attrgetter:
-    """record -> the values of its ``__init__`` fields, in positional order."""
+    """record -> the values of its ``__init__`` fields, in ``__init__`` order."""
     return attrgetter(*(f.name for f in dataclasses.fields(cls) if f.init))
 
 
@@ -268,13 +268,19 @@ class Simulator:
     def _over_pool(cls, pool: PoolState, algorithm: str, model, cfg: SimConfig,
                    sched_state: Optional[Dict[int, LavaHost]] = None) -> "Simulator":
         """A simulator without a trace that continues ``pool`` from ``pool.now``:
-        the exits of its VMs are scheduled and no VM arrives."""
+        the exits of its VMs and the deadlines of the adopted state are
+        scheduled, and no VM arrives.  A deadline at ``pool.now`` has already
+        fired: a snapshot is taken at a defrag check, which runs after the
+        deadlines of its timestamp."""
         sim = cls((), 0, ZERO, algorithm, model, cfg=cfg)
         sim.pool = pool
         sim.active.on_adopt(pool, pool.now, sched_state)
         for vm in pool.vms.values():
             if vm.true_exit_time > pool.now:
                 sim._push(vm.true_exit_time, EV_EXIT, vm.id)
+        for hid, lava in (sim.active.state or {}).items():
+            if lava.deadline > pool.now:
+                sim._push(lava.deadline, EV_DEADLINE, (hid, lava.deadline))
         return sim
 
     # -- event plumbing --------------------------------------------------

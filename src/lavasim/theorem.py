@@ -82,13 +82,11 @@ class _HostPool:
         self.k = k
         self.label: Dict[int, str] = {}
         self.occupancy: Dict[int, int] = {}
-        self.jobs_known_long: Dict[int, int] = {}
         # (label, occupancy) -> set of host ids with free slots
         self.buckets: Dict[Tuple[str, int], set] = {}
         self.empty_ids: List[int] = []
         self.next_id = 0
         self.nonempty = 0
-        self.peak = 0
 
     def _bucket_add(self, hid):
         self.buckets.setdefault((self.label[hid], self.occupancy[hid]), set()).add(hid)
@@ -113,10 +111,8 @@ class _HostPool:
         hid = heapq.heappop(self.empty_ids) if self.empty_ids else self._new_host()
         self.label[hid] = label
         self.occupancy[hid] = 1
-        self.jobs_known_long[hid] = 0
         self._bucket_add(hid)
         self.nonempty += 1
-        self.peak = max(self.peak, self.nonempty)
         return hid
 
     def _new_host(self) -> int:
@@ -124,22 +120,18 @@ class _HostPool:
         self.next_id += 1
         return hid
 
-    def depart(self, hid: int, was_known_long: bool) -> None:
+    def depart(self, hid: int) -> None:
         self._bucket_remove(hid)
         self.occupancy[hid] -= 1
-        if was_known_long:
-            self.jobs_known_long[hid] -= 1
         if self.occupancy[hid] == 0:
             self.nonempty -= 1
             del self.label[hid]
             del self.occupancy[hid]
-            del self.jobs_known_long[hid]
             heapq.heappush(self.empty_ids, hid)
         else:
             self._bucket_add(hid)
 
     def reveal_long(self, hid: int) -> None:
-        self.jobs_known_long[hid] += 1
         if self.label[hid] != "L":
             self._bucket_remove(hid)
             self.label[hid] = "L"
@@ -176,9 +168,7 @@ def _run_policy(cfg: TheoremConfig, seed: int, learning: bool) -> float:
             if i in host_of:
                 pool.reveal_long(host_of[i])
         else:  # exit
-            hid = host_of.pop(i)
-            was_known = learning and bool(is_long[i]) and (t - arrivals[i]) > cfg.short_s
-            pool.depart(hid, was_known)
+            pool.depart(host_of.pop(i))
     return area / last_t if last_t > 0 else 0.0
 
 

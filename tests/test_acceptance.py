@@ -19,7 +19,7 @@ from lavasim.core import ResourceVec
 from lavasim.defrag import compare_orderings
 from lavasim.evaluate import uptime_quantile_f1
 from lavasim.predict import EmpiricalLifetimeModel, OracleModel, make_predictor
-from lavasim.sched import NilasConfig, quantize_temporal_cost
+from lavasim.sched import quantize_temporal_cost
 from lavasim.sim import DefragConfig, SimConfig, Simulator
 from lavasim.theorem import (
     TheoremConfig,
@@ -49,9 +49,8 @@ def lifetime_trace(seed):
                                     shape_catalog=UNIFORM_SHAPES))
 
 
-def run_summary(trace, algo, model, warmup=True, nilas_cfg=NilasConfig(),
-                check_invariants=False):
-    sim = Simulator(trace, HOSTS, CAPACITY, algo, model, nilas_cfg=nilas_cfg,
+def run_summary(trace, algo, model, warmup=True, check_invariants=False):
+    sim = Simulator(trace, HOSTS, CAPACITY, algo, model,
                     cfg=SimConfig(warmup=warmup, check_invariants=check_invariants))
     return sim.run().summary
 
@@ -145,8 +144,7 @@ def cold_runs():
     for seed in SEEDS:
         trace = lifetime_trace(seed)
         bound = time_averaged_bound_pct(trace)
-        nilas = run_summary(trace, "nilas", OracleModel(), warmup=False,
-                            nilas_cfg=NilasConfig(position="highest"))
+        nilas = run_summary(trace, "nilas", OracleModel(), warmup=False)
         base = run_summary(trace, "baseline", OracleModel(), warmup=False)
         rows.append((bound, nilas["avg_empty_hosts_pct"],
                      base["avg_empty_hosts_pct"]))
@@ -154,9 +152,8 @@ def cold_runs():
 
 
 class TestNearOptimality:
-    """Criterion 3: cold-start NILAS (temporal cost ranked highest) reaches
-    >= 90% of the aggregate-resource bound; Best Fit achieves strictly
-    less of it."""
+    """Criterion 3: cold-start NILAS reaches >= 90% of the aggregate-resource
+    bound; Best Fit achieves strictly less of it."""
 
     def test_nilas_within_ninety_percent_of_bound(self, cold_runs):
         ratios = [n / b for b, n, _ in cold_runs]

@@ -1,11 +1,14 @@
 """End-to-end CLI subcommand tests on small inputs."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from lavasim.cli import main
+from lavasim.cli import CONFIG_KEYS, PoolConfig, main
+from lavasim.sched import LavaConfig, NilasConfig
+from lavasim.sim import DefragConfig, SimConfig
 from lavasim.workload import TraceRecord, write_trace
 
 CONFIG_INI = """\
@@ -105,6 +108,16 @@ class TestCompare:
         # the first algorithm's delta column is zero by construction
         assert float(lines[2].split(",")[2]) == 0.0
 
+    def test_jobs_match_serial(self, trace_path, config_path, tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            rc = main(["compare", "--trace", trace_path, "--config", config_path,
+                       "--algos", "baseline", "nilas", "--jobs", jobs, "--out", str(out)])
+            assert rc == 0
+            outs[jobs] = (out / "comparison.csv").read_bytes()
+        assert outs["1"] == outs["2"]
+
     def test_needs_two_algorithms(self, trace_path, tmp_path):
         rc = main(["compare", "--trace", trace_path, "--algos", "nilas",
                    "--out", str(tmp_path / "x")])
@@ -180,7 +193,25 @@ class TestConfigFile:
         assert config["sim"]["warmup"] is True
         assert config["sim"]["defrag"]["enabled"] is True
         assert config["sim"]["defrag"]["ordering"] == "lars"
-        assert config["nilas"]["position"] == "above-binpacking"
+        assert config["nilas"]["bucket_boundaries_s"] == [
+            0, 1800, 3600, 5400, 7200, 10800, 14400, 21600, 43200, 86400, 604800]
+
+    def test_config_keys_are_dataclass_fields(self):
+        """A key missing from its dataclass would reach the constructor as a
+        ``TypeError``, a traceback rather than exit 2."""
+        sections = {"pool": PoolConfig, "nilas": NilasConfig, "lava": LavaConfig,
+                    "sim": SimConfig, "defrag": DefragConfig}
+        assert sections.keys() == CONFIG_KEYS.keys()
+        for name, cls in sections.items():
+            fields = {f.name for f in dataclasses.fields(cls) if f.init}
+            assert CONFIG_KEYS[name].keys() <= fields, name
+
+    def test_nilas_position_flag_is_gone(self, trace_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--trace", trace_path, "--algo", "nilas",
+                  "--nilas-position", "highest", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("ini", [
         "[sim]\nwarmup = maybe\n",
@@ -190,6 +221,7 @@ class TestConfigFile:
         "[pools]\nhosts = 6\n",
         "[pool]\nhosts = 6\nhosts = 7\n",
         "hosts = 6\n",
+        "[nilas]\nposition = highest\n",
     ])
     def test_bad_config_exits_2(self, trace_path, tmp_path, capsys, ini):
         cfg = tmp_path / "bad.ini"

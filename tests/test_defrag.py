@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from lavasim.core import PoolState, ResourceVec, VmRecord
+from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.defrag import (
     EvacuationOutcome,
     MismatchedRuns,
@@ -12,8 +12,8 @@ from lavasim.defrag import (
     count_saved_migrations,
     simulate_evacuation,
 )
-from lavasim.predict import OracleModel, make_predictor
-from lavasim.sched import LavaScheduler
+from lavasim.predict import CLASS_UPPER_BOUND_S, OracleModel, make_predictor
+from lavasim.sched import LavaHost, LavaScheduler
 from lavasim.sim import (
     DefragConfig,
     SimConfig,
@@ -92,6 +92,25 @@ class TestSimulateEvacuation:
         assert not sim.pool.vms
         assert all(h.is_empty() and not h.unavailable_for_scheduling
                    for h in sim.pool.hosts.values())
+
+    def test_adopted_deadline_fires(self):
+        """A deadline of the adopted LAVA table that falls inside the
+        evacuation promotes its host, as in the live run; one at ``pool.now``
+        fired before the snapshot and does not fire again."""
+        pool = PoolState()
+        for _ in range(3):
+            pool.add_host(CAP)
+        for hid in range(3):
+            pool.place(make_vm(hid, 0.0, 50_000.0), hid)
+        state = {1: LavaHost(LifetimeClass.LC1, 600.0), 2: LavaHost(LifetimeClass.LC1, 0.0)}
+        cfg = SimConfig(check_invariants=True, defrag=DefragConfig(migration_s=1200.0))
+        sim = Simulator._over_pool(clone_pool(pool), "lava", OracleModel(), cfg, state)
+        sim._evacuate(sim.pool.hosts[0], [0])
+        assert sim.pool.now == 1200.0 and sim.migrations_done == 1
+        assert state[1] == LavaHost(LifetimeClass.LC2,
+                                    600.0 + 1.1 * CLASS_UPPER_BOUND_S[LifetimeClass.LC2], False,
+                                    {1})
+        assert state[2].host_class == LifetimeClass.LC1 and state[2].deadline == 0.0
 
     def test_original_pool_untouched(self):
         pool = hand_pool()

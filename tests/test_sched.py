@@ -73,8 +73,6 @@ class TestQuantization:
             NilasConfig(bucket_boundaries_s=(10, 20))
         with pytest.raises(ValueError):
             NilasConfig(bucket_boundaries_s=(0, 20, 20))
-        with pytest.raises(ValueError):
-            NilasConfig(position="sideways")
 
     @given(st.floats(0, 1e9))
     def test_monotone_and_bounded(self, delta):
@@ -137,21 +135,6 @@ class TestNilas:
         pool.place(make_vm(1, 4000, 16_384), 0)
         vm = make_vm(2, 4000, 16_384)
         assert NilasScheduler(OracleModel()).select_host(vm, pool, 0.0) == 1
-
-    def test_above_binpacking_never_overrides_higher_rank(self):
-        """With an injected higher-ranked component, temporal cost must not
-        flip a decision that component already made."""
-        pool = make_pool(2)
-        pool.place(make_vm(1, exit_=600.0), 0)
-        pool.place(make_vm(2, exit_=1e6), 1)
-        vm = make_vm(3, exit_=900_000.0)
-        prefer_h0 = lambda host, _vm: 0.0 if host.id == 0 else 1.0
-        sched = NilasScheduler(OracleModel(), extra_score=prefer_h0,
-                               cfg=NilasConfig(position="above-binpacking"))
-        assert sched.select_host(vm, pool, 0.0) == 0  # business score wins
-        sched_hi = NilasScheduler(OracleModel(), extra_score=prefer_h0,
-                                  cfg=NilasConfig(position="highest"))
-        assert sched_hi.select_host(vm, pool, 0.0) == 1  # temporal cost wins
 
     def test_brute_force_equivalence(self):
         """On small instances the chosen host equals the argmin over

@@ -16,7 +16,6 @@ from lavasim.sched import (
     LaBinaryScheduler,
     LavaHost,
     LavaScheduler,
-    NilasConfig,
     NilasScheduler,
     best_fit_score,
     quantize_temporal_cost,
@@ -68,11 +67,7 @@ def ref_score(sched, host, vm, pool, now):
         return (tier, distance, temporal, ref_best_fit(host, vm.shape), host.id)
     empty = 0 if host.vms else 1
     temporal = 0 if empty else ref_temporal(sched, host, vm, pool, now)
-    packing = ref_best_fit(host, vm.shape)
-    extra = sched.extra_score(host, vm) if sched.extra_score else 0.0
-    if sched.cfg.position == "highest":
-        return (empty, temporal, extra, packing, host.id)
-    return (extra, empty, temporal, packing, host.id)
+    return (empty, temporal, ref_best_fit(host, vm.shape), host.id)
 
 
 def ref_select(sched, vm, pool, now):
@@ -124,19 +119,10 @@ def ref_stranding(pool, vm_mix, rng, consecutive_failures=200):
 # -- random pools -----------------------------------------------------------
 
 
-def odd_first(host, vm):
-    """A business score that reads the host id, so empty hosts do not tie."""
-    return float(host.id % 2 == 0)
-
-
 SCHEDULERS = {
     "baseline": lambda m: BestFitScheduler(),
     "la-binary": lambda m: LaBinaryScheduler(m),
     "nilas": lambda m: NilasScheduler(m),
-    "nilas-highest": lambda m: NilasScheduler(m, cfg=NilasConfig(position="highest")),
-    "nilas-extra": lambda m: NilasScheduler(m, extra_score=odd_first),
-    "nilas-extra-highest": lambda m: NilasScheduler(m, extra_score=odd_first,
-                                                    cfg=NilasConfig(position="highest")),
     "lava": lambda m: LavaScheduler(m),
 }
 
@@ -353,15 +339,15 @@ def test_cached_scorers_score_every_host_with_vms(algo):
 # -- the free-capacity index ---------------------------------------------------
 
 
-def naive_candidates(pool, shape, collapse_empty):
-    """Ids of ``[h for h in hosts if pool.fits(shape, h)]``; collapsed, only
-    the lowest-id host of each capacity among those with no VMs and zero
+def naive_candidates(pool, shape):
+    """Ids of ``[h for h in hosts if pool.fits(shape, h)]``, with only the
+    lowest-id host of each capacity among those with no VMs and zero
     ``used``."""
     ids, seen = [], set()
     for host in pool.hosts.values():
         if not pool.fits(shape, host):
             continue
-        if collapse_empty and not host.vms and host.used == ZERO:
+        if not host.vms and host.used == ZERO:
             if host.capacity in seen:
                 continue
             seen.add(host.capacity)
@@ -374,10 +360,9 @@ def check_candidates(pool):
     pool.index.check()
     out = []
     for shape in (ResourceVec(*s) for s in SHAPES):
-        for collapse in (True, False):
-            got = sorted(h.id for h in pool.index.candidates(shape, collapse))
-            assert got == naive_candidates(pool, shape, collapse), (shape, collapse)
-            out.append(got)
+        got = sorted(h.id for h in pool.index.candidates(shape))
+        assert got == naive_candidates(pool, shape), shape
+        out.append(got)
     return out
 
 
