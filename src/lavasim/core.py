@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class CapacityExceeded(Exception):
@@ -125,22 +125,25 @@ def has_room(host: HostRecord, shape: ResourceVec) -> bool:
 
 
 def free_key(host: HostRecord) -> Optional[int]:
-    """Where ``FreeIndex`` files ``host``: its free CPU, or None if its
-    ``used`` is zero."""
+    """Where ``FreeIndex`` files ``host``: its free CPU, or None if it has no
+    VMs and zero ``used``."""
     used_cpu_m = host.used_cpu_m
-    return host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib else None
+    return (host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib or host.vms
+            else None)
 
 
 class FreeIndex:
     """The hosts of one pool filed by free capacity, so that a placement
     visits only the hosts a shape fits on.
 
-    A host with non-zero ``used`` sits in the bucket of its free CPU, and
-    ``keys`` holds the bucket keys in ascending order.  A host with zero
-    ``used`` sits in the id-ordered list of its capacity, keyed by the
-    capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than a
+    A host with VMs or non-zero ``used`` sits in the bucket of its free CPU,
+    and ``keys`` holds the bucket keys in ascending order.  A host with no
+    VMs and zero ``used`` sits in the id-ordered list of its capacity, keyed
+    by the capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than a
     ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``, and
-    ``cap_max`` is the largest CPU capacity of a host added.
+    ``cap_max`` is the largest CPU capacity of a host added.  A host's VM set
+    changes only with its ``used`` (``PoolState.place`` and ``remove_keep``),
+    and the re-file follows both; ``sched.best_host`` walks the index.
     """
 
     __slots__ = ("hosts", "keys", "buckets", "unused", "filed", "cap_max")
@@ -160,7 +163,7 @@ class FreeIndex:
 
     def refile(self, host: HostRecord) -> None:
         used_cpu_m = host.used_cpu_m  # free_key(host), inlined: it runs on every write
-        key = (host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib
+        key = (host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib or host.vms
                else None)
         old = self.filed[host.id]
         if key != old:
@@ -185,38 +188,6 @@ class FreeIndex:
         else:
             self.buckets[key] = {hid}
             insort(self.keys, key)
-
-    def candidates(self, shape: ResourceVec, stop: Optional[Callable[[float], bool]] = None
-                   ) -> Iterator[HostRecord]:
-        """The available hosts with room for ``shape`` (``PoolState.fits``):
-        first the hosts with non-zero ``used``, bucket by bucket in ascending
-        free CPU, then the hosts with zero ``used``, of which those with no
-        VMs collapse to the lowest-id available one of each capacity.
-
-        Before the bucket of free CPU ``k`` is visited, ``stop`` (if given)
-        is asked with ``(k - shape.cpu_m) / cap_max``, a lower bound on the
-        free-CPU fraction after placement of every host in that bucket and
-        in all later ones; if it answers true, the remaining buckets are
-        skipped and the hosts with zero ``used`` still follow."""
-        cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
-        hosts, keys, buckets = self.hosts, self.keys, self.buckets
-        for i in range(bisect_left(keys, cpu_m), len(keys)):
-            key = keys[i]
-            if stop is not None and stop((key - cpu_m) / self.cap_max):
-                break
-            for hid in buckets[key]:
-                host = hosts[hid]
-                if (host.used_mem_mib + mem_mib <= host.capacity.mem_mib
-                        and not host.unavailable_for_scheduling):
-                    yield host
-        for (cap_cpu_m, cap_mem_mib), ids in self.unused.items():
-            if cpu_m <= cap_cpu_m and mem_mib <= cap_mem_mib:
-                for hid in ids:
-                    host = hosts[hid]
-                    if not host.unavailable_for_scheduling:
-                        yield host
-                        if not host.vms:
-                            break
 
     def check(self) -> None:
         """Every host of the pool is filed exactly once, under its current
@@ -269,8 +240,8 @@ class PoolState:
         shape = vm.shape
         host.used_cpu_m += shape.cpu_m
         host.used_mem_mib += shape.mem_mib
-        self.index.refile(host)
         host.vms.add(vm.id)
+        self.index.refile(host)
 
     def remove(self, vm_id: int) -> VmRecord:
         vm = self.vms.get(vm_id)
@@ -311,8 +282,8 @@ class PoolState:
         shape = vm.shape
         host.used_cpu_m -= shape.cpu_m
         host.used_mem_mib -= shape.mem_mib
-        self.index.refile(host)
         host.vms.discard(vm.id)
+        self.index.refile(host)
 
     # -- invariants ------------------------------------------------------
 

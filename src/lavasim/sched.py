@@ -5,48 +5,57 @@ lexicographically (lower is better) and picks the minimum; the host id is
 always the final component, so ties resolve deterministically.
 
 ``Scheduler.select_host`` is the one placement decision, for arrivals and
-migration targets alike.  It takes its candidates from the pool's
-free-capacity index (``core.FreeIndex``) and builds each algorithm's
-VM-side terms (the VM's predicted exit, its LA-Binary class) once per call
-through ``host_key``.  The index files every host with non-zero ``used`` in
-a bucket keyed by its free CPU, and every host with zero ``used`` in an
-id-ordered list per capacity.  A VM needing ``c`` milli-cores visits only
-the buckets with free CPU of at least ``c``; memory and
-``unavailable_for_scheduling`` are tested at the visit.  Each write of
-``host.used``, also a direct one, re-files the host, so the candidates are
-exactly the hosts ``PoolState.fits`` accepts.  The buckets come in ascending
-free CPU and the zero-``used`` lists after them; the order within a bucket
-does not matter, because the host id ends every score tuple.
+migration targets alike.  It builds each algorithm's VM-side terms (the
+VM's predicted exit, its LA-Binary class) once per call through
+``host_key`` and hands the host -> score function to ``best_host``, one walk
+over the pool's free-capacity index (``core.FreeIndex``).  The index files
+every host with VMs or non-zero ``used`` in a bucket keyed by its free CPU,
+and every host with no VMs and zero ``used`` in an id-ordered list per
+capacity.  A VM needing ``c`` milli-cores visits only the buckets with free
+CPU of at least ``c``; memory and ``unavailable_for_scheduling`` are tested
+at the visit.  Each write of ``host.used``, also a direct one, re-files the
+host, and so does each change of its VM set, so the walk scores exactly the
+hosts ``PoolState.fits`` accepts, except as below.  The buckets come in
+ascending free CPU and the lists after them; the order within a bucket does
+not matter, because the host id ends every score tuple.
 
-The scan (``best_host``) stops walking buckets once no later bucket can hold
-the winner.  Before it visits the bucket of free CPU ``k`` it takes
-``(k - c) / cap_max``, with ``cap_max`` the pool's largest host CPU
-capacity.  Every host in that bucket or a later one has free CPU
-``k' >= k >= c`` and capacity ``cap <= cap_max``, so its CPU term of
-``best_fit_score``, ``(k' - c) / cap``, is at least the bound: the
+Of the hosts in the lists, only the lowest-id available one of each
+capacity is scored.  This is exact.  Every algorithm scores a host with no
+VMs from its VM set, ``used``, ``capacity`` and ``id`` alone (tier "empty",
+temporal cost 0, best fit from ``used`` and ``capacity``), so such hosts of
+one capacity tie on every component but the final id, and the lowest id
+wins among them.  A host with no VMs but non-zero ``used`` (incoming
+migration reservations, or a hand-set ``used``) sits in a bucket and scores
+as itself.
+
+The walk stops once no unseen host can win.  Before it visits the bucket of
+free CPU ``k`` it takes ``(k - c) / cap_max``, with ``cap_max`` the pool's
+largest host CPU capacity.  Every host in that bucket or a later one has
+free CPU ``k' >= k >= c`` and capacity ``cap <= cap_max``, so its CPU term
+of ``best_fit_score``, ``(k' - c) / cap``, is at least the bound: the
 numerators are exact integers and correctly rounded division is monotone,
 so this holds in floats too.  ``best_fit_score`` is the larger of the CPU
 and memory terms, so the bound holds for it as well.  A scheduler whose
 score tuple starts with a prefix that has a known least value
 (``key_floor``), followed by the best-fit term, stops once the best host so
 far has that least prefix and the bound is strictly greater than its best
-fit.  No host in a bucket still unseen can then beat it; at equality one
-might tie and win on a lower id.  The bound says nothing about the hosts
-with zero ``used``, which sit in no bucket, so their lists are walked after
-a stop too (collapsed, one host per capacity).  Best Fit and LA-Binary
-declare ``(0,)``.  NILAS and LAVA declare none and score every
-candidate: scoring a host with VMs fills its ``PredictionCache`` entry, and
-skipping hosts would change when entries are filled, which is not provably
-without effect while the cache refreshes on a timer (the empirical model).
+fit: no host in a bucket still unseen can then beat it, while at equality
+one might tie and win on a lower id.  The walk returns at once, skipping the
+lists too, because every ``key_floor`` starts with the tier of a host with
+VMs and ranks strictly below the key of any host without them.
 
-Of the hosts with no VMs and zero ``used``, only the lowest-id available
-one of each capacity is scored.  This is exact.  Every algorithm scores a
-host with no VMs from its VM set, ``used``, ``capacity`` and ``id`` alone
-(tier "empty", temporal cost 0, best fit from ``used`` and ``capacity``),
-so such hosts of one capacity tie on every component but the final id, and
-the lowest id wins among them.  The ``used == 0`` half matters: a host with
-no VMs may still hold incoming migration reservations (or a hand-set
-``used``), and it then scores as itself.
+Best Fit and LA-Binary declare ``(0,)``.  NILAS (``(0, 0)``: has VMs,
+temporal cost 0) and LAVA (``(0, 1, 0)``: a recycling host one class above
+the VM, temporal cost 0) declare a floor only under a ``time_invariant``
+model (``oracle``, ``noisy``), and LAVA's key is then lazy too: a host whose
+``(tier, distance)`` is worse than the least pair the key has scored in full
+cannot win, and gets that bare pair without a temporal cost.  Both skips
+leave ``PredictionCache`` entries unfilled.  Under a time-invariant model an
+entry answers ``max(now, latest predicted exit)`` whenever it was filled, so
+this changes no output.  Under the empirical model an entry refreshes on a
+timer and its answer depends on when it was filled, so NILAS and LAVA score
+every candidate there, filling the same entries at the same times as a full
+scan.
 
 LAVA's host lifecycle lives in ``LavaScheduler.state``, not in ``core``.  A
 host without an entry there is empty or holds only VMs placed under another
@@ -56,7 +65,7 @@ the deadline the event carries.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set, Tuple
 
@@ -114,23 +123,41 @@ def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
 
 def best_host(index: FreeIndex, shape: ResourceVec, key: Callable[[HostRecord], tuple],
               floor: Optional[tuple]) -> Optional[HostRecord]:
-    """The candidate of ``index`` for ``shape`` with the least ``key``.
+    """The available host of ``index`` with room for ``shape`` and the least
+    ``key``, or None if no host has room.
 
     ``floor`` is the least prefix ``key`` can return, with the best-fit term
-    right after it, or None to score every candidate.  The bucket walk stops
-    once the best key so far starts with ``floor`` and the bucket's bound
+    right after it, or None to score every candidate.  The walk ends once the
+    best key so far starts with ``floor`` and the bound of the next bucket
     (see the module docstring) is strictly greater than its best-fit term."""
+    cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
+    hosts, keys, buckets, cap_max = index.hosts, index.keys, index.buckets, index.cap_max
+    n = 0 if floor is None else len(floor)
     best = best_key = None
-    stop = None
-    if floor is not None:
-        n = len(floor)
-
-        def stop(bound: float) -> bool:
-            return best_key is not None and bound > best_key[n] and best_key[:n] == floor
-    for host in index.candidates(shape, stop):
-        k = key(host)
-        if best_key is None or k < best_key:
-            best, best_key = host, k
+    limit = None  # the best-fit term of ``best_key`` once it starts with ``floor``
+    for i in range(bisect_left(keys, cpu_m), len(keys)):
+        free = keys[i]
+        if limit is not None and (free - cpu_m) / cap_max > limit:
+            return best
+        for hid in buckets[free]:
+            host = hosts[hid]
+            if (host.used_mem_mib + mem_mib <= host.capacity.mem_mib
+                    and not host.unavailable_for_scheduling):
+                k = key(host)
+                if best_key is None or k < best_key:
+                    best, best_key = host, k
+                    if floor is not None and k[:n] == floor:
+                        limit = k[n]
+    # hosts with no VMs and zero used: the lowest-id available one per capacity
+    for (cap_cpu_m, cap_mem_mib), ids in index.unused.items():
+        if cpu_m <= cap_cpu_m and mem_mib <= cap_mem_mib:
+            for hid in ids:
+                host = hosts[hid]
+                if not host.unavailable_for_scheduling:
+                    k = key(host)
+                    if best_key is None or k < best_key:
+                        best, best_key = host, k
+                    break
     return best
 
 
@@ -200,6 +227,8 @@ class NilasScheduler(Scheduler):
         self.model = model
         self.cache = cache if cache is not None else PredictionCache()
         self.cfg = cfg
+        if getattr(model, "time_invariant", False):
+            self.key_floor = (0, 0)
 
     def temporal_key(self, vm, pool, now) -> Callable[[HostRecord], int]:
         """Temporal cost of placing ``vm`` on a host with VMs, host -> bucket."""
@@ -298,6 +327,8 @@ class LavaScheduler(Scheduler):
         self.cfg = cfg
         self.nilas = NilasScheduler(model, cache, nilas_cfg)
         self.state: Dict[int, LavaHost] = {}
+        if self.nilas.key_floor is not None:
+            self.key_floor = (0, 1, 0)
 
     def on_arrival(self, vm, now):
         vm.lifetime_class = lifetime_class(self.model.remaining(vm, now))
@@ -318,9 +349,20 @@ class LavaScheduler(Scheduler):
 
     def host_key(self, vm, pool, now):
         temporal = self.nilas.temporal_key(vm, pool, now)
+        lazy = self.key_floor is not None
+        # the least (tier, distance) scored in full; it starts above every
+        # pair and moves only when the key is lazy
+        least = (4, 0)
 
         def key(host):
-            tier, distance = self._tier(host, vm)
+            nonlocal least
+            pair = self._tier(host, vm)
+            if pair > least:
+                # a host scored in full has a better pair, so this one cannot win
+                return pair
+            if lazy:
+                least = pair
+            tier, distance = pair
             cost = 0 if not host.vms else temporal(host)
             return (tier, distance, cost, best_fit_score(host, vm.shape), host.id)
         return key

@@ -24,6 +24,7 @@ import dataclasses
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -191,7 +192,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
                 fails = 0
             else:
                 fails += 1
-        if next(snap.index.candidates(smallest), None) is None:
+        if best_host(snap.index, smallest, lambda h: (h.id,), None) is None:
             break
 
     total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())
@@ -510,11 +511,9 @@ class Simulator:
 
 
 def trace_shape_mix(trace: Sequence[TraceRecord]) -> List[Tuple[ResourceVec, float]]:
-    counts: Dict[ResourceVec, int] = {}
-    for rec in trace:
-        shape = rec.shape()
-        counts[shape] = counts.get(shape, 0) + 1
-    return sorted(counts.items(), key=lambda kv: (kv[0].cpu_m, kv[0].mem_mib))
+    """Each distinct shape of ``trace`` with its number of VMs, by (CPU, memory)."""
+    counts = Counter(zip(map(attrgetter("cpu_m"), trace), map(attrgetter("mem_mib"), trace)))
+    return [(ResourceVec(cpu_m, mem_mib), n) for (cpu_m, mem_mib), n in sorted(counts.items())]
 
 
 def select_candidates(pool: PoolState, count: int) -> List[int]:

@@ -18,6 +18,7 @@ from lavasim.sched import (
     LavaScheduler,
     NilasScheduler,
     best_fit_score,
+    best_host,
     quantize_temporal_cost,
 )
 from lavasim.sim import clone_pool, inflation_stranding
@@ -297,8 +298,19 @@ def test_cutoff_skips_buckets():
     probe = make_vm(1, (1000, 1024), 1000.0)
     sched = Counting()
     assert sched.select_host(probe, pool, 0.0) == 0 == ref_select(sched, probe, pool, 0.0)
-    assert sched.scored == [0, 6]  # the tightest host and one empty host
+    assert sched.scored == [0]  # the tightest host; no host without VMs can win after a stop
     assert sum(pool.fits(probe.shape, h) for h in pool.hosts.values()) == 8
+
+
+def test_host_with_vms_and_zero_used_after_an_empty_host():
+    """Host 2 holds a VM but had its ``used`` hand-set to zero, and hosts 0
+    and 1 of its capacity are empty.  The walk must score host 2, which wins
+    on holding VMs, not only the lowest-id empty host."""
+    cap = ResourceVec(4000, 8192)
+    pool = crafted_pool((cap, cap, cap), (None, None, (1000, 1024)))
+    pool.hosts[2].used = ZERO
+    check_candidates(pool)
+    select_both("baseline", pool, make_vm(1, (1000, 1024), 1000.0), 2)
 
 
 class CountingCache(PredictionCache):
@@ -311,29 +323,85 @@ class CountingCache(PredictionCache):
         return super().host_exit_time(host, pool, model, now)
 
 
-@pytest.mark.parametrize("algo", ["nilas", "lava"])
-def test_cached_scorers_score_every_host_with_vms(algo):
-    """NILAS and LAVA fill ``PredictionCache`` entries while they score, so
-    they visit every feasible host with VMs, also where Best Fit stops early
-    (on this pool Best Fit scores two hosts).  On the ladder every host with
-    VMs would otherwise lose only on best fit: the probe is a short-lived VM,
-    so the temporal cost is 0, and for LAVA each host is recycling one class
-    above it."""
+class TimedOracle(OracleModel):
+    """The oracle without its ``time_invariant`` promise, like the empirical
+    model, whose cached host exits depend on when they were filled."""
+
+    time_invariant = False
+
+
+def ladder_asks(algo, model, classes=None):
+    """Place a short-lived probe on the ladder with NILAS or LAVA; return the
+    chosen host and the ``PredictionCache`` calls per host.  ``classes``
+    gives LAVA each host with VMs as (class offset from the probe's,
+    recycling); by default each is recycling one class above the probe."""
     pool = ladder()
     cache = CountingCache()
-    model = OracleModel()
     sched = NilasScheduler(model, cache) if algo == "nilas" else LavaScheduler(model, cache)
     probe = make_vm(1, (1000, 1024), 1000.0)
     sched.on_arrival(probe, 0.0)
     if algo == "lava":
         for host in pool.hosts.values():
             if host.vms:
-                sched.state[host.id] = LavaHost(LifetimeClass(probe.lifetime_class + 1), 0.0,
-                                                recycling=True)
-    assert sched.select_host(probe, pool, 0.0) == 0
-    with_vms = {h.id for h in pool.hosts.values() if h.vms and pool.fits(probe.shape, h)}
-    assert len(with_vms) == 6
-    assert cache.asked == {hid: 1 for hid in with_vms}
+                offset, recycling = (classes or {}).get(host.id, (1, True))
+                sched.state[host.id] = LavaHost(LifetimeClass(probe.lifetime_class + offset),
+                                                0.0, recycling=recycling)
+    chosen = sched.select_host(probe, pool, 0.0)
+    asked = dict(cache.asked)
+    assert chosen == ref_select(sched, probe, pool, 0.0)
+    return chosen, asked
+
+
+@pytest.mark.parametrize("algo", ["nilas", "lava"])
+def test_cached_scorers_score_every_host_with_vms(algo):
+    """Under a model that is not ``time_invariant``, NILAS and LAVA fill
+    ``PredictionCache`` entries while they score, so they visit every
+    feasible host with VMs, also where Best Fit stops early (on this pool
+    Best Fit scores one host).  On the ladder every host with VMs would
+    otherwise lose only on best fit: the probe is a short-lived VM, so the
+    temporal cost is 0, and for LAVA each host is recycling one class above
+    it."""
+    chosen, asked = ladder_asks(algo, TimedOracle())
+    assert chosen == 0
+    assert asked == {hid: 1 for hid in range(6)}
+
+
+@pytest.mark.parametrize("algo", ["nilas", "lava"])
+def test_cached_scorers_stop_under_time_invariant_model(algo):
+    """Under the oracle a cached host exit does not depend on when it was
+    filled, so NILAS and LAVA stop like Best Fit: host 0 scores the least
+    prefix their keys can have, and no later bucket can beat its fit."""
+    chosen, asked = ladder_asks(algo, OracleModel())
+    assert chosen == 0
+    assert asked == {0: 1}
+
+
+def test_lava_skips_the_cache_below_its_best_tier():
+    """Hosts 0 and 2-5 are open hosts of another class (tier 2) and host 1
+    an open host of the probe's class (tier 1).  Under the oracle, no host
+    reaches LAVA's floor, so the walk visits all six, but after host 1 the
+    key answers the tier-2 hosts without their temporal cost."""
+    classes = {hid: (1, False) for hid in range(6)}
+    classes[1] = (0, False)
+    assert ladder_asks("lava", OracleModel(), classes) == (1, {0: 1, 1: 1})
+    assert ladder_asks("lava", TimedOracle(), classes) == (1, {hid: 1 for hid in range(6)})
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), algo=st.sampled_from(sorted(SCHEDULERS)),
+       now=st.sampled_from((0.0, 600.0, 30_000.0)))
+def test_key_floor_ranks_below_hosts_without_vms(seed, algo, now):
+    """Under a time-invariant model every scheduler has a ``key_floor``: no
+    key starts below it, and every host without VMs (also one holding
+    incoming reservations or a hand-set ``used``) starts strictly above it,
+    so a walk that stops need not score those hosts."""
+    sched = SCHEDULERS[algo](OracleModel())
+    floor = sched.key_floor
+    assert floor is not None
+    pool, probe = random_pool(seed, sched, now)
+    for host in pool.hosts.values():
+        prefix = sched.score(host, probe, pool, now)[:len(floor)]
+        assert prefix > floor if not host.vms else prefix >= floor
 
 
 # -- the free-capacity index ---------------------------------------------------
@@ -355,12 +423,22 @@ def naive_candidates(pool, shape):
     return ids
 
 
+def scanned_ids(pool, shape):
+    """Ids of the hosts the placement walk scores for ``shape`` when it
+    scores every candidate, in walk order."""
+    seen = []
+    best_host(pool.index, shape, lambda h: seen.append(h.id) or (h.id,), None)
+    return seen
+
+
 def check_candidates(pool):
-    """The index yields, once each, exactly the hosts of the naive filter."""
+    """The walk scores, once each, exactly the hosts of the naive filter."""
     pool.index.check()
     out = []
     for shape in (ResourceVec(*s) for s in SHAPES):
-        got = sorted(h.id for h in pool.index.candidates(shape))
+        got = scanned_ids(pool, shape)
+        assert len(got) == len(set(got)), shape
+        got.sort()
         assert got == naive_candidates(pool, shape), shape
         out.append(got)
     return out

@@ -2,13 +2,15 @@
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
-from lavasim.predict import OracleModel
-from lavasim.sched import LavaConfig
+from lavasim.defrag import compare_orderings
+from lavasim.predict import OracleModel, make_predictor
+from lavasim.sched import LavaConfig, Scheduler
 from lavasim.sim import (
     EV_ARRIVAL,
     EV_DEFRAG,
@@ -423,3 +425,63 @@ def test_events_of_one_second_run_in_kind_order():
     assert sim.log == ref.log
     assert (got.series, got.summary, got.placements) == (want.series, want.summary,
                                                          want.placements)
+
+
+def score_every_candidate(self, vm, pool, now):
+    """``Scheduler.select_host`` without floors or lazy tiers: the argmin of
+    ``score`` over every host ``pool.fits`` accepts.  ``score`` builds a new
+    key per host, so it scores each host in full."""
+    best = best_score = None
+    for host in pool.hosts.values():
+        if pool.fits(vm.shape, host):
+            score = self.score(host, vm, pool, now)
+            if best_score is None or score < best_score:
+                best, best_score = host.id, score
+    return best
+
+
+PRUNE_CAP = ResourceVec(8000, 32_768)
+PRUNE_SHAPES = ((500, 2048), (1000, 4096), (1500, 2048), (2000, 8192), (4000, 16_384))
+
+
+@st.composite
+def prune_traces(draw):
+    n = draw(st.integers(1, 50))
+    times = sorted(draw(st.lists(st.floats(0.0, 20_000.0), min_size=n, max_size=n)))
+    trace = []
+    for i, t in enumerate(times):
+        cpu, mem = draw(st.sampled_from(PRUNE_SHAPES))
+        life = draw(st.sampled_from((600.0, 3000.0, 7200.0, 40_000.0, 400_000.0)))
+        trace.append(TraceRecord(vm_id=i, create_time_s=t, lifetime_s=life * draw(
+            st.floats(0.5, 2.0)), cpu_m=cpu, mem_mib=mem))
+    return trace
+
+
+@settings(deadline=None, max_examples=150)
+@given(trace=prune_traces(), algo=st.sampled_from(["baseline", "la-binary", "nilas", "lava"]),
+       predictor=st.sampled_from(["oracle", "noisy:0.5"]), hosts=st.integers(2, 6),
+       ordering=st.sampled_from(["trace", "lars"]))
+def test_pruned_scan_matches_scoring_every_candidate(trace, algo, predictor, hosts, ordering):
+    """Under time-invariant predictors NILAS and LAVA stop at their key
+    floors and LAVA skips the temporal cost of hosts below its best tier;
+    with defrag on, a whole run and its evacuation replays must match a run
+    that scores every candidate."""
+    cfg = SimConfig(warmup=False, sample_interval_s=1800.0, check_invariants=True,
+                    record_placements=True, record_defrag_instances=True,
+                    defrag=DefragConfig(enabled=True, empty_host_trigger=1.0,
+                                        check_interval_s=1800.0, candidates_per_round=1,
+                                        ordering=ordering, migration_s=600.0))
+
+    def run():
+        sim = Simulator(trace, hosts, PRUNE_CAP, algo, make_predictor(predictor, seed=3),
+                        cfg=cfg)
+        result = sim.run()
+        return result, compare_orderings(result.defrag_instances, algorithm=algo)
+
+    got, got_report = run()
+    with mock.patch.object(Scheduler, "select_host", score_every_candidate):
+        want, want_report = run()
+    assert got.series == want.series
+    assert got.summary == want.summary
+    assert got.placements == want.placements
+    assert got_report == want_report
