@@ -224,19 +224,32 @@ class EmpiricalLifetimeModel:
         return key
 
     def fit(self, examples: Iterable[Tuple[FeatureVec, float]]) -> "EmpiricalLifetimeModel":
-        rows = [(fv, min(int(round(life)), self.cap_s)) for fv, life in examples]
-        if not rows:
+        # the capped lifetimes of each distinct feature vector: the work per
+        # feature vector below runs once, not once per row
+        lives: Dict[FeatureVec, List[int]] = {}
+        cap_s = self.cap_s
+        for fv, life in examples:
+            rows = lives.get(fv)
+            if rows is None:
+                rows = lives[fv] = []
+            rows.append(min(int(round(life)), cap_s))
+        if not lives:
             raise EmptyTrainingSet("no training examples")
         self._stratum_keys.clear()
         for name in FeatureVec._CATEGORICAL:
-            counts = Counter(getattr(fv, name) for fv, _ in rows)
+            counts: Counter = Counter()
+            for fv, rows in lives.items():
+                counts[getattr(fv, name)] += len(rows)
             self._kept_values[name] = {v for v, c in counts.items() if c >= self.min_count}
         per_stratum: Dict[str, Counter] = {}
         pooled: Counter = Counter()
-        for fv, life in rows:
+        for fv, rows in lives.items():
             key = self._collapse(fv)
-            per_stratum.setdefault(key, Counter())[life] += 1
-            pooled[life] += 1
+            samples = per_stratum.get(key)
+            if samples is None:
+                samples = per_stratum[key] = Counter()
+            samples.update(rows)
+            pooled.update(rows)
         self.strata = {k: _SurvivalCurve(c) for k, c in per_stratum.items()}
         self.global_curve = _SurvivalCurve(pooled)
         return self

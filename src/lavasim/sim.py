@@ -41,7 +41,7 @@ from .sched import (
     best_host,
     make_scheduler,
 )
-from .workload import TraceRecord
+from .workload import TraceRecord, shared_terms
 
 
 class TraceNotSorted(Exception):
@@ -248,8 +248,7 @@ class Simulator:
                           EV_DEFRAG: self._handle_defrag_check, EV_SAMPLE: self._handle_sample}
         self._measure_start = 0.0
         self._stranded: Optional[Tuple[float, float]] = None
-        # (shape, features) per distinct record shape and features; both are
-        # frozen, so the VMs of one key share them
+        # the (shape, features) the VMs of one record key share (shared_terms)
         self._arrival_terms: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
         self._series: List[Tuple[float, float, float, float, int, float, float]] = []
         # defrag state
@@ -357,11 +356,7 @@ class Simulator:
         return used_c / cap_c, used_m / cap_m
 
     def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
-        key = (rec.cpu_m, rec.mem_mib, rec.zone, rec.vm_family, rec.vm_category,
-               rec.has_ssd, rec.priority, rec.provisioning_model)
-        terms = self._arrival_terms.get(key)
-        if terms is None:
-            terms = self._arrival_terms[key] = (rec.shape(), rec.feature_vec())
+        terms = shared_terms(rec, self._arrival_terms)
         vm = VmRecord(id=rec.vm_id, shape=terms[0], features=terms[1],
                       create_time=rec.create_time_s,
                       true_exit_time=rec.create_time_s + rec.lifetime_s)

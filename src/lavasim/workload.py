@@ -6,10 +6,14 @@ CPU is in milli-cores and memory in MiB, so files round-trip bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import attrgetter
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +61,44 @@ class TraceRecord:
                           provisioning_model=self.provisioning_model)
 
 
+# (name, default, slot setter) per field of TraceRecord, in field order.  The
+# setter is the slot's descriptor ``__set__``: it skips the frozen
+# ``__setattr__``, which ``__init__`` pays through ``object.__setattr__``
+# once per field.
+_SLOTS = tuple((f.name, f.default, getattr(TraceRecord, f.name).__set__)
+               for f in dataclasses.fields(TraceRecord))
+
+
+def _build_records(n: int, columns: Dict[str, Iterable]) -> List[TraceRecord]:
+    """``n`` records whose field ``name`` in record ``i`` is the ``i``-th value
+    of ``columns[name]``, which holds ``n`` values, or the field's default
+    where ``columns`` has no ``name``.  Equal to ``TraceRecord(**fields)`` for
+    each row, but filled one slot column at a time, with no Python-level
+    step per value."""
+    records = list(map(object.__new__, repeat(TraceRecord, n)))
+    for name, default, set_slot in _SLOTS:
+        column = columns.get(name)
+        if column is None:
+            if default is dataclasses.MISSING:
+                raise TypeError(f"no column for TraceRecord field {name!r}")
+            column = repeat(default)
+        deque(map(set_slot, records, column), maxlen=0)
+    return records
+
+
+def shared_terms(rec: TraceRecord, table: Dict[tuple, Tuple[ResourceVec, FeatureVec]]
+                 ) -> Tuple[ResourceVec, FeatureVec]:
+    """``rec``'s ``(shape(), feature_vec())``, one pair per distinct resources
+    and features in ``table``, which the caller owns.  Both classes are
+    frozen, so every record of one key shares them."""
+    key = (rec.cpu_m, rec.mem_mib, rec.zone, rec.vm_family, rec.vm_category,
+           rec.has_ssd, rec.priority, rec.provisioning_model)
+    terms = table.get(key)
+    if terms is None:
+        terms = table[key] = (rec.shape(), rec.feature_vec())
+    return terms
+
+
 def serialize_trace(records: Sequence[TraceRecord]) -> str:
     lines = ["\t".join(TRACE_COLUMNS)]
     for r in records:
@@ -71,7 +113,7 @@ def parse_trace_text(text: str) -> List[TraceRecord]:
     lines = text.splitlines()
     if not lines or lines[0].split("\t") != list(TRACE_COLUMNS):
         raise ParseError("line 1: bad or missing trace header")
-    records = []
+    values = []  # every row's fields in TraceRecord field order, row after row
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -99,11 +141,16 @@ def parse_trace_text(text: str) -> List[TraceRecord]:
         expected_key = f"{cpu_m}x{mem_mib}"
         if cols[7] != expected_key:
             raise ParseError(f"line {lineno}: shape key {cols[7]!r} != {expected_key!r}")
-        records.append(TraceRecord(
-            vm_id=vm_id, create_time_s=create, lifetime_s=lifetime, cpu_m=cpu_m,
-            mem_mib=mem_mib, zone=cols[5], vm_family=cols[6], vm_category=cols[8],
-            has_ssd=cols[9] == "1", priority=cols[10], provisioning_model=cols[11] == "1"))
-    records.sort(key=lambda r: (r.create_time_s, r.vm_id))
+        values += (vm_id, create, lifetime, cpu_m, mem_mib, cols[5], cols[6], cols[8],
+                   cols[9] == "1", cols[10], cols[11] == "1")
+    del lines  # freed before the records are built, to lower peak memory
+    width = len(_SLOTS)
+    records = _build_records(len(values) // width, {
+        name: islice(values, i, None, width) for i, (name, _, _) in enumerate(_SLOTS)})
+    # by (create time, vm id): both sorts are stable, and their int keys
+    # allocate nothing the garbage collector tracks
+    records.sort(key=attrgetter("vm_id"))
+    records.sort(key=attrgetter("create_time_s"))
     return records
 
 
@@ -171,16 +218,19 @@ def generate(cfg: GeneratorConfig) -> List[TraceRecord]:
     normals = rng.standard_normal(n).tolist()
     shape_idx = rng.choice(len(cfg.shape_catalog), size=n,
                            p=[w for _, _, w in cfg.shape_catalog]).tolist()
-    records = []
-    for i in range(n):
-        s = cfg.strata[stratum_idx[i]]
-        lifetime_h = 10.0 ** (s.mu_log10_h + s.sigma_log10_h * normals[i])
-        lifetime_s = max(int(round(lifetime_h * 3600.0)), 1)
-        cpu_m, mem_mib, _ = cfg.shape_catalog[shape_idx[i]]
-        records.append(TraceRecord(
-            vm_id=i, create_time_s=arrivals[i], lifetime_s=lifetime_s,
-            cpu_m=cpu_m, mem_mib=mem_mib, zone=cfg.zone, vm_family=s.family))
-    return records
+    strata = [(s.mu_log10_h, s.sigma_log10_h) for s in cfg.strata]
+    lifetimes = []
+    for k, z in zip(stratum_idx, normals):
+        mu, sigma = strata[k]
+        lifetime_h = 10.0 ** (mu + sigma * z)
+        lifetimes.append(max(int(round(lifetime_h * 3600.0)), 1))
+    cpus = [cpu_m for cpu_m, _, _ in cfg.shape_catalog]
+    mems = [mem_mib for _, mem_mib, _ in cfg.shape_catalog]
+    families = [s.family for s in cfg.strata]
+    return _build_records(n, {
+        "vm_id": range(n), "create_time_s": arrivals, "lifetime_s": lifetimes,
+        "cpu_m": map(cpus.__getitem__, shape_idx), "mem_mib": map(mems.__getitem__, shape_idx),
+        "zone": repeat(cfg.zone), "vm_family": map(families.__getitem__, stratum_idx)})
 
 
 def bimodal_config(num_vms: int = 20_000, seed: int = 0,
@@ -207,5 +257,8 @@ def split(records: Sequence[TraceRecord], train_frac: float
     return train, test
 
 
-def training_examples(records: Sequence[TraceRecord]):
-    return [(r.feature_vec(), float(r.lifetime_s)) for r in records]
+def training_examples(records: Sequence[TraceRecord]) -> List[Tuple[FeatureVec, float]]:
+    """``(features, lifetime)`` per record; records of one key share one
+    ``FeatureVec`` (``shared_terms``)."""
+    table: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
+    return [(shared_terms(r, table)[1], float(r.lifetime_s)) for r in records]

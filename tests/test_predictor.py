@@ -1,9 +1,11 @@
 """Predictors: oracle, noisy oracle, empirical survival model, cache."""
 
+import dataclasses
 import math
+from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.predict import (
@@ -233,6 +235,72 @@ class TestEmpiricalModel:
         capped = [min(t, model.cap_s) for t in lifetimes]
         if uptime < max(capped):  # beyond all lifetimes the floor takes over
             assert total_hi >= total_lo - 1e-6
+
+
+def reference_fit_dumps(examples, min_count, cap_s):
+    """``dumps()`` of a fit done one row at a time, each row with a fresh
+    ``FeatureVec``."""
+    rows = [(dataclasses.replace(fv), min(int(round(life)), cap_s)) for fv, life in examples]
+    kept = {name: {v for v, c in Counter(getattr(fv, name) for fv, _ in rows).items()
+                   if c >= min_count}
+            for name in FeatureVec._CATEGORICAL}
+
+    def stratum(fv):
+        parts = [getattr(fv, name) if getattr(fv, name) in kept[name] else "Other"
+                 for name in FeatureVec._CATEGORICAL]
+        return "|".join(parts + ["1" if fv.has_ssd else "0",
+                                 "1" if fv.provisioning_model else "0"])
+
+    per_stratum, pooled = defaultdict(Counter), Counter()
+    for fv, life in rows:
+        per_stratum[stratum(fv)][life] += 1
+        pooled[life] += 1
+    lines = [f"lavasim-empirical-model v1 cap_s={cap_s} min_count={min_count} floor_s=3600"]
+    lines += [f"#kept {name}\t" + "\t".join(sorted(kept[name]))
+              for name in FeatureVec._CATEGORICAL]
+    for key in sorted(per_stratum) + ["__global__"]:
+        counts = pooled if key == "__global__" else per_stratum[key]
+        lines.append(f"{key}\t" + " ".join(f"{t}:{counts[t]}" for t in sorted(counts)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def training_sets(draw):
+    """``(min_count, examples)``.  Family f0 has exactly ``min_count`` rows,
+    all one ``FeatureVec`` object, and f1 one row fewer; zones, shapes and
+    the other features vary by row, so counts near ``min_count`` are common
+    there too.  Lifetimes are halves, some past the cap of 20."""
+    min_count = draw(st.integers(2, 5))
+    shared = FeatureVec(zone="za", vm_family="f0", vm_shape_key="1x1")
+    sizes = [min_count, min_count - 1] + draw(
+        st.lists(st.sampled_from([min_count - 1, min_count, min_count + 1]), max_size=3))
+    rows = []
+    for family, size in enumerate(sizes):
+        for _ in range(size):
+            fv = shared if family == 0 else FeatureVec(
+                zone=draw(st.sampled_from(["za", "zb", "zc"])), vm_family=f"f{family}",
+                vm_shape_key=draw(st.sampled_from(["1x1", "2x2"])),
+                vm_category=draw(st.sampled_from(["", "web"])), has_ssd=draw(st.booleans()),
+                priority=draw(st.sampled_from(["standard", "spot"])),
+                provisioning_model=draw(st.booleans()))
+            rows.append((fv, draw(st.integers(0, 60)) / 2))
+    return min_count, draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(training_sets())
+def test_fit_matches_per_row_reference(case):
+    min_count, examples = case
+    expected = reference_fit_dumps(examples, min_count, cap_s=20)
+    assert EmpiricalLifetimeModel(min_count=min_count, cap_s=20).fit(examples).dumps() == expected
+    # a refit after a fit that kept every value must not reuse its stratum keys
+    model = EmpiricalLifetimeModel(min_count=min_count, cap_s=20)
+    model.fit([(fv, 1.0) for fv, _ in examples] * min_count)
+    assert model.fit(examples).dumps() == expected
+    reference = EmpiricalLifetimeModel.loads(expected)
+    for fv, _ in examples:
+        for uptime in (0.0, 7.0):
+            assert model.predict_remaining(fv, uptime) == reference.predict_remaining(fv, uptime)
 
 
 class TestPredictionCache:

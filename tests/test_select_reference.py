@@ -275,9 +275,11 @@ def test_bound_uses_largest_capacity(algo):
 
 @pytest.mark.parametrize("algo", ["baseline", "la-binary"])
 def test_zero_used_hosts_follow_a_stop(algo):
-    """Host 0 holds a VM but had its ``used`` hand-set to zero, so it sits in
-    no bucket.  The walk stops before host 2's bucket (bound 0.93 above host
-    1's 0.906) and must still score host 0, which wins with 0.875."""
+    """Host 0 holds a VM but had its ``used`` hand-set to zero.  The index
+    files it in the bucket of free CPU 8000, so the walk scores it first,
+    before any stop, and it wins with 0.875; the walk then stops at host 1's
+    bucket (bound 0.906 above 0.875).  An index that filed such a host in no
+    bucket could leave it unscored after a stop."""
     pool = crafted_pool((SMALL, BIG, BIG), ((1000, 1024), (500, 1024), (100, 1024)))
     pool.hosts[0].used = ZERO
     probe = make_vm(1, (1000, 8192), 1000.0)

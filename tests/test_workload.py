@@ -1,5 +1,6 @@
 """Trace format, parser validation, and generator statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -157,9 +158,98 @@ class TestSplit:
         assert rows[0][1] == 600.0
         assert rows[1][0].vm_family == "svc"
 
+    def test_training_examples_share_one_feature_vec_per_key(self):
+        records = generate(GeneratorConfig(num_vms=500, seed=4))
+        rows = training_examples(records)
+        by_key = {}
+        for r, (fv, life) in zip(records, rows):
+            assert fv == r.feature_vec() and life == float(r.lifetime_s)
+            assert by_key.setdefault(r.feature_vec(), fv) is fv
+        assert len(by_key) == len({id(fv) for fv, _ in rows}) < len(rows)
+
 
 @settings(max_examples=25)
 @given(st.integers(1, 300), st.integers(0, 10_000))
 def test_serialize_parse_identity(n, seed):
     records = generate(GeneratorConfig(num_vms=n, seed=seed))
     assert parse_trace_text(serialize_trace(records)) == records
+
+
+# -- records built column by column against TraceRecord(**fields) ---------
+
+FIELDS = [f.name for f in dataclasses.fields(TraceRecord)]
+
+
+def assert_built_like_init(records, expected):
+    """``records`` behave like the records of ``TraceRecord.__init__`` in
+    ``expected``: equality, hash, repr, replace and the frozen check."""
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        assert type(got) is TraceRecord and not hasattr(got, "__dict__")
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert [getattr(got, name) for name in FIELDS] == [getattr(want, name) for name in FIELDS]
+        assert dataclasses.replace(got, lifetime_s=7, zone="zz") == \
+            dataclasses.replace(want, lifetime_s=7, zone="zz")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.zone = "elsewhere"
+    assert serialize_trace(records) == serialize_trace(expected)
+
+
+def reference_generate(cfg):
+    """The generator's draws turned into records one ``TraceRecord(...)`` call
+    per VM."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.num_vms
+    gaps = rng.exponential(3600.0 / cfg.arrival_rate_per_h, size=n)
+    arrivals = np.floor(np.cumsum(gaps)).astype(np.int64)
+    stratum_idx = rng.choice(len(cfg.strata), size=n, p=[s.weight for s in cfg.strata])
+    normals = rng.standard_normal(n)
+    shape_idx = rng.choice(len(cfg.shape_catalog), size=n,
+                           p=[w for _, _, w in cfg.shape_catalog])
+    records = []
+    for i in range(n):
+        s = cfg.strata[int(stratum_idx[i])]
+        lifetime_h = 10.0 ** (s.mu_log10_h + s.sigma_log10_h * float(normals[i]))
+        cpu_m, mem_mib, _ = cfg.shape_catalog[int(shape_idx[i])]
+        records.append(TraceRecord(
+            vm_id=i, create_time_s=int(arrivals[i]),
+            lifetime_s=max(int(round(lifetime_h * 3600.0)), 1),
+            cpu_m=cpu_m, mem_mib=mem_mib, zone=cfg.zone, vm_family=s.family))
+    return records
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 10_000), st.sampled_from(["z0", "eu-1"]),
+       st.booleans())
+def test_generate_matches_per_record_construction(n, seed, zone, bimodal):
+    base = bimodal_config(num_vms=n, seed=seed) if bimodal else GeneratorConfig(num_vms=n, seed=seed)
+    cfg = dataclasses.replace(base, zone=zone)
+    assert_built_like_init(generate(cfg), reference_generate(cfg))
+
+
+LABELS = st.text(alphabet="abz0-_. ", max_size=4)
+
+
+@st.composite
+def record_fields(draw):
+    """Field dicts of records with unique ids, some sharing a create time."""
+    ids = draw(st.lists(st.integers(-50, 10**9), max_size=25, unique=True))
+    rows = []
+    for vm_id in ids:
+        cpu_m = draw(st.integers(0, 64_000))
+        rows.append({
+            "vm_id": vm_id, "create_time_s": draw(st.integers(0, 40)),
+            "lifetime_s": draw(st.integers(1, 10**7)), "cpu_m": cpu_m,
+            "mem_mib": draw(st.integers(0 if cpu_m else 1, 262_144)),
+            "zone": draw(LABELS), "vm_family": draw(LABELS), "vm_category": draw(LABELS),
+            "has_ssd": draw(st.booleans()), "priority": draw(LABELS),
+            "provisioning_model": draw(st.booleans())})
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_fields())
+def test_parse_matches_per_record_construction(rows):
+    built = [TraceRecord(**fields) for fields in rows]
+    expected = sorted(built, key=lambda r: (r.create_time_s, r.vm_id))
+    assert_built_like_init(parse_trace_text(serialize_trace(built)), expected)
