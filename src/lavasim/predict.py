@@ -28,7 +28,7 @@ CLASS_UPPER_BOUND_S = {
 }
 
 
-class EmptyTrainingSet(Exception):
+class EmptyTrainingSet(ValueError):
     pass
 
 
@@ -192,6 +192,7 @@ class EmpiricalLifetimeModel:
     FORMAT_VERSION = 1
     KEY_SEP = "|"
     GLOBAL_KEY = "__global__"
+    CURVE_MEMO_MAX = 4096
 
     def __init__(self, min_count: int = 10, cap_s: int = LIFETIME_CAP_S,
                  floor_s: float = 3600.0):
@@ -202,6 +203,9 @@ class EmpiricalLifetimeModel:
         self.global_curve: Optional[_SurvivalCurve] = None
         self._kept_values: Dict[str, set] = {}
         self._stratum_keys: Dict[FeatureVec, str] = {}  # _collapse's answers
+        # remaining()'s curve per FeatureVec object: id -> (the vector, which
+        # keeps its id from being reused, lifetimes, suffix_count, suffix_sum)
+        self._curves: Dict[int, tuple] = {}
 
     @property
     def is_fitted(self) -> bool:
@@ -236,6 +240,7 @@ class EmpiricalLifetimeModel:
         if not lives:
             raise EmptyTrainingSet("no training examples")
         self._stratum_keys.clear()
+        self._curves.clear()
         for name in FeatureVec._CATEGORICAL:
             counts: Counter = Counter()
             for fv, rows in lives.items():
@@ -254,11 +259,13 @@ class EmpiricalLifetimeModel:
         self.global_curve = _SurvivalCurve(pooled)
         return self
 
-    def predict_remaining(self, features: FeatureVec, uptime_s: float) -> float:
+    def _curve(self, features: FeatureVec) -> _SurvivalCurve:
         if not self.is_fitted:
             raise EmptyTrainingSet("model is not fitted")
-        curve = self.strata.get(self._collapse(features), self.global_curve)
-        value = curve.conditional_remaining(uptime_s)
+        return self.strata.get(self._collapse(features), self.global_curve)
+
+    def predict_remaining(self, features: FeatureVec, uptime_s: float) -> float:
+        value = self._curve(features).conditional_remaining(uptime_s)
         if value is None:
             # uptime beyond every training lifetime: return the floor rather
             # than 0 so mispredicted long-lived VMs don't look instantly dead
@@ -266,7 +273,30 @@ class EmpiricalLifetimeModel:
         return value
 
     def remaining(self, vm: VmRecord, now: float) -> float:
-        return self.predict_remaining(vm.features, vm.uptime(now))
+        """``predict_remaining(vm.features, vm.uptime(now))``, with the curve
+        resolved once per ``FeatureVec`` object rather than per call: the
+        simulator hands every VM of one record key the same vector
+        (``workload.shared_terms``), so a reprediction is one dict hit and
+        one bisect."""
+        features = vm.features
+        entry = self._curves.get(id(features))
+        if entry is None:
+            curve = self._curve(features)
+            if len(self._curves) >= self.CURVE_MEMO_MAX:
+                # each new simulator shares new vectors, so a model replayed
+                # over many traces would otherwise hold every one of them
+                self._curves.clear()
+            entry = self._curves[id(features)] = (
+                features, curve.lifetimes, curve.suffix_count, curve.suffix_sum)
+        _, lifetimes, suffix_count, suffix_sum = entry
+        uptime = now - vm.create_time
+        if uptime < 0.0:
+            uptime = 0.0
+        i = bisect_right(lifetimes, uptime)
+        n_surv = suffix_count[i]
+        if n_surv == 0:
+            return self.floor_s
+        return suffix_sum[i] / n_surv - uptime
 
     # -- serialization ---------------------------------------------------
 
@@ -274,7 +304,7 @@ class EmpiricalLifetimeModel:
         if not self.is_fitted:
             raise EmptyTrainingSet("model is not fitted")
         lines = [f"lavasim-empirical-model v{self.FORMAT_VERSION} "
-                 f"cap_s={self.cap_s} min_count={self.min_count} floor_s={self.floor_s:g}"]
+                 f"cap_s={self.cap_s} min_count={self.min_count} floor_s={self.floor_s:.17g}"]
         for name in FeatureVec._CATEGORICAL:
             kept = sorted(self._kept_values.get(name, ()))
             lines.append(f"#kept {name}\t" + "\t".join(kept))
@@ -287,30 +317,74 @@ class EmpiricalLifetimeModel:
 
     @classmethod
     def loads(cls, text: str) -> "EmpiricalLifetimeModel":
+        """Parse ``dumps()`` output; a malformed line raises ``ValueError``
+        naming it, and so does a file without a ``__global__`` curve."""
         lines = text.splitlines()
         if not lines or not lines[0].startswith("lavasim-empirical-model"):
             raise ValueError("not an empirical model file")
-        header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-        model = cls(min_count=int(header["min_count"]), cap_s=int(header["cap_s"]),
-                    floor_s=float(header["floor_s"]))
-        for line in lines[1:]:
-            if not line:
-                continue
-            if line.startswith("#kept "):
-                head, *values = line.split("\t")
-                model._kept_values[head[len("#kept "):]] = set(values)
-                continue
-            key, pairs = line.split("\t", 1)
-            samples = Counter()
-            for tok in pairs.split():
-                t, c = tok.split(":")
-                samples[int(t)] = int(c)
-            curve = _SurvivalCurve(samples)
-            if key == cls.GLOBAL_KEY:
-                model.global_curve = curve
-            else:
-                model.strata[key] = curve
+        lineno = 1
+        try:
+            model = cls(**cls._parse_header(lines[0]))
+            for lineno, line in enumerate(lines[1:], 2):
+                if not line:
+                    continue
+                if line.startswith("#kept "):
+                    name, *values = line[len("#kept "):].split("\t")
+                    if name not in FeatureVec._CATEGORICAL:
+                        raise ValueError(f"unknown feature {name!r}")
+                    model._kept_values[name] = set(values)
+                    continue
+                key, tab, pairs = line.partition("\t")
+                if not tab:
+                    raise ValueError("expected '<stratum>\\t<lifetime>:<count> ...'")
+                if key in model.strata or (key == cls.GLOBAL_KEY and model.is_fitted):
+                    raise ValueError(f"curve {key!r} given twice")
+                curve = _SurvivalCurve(cls._parse_samples(pairs))
+                if key == cls.GLOBAL_KEY:
+                    model.global_curve = curve
+                else:
+                    model.strata[key] = curve
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not model.is_fitted:
+            raise ValueError(f"no {cls.GLOBAL_KEY} curve")
         return model
+
+    @classmethod
+    def _parse_header(cls, line: str) -> Dict[str, object]:
+        version, *tokens = line.split()[1:]
+        if version != f"v{cls.FORMAT_VERSION}":
+            raise ValueError(f"unsupported format version {version!r}")
+        fields = {}
+        for tok in tokens:
+            name, eq, value = tok.partition("=")
+            if not eq or name in fields:
+                raise ValueError(f"bad header field {tok!r}")
+            fields[name] = value
+        expected = ("cap_s", "min_count", "floor_s")
+        if sorted(fields) != sorted(expected):
+            raise ValueError(f"header fields must be {', '.join(expected)}, got "
+                             f"{', '.join(fields) or 'none'}")
+        floor_s = float(fields["floor_s"])
+        if not 0.0 <= floor_s < math.inf:
+            raise ValueError(f"floor_s must be finite and non-negative, got {floor_s}")
+        return {"cap_s": int(fields["cap_s"]), "min_count": int(fields["min_count"]),
+                "floor_s": floor_s}
+
+    @staticmethod
+    def _parse_samples(pairs: str) -> Counter:
+        samples: Counter = Counter()
+        for tok in pairs.split():
+            t, colon, c = tok.partition(":")
+            if not colon:
+                raise ValueError(f"expected <lifetime>:<count>, got {tok!r}")
+            t, c = int(t), int(c)
+            if t < 0 or c <= 0 or t in samples:
+                raise ValueError(f"bad or repeated lifetime:count {tok!r}")
+            samples[t] = c
+        if not samples:
+            raise ValueError("curve has no <lifetime>:<count> pairs")
+        return samples
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -319,7 +393,11 @@ class EmpiricalLifetimeModel:
     @classmethod
     def load(cls, path) -> "EmpiricalLifetimeModel":
         with open(path) as fh:
-            return cls.loads(fh.read())
+            text = fh.read()
+        try:
+            return cls.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # -- host-level prediction cache -----------------------------------------
@@ -343,14 +421,22 @@ class PredictionCache:
         self._entries.clear()
 
     def host_exit_time(self, host: HostRecord, pool: PoolState, model, now: float) -> float:
-        if not host.vms:
+        resident = host.vms
+        if not resident:
             raise EmptyHost(f"host {host.id} has no resident VMs")
         entry = self._entries.get(host.id)
         if entry is not None:
             cached_exit, refreshed_at = entry
             if cached_exit > now and now - refreshed_at < self.refresh_interval_s:
                 return cached_exit
-        exit_time = max(now + model.remaining(pool.vms[vid], now) for vid in host.vms)
+        # max(now + remaining) over the residents, one remaining() call each;
+        # a plain loop, as a comprehension costs a function call per refresh
+        vms = pool.vms
+        exit_time = None
+        for vid in resident:
+            t = now + model.remaining(vms[vid], now)
+            if exit_time is None or t > exit_time:
+                exit_time = t
         self._entries[host.id] = (exit_time, now)
         return exit_time
 

@@ -232,11 +232,12 @@ class NilasScheduler(Scheduler):
 
     def temporal_key(self, vm, pool, now) -> Callable[[HostRecord], int]:
         """Temporal cost of placing ``vm`` on a host with VMs, host -> bucket."""
-        vm_exit = now + self.model.remaining(vm, now)
+        model, host_exit_time = self.model, self.cache.host_exit_time
+        vm_exit = now + model.remaining(vm, now)
         bounds = self.cfg.bucket_boundaries_s
 
         def temporal(host):
-            delta = vm_exit - self.cache.host_exit_time(host, pool, self.model, now)
+            delta = vm_exit - host_exit_time(host, pool, model, now)
             # quantize_temporal_cost(max(delta, 0.0), self.cfg): bounds[0] is 0
             return bisect_right(bounds, delta) - 1 if delta > 0 else 0
         return temporal

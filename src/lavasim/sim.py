@@ -24,10 +24,10 @@ import dataclasses
 import heapq
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
 from .predict import FeatureVec, PredictionCache
@@ -253,7 +253,7 @@ class Simulator:
         self._series: List[Tuple[float, float, float, float, int, float, float]] = []
         # defrag state
         self._mig_active: Dict[int, MigrationTask] = {}
-        self._mig_queue: List[int] = []
+        self._mig_queue: Deque[int] = deque()
         self._pending_exit: set = set()
         self._candidates: set = set()
         self.migrations_done = 0
@@ -435,7 +435,7 @@ class Simulator:
         while (self._mig_queue and attempts > 0
                and len(self._mig_active) < self.cfg.defrag.max_concurrent):
             attempts -= 1
-            vm_id = self._mig_queue.pop(0)
+            vm_id = self._mig_queue.popleft()
             vm = self.pool.vms.get(vm_id)
             if vm is None or vm.host is None:
                 self.migrations_saved += 1  # exited before its migration started

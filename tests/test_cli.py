@@ -179,6 +179,61 @@ class TestTrainEval:
         assert 0.0 <= report["f1"] <= 1.0
 
 
+class TestBadModelInput:
+    """A broken empirical model file or an empty training trace exits 2 with
+    a one-line error, never a traceback or a run on a silently empty model."""
+
+    @pytest.fixture(scope="class")
+    def model_text(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("model")
+        trace, model = root / "t.tsv", root / "m.txt"
+        assert main(["generate", "--num-vms", "300", "--seed", "1", "--out", str(trace)]) == 0
+        assert main(["train", "--trace", str(trace), "--out", str(model)]) == 0
+        return str(trace), model.read_text()
+
+    def run_with(self, model_text, tmp_path, capsys, edit):
+        trace, text = model_text
+        bad = tmp_path / "bad.txt"
+        bad.write_text(edit(text))
+        rc = main(["run", "--trace", trace, "--algo", "nilas", "--cold-start",
+                   "--predictor", f"empirical:{bad}", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+        return err
+
+    def test_header_without_min_count(self, model_text, tmp_path, capsys):
+        err = self.run_with(model_text, tmp_path, capsys,
+                            lambda t: t.replace(" min_count=10", "", 1))
+        assert "line 1: " in err and "min_count" in err
+
+    def test_no_global_curve(self, model_text, tmp_path, capsys):
+        def drop_global(text):
+            return "".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("__global__"))
+        err = self.run_with(model_text, tmp_path, capsys, drop_global)
+        assert "no __global__ curve" in err
+
+    def test_global_curve_without_pairs(self, model_text, tmp_path, capsys):
+        def empty_global(text):
+            lines = text.splitlines()
+            assert lines[-1].startswith("__global__\t")
+            return "\n".join(lines[:-1] + ["__global__\t"]) + "\n"
+        err = self.run_with(model_text, tmp_path, capsys, empty_global)
+        lineno = model_text[1].count("\n")
+        assert f"line {lineno}: " in err and "no <lifetime>:<count> pairs" in err
+
+    def test_train_on_header_only_trace(self, tmp_path, capsys):
+        trace = tmp_path / "empty.tsv"
+        write_trace([], trace)
+        rc = main(["train", "--trace", str(trace), "--out", str(tmp_path / "m.txt")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: no training examples\n"
+        assert not (tmp_path / "m.txt").exists()
+
+
 class TestConfigFile:
     def test_readme_example_verbatim(self, trace_path, tmp_path):
         """The README's pool.ini, inline comments included, is read as written."""

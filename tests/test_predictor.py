@@ -25,6 +25,7 @@ from lavasim.predict import (
 )
 
 H = 3600.0
+GLOBAL_LINE = "__global__\t3600:10 360000:2"
 
 
 def make_vm(vm_id=1, create=0.0, exit_=10_000.0, fv=FeatureVec()):
@@ -219,6 +220,43 @@ class TestEmpiricalModel:
         with pytest.raises(ValueError):
             EmpiricalLifetimeModel.loads("not a model\n")
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda t: t.replace(" min_count=10", ""), 1),
+        (lambda t: t.replace("v1 ", "v2 "), 1),
+        (lambda t: t.replace("floor_s=3600", "floor_s=nan"), 1),
+        (lambda t: t.replace("floor_s=3600", "floor_s=3600 extra"), 1),
+        (lambda t: t.replace("#kept zone", "#kept region"), 2),
+        (lambda t: t.replace(GLOBAL_LINE, "__global__\t"), 8),
+        (lambda t: t.replace(GLOBAL_LINE, "__global__ 3600:10"), 8),
+        (lambda t: t.replace(GLOBAL_LINE, "__global__\t3600:10 360000"), 8),
+        (lambda t: t.replace(GLOBAL_LINE, "__global__\t3600:10 360000:0"), 8),
+        (lambda t: t.replace(GLOBAL_LINE, "__global__\t3600:10 3600:2"), 8),
+        (lambda t: t + "__global__\t60:1\n", 9),
+    ])
+    def test_loads_names_the_bad_line(self, edit, line):
+        fv = FeatureVec(vm_family="f")
+        text = fit_model([(fv, H)] * 10 + [(fv, 100 * H)] * 2).dumps()
+        assert text.splitlines()[7] == GLOBAL_LINE
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            EmpiricalLifetimeModel.loads(edit(text))
+
+    def test_loads_needs_global_curve(self):
+        fv = FeatureVec(vm_family="f")
+        text = fit_model([(fv, H)] * 10).dumps()
+        with pytest.raises(ValueError, match="no __global__ curve"):
+            EmpiricalLifetimeModel.loads(text.replace("__global__\t3600:10\n", ""))
+
+    @pytest.mark.parametrize("floor_s", [3600.0, 3600.25, 0.1, 1234567.0])
+    def test_floor_round_trips(self, floor_s):
+        model = fit_model([(FeatureVec(), H)] * 10, floor_s=floor_s)
+        clone = EmpiricalLifetimeModel.loads(model.dumps())
+        assert clone.floor_s == floor_s
+        assert clone.dumps() == model.dumps()
+
+    def test_default_floor_header(self):
+        text = fit_model([(FeatureVec(), H)] * 10).dumps()
+        assert text.splitlines()[0].endswith(" floor_s=3600")
+
     def test_get_params(self):
         params = EmpiricalLifetimeModel(min_count=5).get_params()
         assert params["min_count"] == 5
@@ -303,6 +341,33 @@ def test_fit_matches_per_row_reference(case):
             assert model.predict_remaining(fv, uptime) == reference.predict_remaining(fv, uptime)
 
 
+@settings(max_examples=100, deadline=None)
+@given(training_sets(), training_sets(), st.sampled_from([0, 2, 7.5]))
+def test_remaining_matches_predict_remaining(case, other, create):
+    """``remaining``'s curve memo answers exactly what ``predict_remaining``
+    answers for the VM's uptime, before and after a refit on other data."""
+    min_count, examples = case
+    model = EmpiricalLifetimeModel(min_count=min_count, cap_s=20).fit(examples)
+    trained = list({id(fv): fv for fv, _ in examples}.values())
+    vectors = (trained + [dataclasses.replace(fv) for fv in trained]
+               + [FeatureVec(), FeatureVec(zone="zq", vm_family="unseen", has_ssd=True)])
+    lifetimes = sorted({min(int(round(life)), 20) for _, life in examples})
+    # uptimes on, between and beyond the training lifetimes, ints and floats
+    uptimes = [-3, -0.5, 0, 0.0] + lifetimes + [t + 0.25 for t in lifetimes] + [21, 1e6]
+    vms = [make_vm(i, create=create, exit_=create + 1e9, fv=fv) for i, fv in enumerate(vectors)]
+
+    def check():
+        for vm in vms:
+            for uptime in uptimes:
+                now = create + uptime
+                assert model.remaining(vm, now) == model.predict_remaining(
+                    vm.features, vm.uptime(now))
+
+    check()
+    model.fit([(fv, 30 - life) for fv, life in other[1]])
+    check()
+
+
 class TestPredictionCache:
     def test_empty_host_raises(self):
         pool = PoolState()
@@ -336,6 +401,30 @@ class TestPredictionCache:
         model.offset = 5000.0
         assert cache.host_exit_time(host, pool, model, 30.0) == 10_000.0
         assert cache.host_exit_time(host, pool, model, 90.0) == 15_000.0
+
+    def test_refresh_calls_remaining_once_per_resident(self):
+        """Under a model that is not time-invariant a refresh predicts every
+        resident once, and a hit predicts none."""
+        pool = PoolState()
+        host = pool.add_host(ResourceVec(96_000, 393_216))
+        for vid in range(3):
+            pool.place(make_vm(vid, exit_=1000.0 * (vid + 1)), 0)
+        calls = []
+
+        class Counting:
+            def remaining(self, vm, now):
+                calls.append(vm.id)
+                return max(vm.true_exit_time - now, 0.0)
+
+        model, cache = Counting(), PredictionCache(refresh_interval_s=60.0)
+        assert not getattr(model, "time_invariant", False)
+        assert cache.host_exit_time(host, pool, model, 0.0) == 3000.0
+        assert sorted(calls) == [0, 1, 2]
+        calls.clear()
+        assert cache.host_exit_time(host, pool, model, 30.0) == 3000.0
+        assert calls == []
+        assert cache.host_exit_time(host, pool, model, 90.0) == 3000.0
+        assert sorted(calls) == [0, 1, 2]
 
     def test_invalidate_on_membership_change(self):
         pool = PoolState()
