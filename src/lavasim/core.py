@@ -142,7 +142,8 @@ class FreeIndex:
     by the capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than a
     ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``, and
     ``cap_max`` is the largest CPU capacity of a host added.  A host's VM set
-    changes only with its ``used`` (``PoolState.place`` and ``remove_keep``),
+    changes only with its ``used`` (``PoolState.place``, ``remove`` and
+    ``remove_keep``),
     and the re-file follows both; ``sched.best_host`` walks the index.
     """
 
@@ -162,22 +163,34 @@ class FreeIndex:
         self._file(host.id, host.capacity, free_key(host))
 
     def refile(self, host: HostRecord) -> None:
-        used_cpu_m = host.used_cpu_m  # free_key(host), inlined: it runs on every write
+        used_cpu_m = host.used_cpu_m  # free_key(host) and _file, inlined: this runs on every write
         key = (host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib or host.vms
                else None)
-        old = self.filed[host.id]
-        if key != old:
-            if old is None:
-                cap = host.capacity
-                ids = self.unused[cap.cpu_m, cap.mem_mib]
-                del ids[bisect_left(ids, host.id)]
+        hid, filed = host.id, self.filed
+        old = filed[hid]
+        if key == old:
+            return
+        if old is None:
+            cap = host.capacity
+            ids = self.unused[cap.cpu_m, cap.mem_mib]
+            del ids[bisect_left(ids, hid)]
+        else:
+            ids = self.buckets[old]
+            ids.discard(hid)
+            if not ids:
+                del self.buckets[old]
+                del self.keys[bisect_left(self.keys, old)]
+        filed[hid] = key
+        if key is None:
+            cap = host.capacity
+            insort(self.unused.setdefault((cap.cpu_m, cap.mem_mib), []), hid)
+        else:
+            ids = self.buckets.get(key)
+            if ids is None:
+                self.buckets[key] = {hid}
+                insort(self.keys, key)
             else:
-                ids = self.buckets[old]
-                ids.discard(host.id)
-                if not ids:
-                    del self.buckets[old]
-                    del self.keys[bisect_left(self.keys, old)]
-            self._file(host.id, host.capacity, key)
+                ids.add(hid)
 
     def _file(self, hid: int, capacity: ResourceVec, key: Optional[int]) -> None:
         self.filed[hid] = key
@@ -233,13 +246,16 @@ class PoolState:
         host = self.hosts[host_id]
         if vm.host is not None:
             raise CapacityExceeded(f"vm {vm.id} already placed on host {vm.host}")
-        if not self.fits(vm.shape, host):
+        shape, cap = vm.shape, host.capacity
+        used_cpu_m = host.used_cpu_m + shape.cpu_m
+        used_mem_mib = host.used_mem_mib + shape.mem_mib
+        # not self.fits(shape, host), inlined
+        if (host.unavailable_for_scheduling or used_cpu_m > cap.cpu_m
+                or used_mem_mib > cap.mem_mib):
             raise CapacityExceeded(f"vm {vm.id} does not fit on host {host_id}")
         self.vms[vm.id] = vm
         vm.host = host_id
-        shape = vm.shape
-        host.used_cpu_m += shape.cpu_m
-        host.used_mem_mib += shape.mem_mib
+        host.used_cpu_m, host.used_mem_mib = used_cpu_m, used_mem_mib
         host.vms.add(vm.id)
         self.index.refile(host)
 
@@ -247,7 +263,11 @@ class PoolState:
         vm = self.vms.get(vm_id)
         if vm is None or vm.host is None:
             raise UnknownVm(f"vm {vm_id} is not placed")
-        self.remove_keep(vm)
+        host, shape = self.hosts[vm.host], vm.shape
+        host.used_cpu_m -= shape.cpu_m
+        host.used_mem_mib -= shape.mem_mib
+        host.vms.discard(vm_id)
+        self.index.refile(host)
         vm.host = None
         del self.vms[vm_id]
         return vm

@@ -131,27 +131,34 @@ class NoisyOracleModel:
     def __init__(self, cfg: NoisyOracleConfig):
         self.cfg = cfg
         self._totals: Dict[int, float] = {}
+        # re-seeded per draw; ``seed`` also resets the Gaussian pair cache, so
+        # each draw reads the stream a fresh ``random.Random`` of its seed would
+        self._rng = random.Random()
 
-    def _predicted_total(self, vm: VmRecord) -> float:
-        total = self._totals.get(vm.id)
-        if total is None:
-            digest = hashlib.sha256(f"{self.cfg.seed}:{vm.id}".encode()).digest()
-            rng = random.Random(int.from_bytes(digest[:8], "big"))
-            correct = rng.random() < self.cfg.accuracy
-            sigma = self.cfg.sigma_correct if correct else self.cfg.sigma_wrong
-            true_total = vm.true_exit_time - vm.create_time
-            if sigma > 0:
-                noise = rng.gauss(0.0, sigma)
-                total = 10.0 ** (math.log10(true_total) + noise)
-                total = min(max(total, 0.0), self.cfg.cap_s)
-            else:
-                # exact passthrough so sigma=0 reproduces the oracle bit-for-bit
-                total = true_total
-            self._totals[vm.id] = total
+    def _draw(self, vm: VmRecord) -> float:
+        """Draw ``vm``'s perturbed total lifetime and keep it."""
+        digest = hashlib.sha256(f"{self.cfg.seed}:{vm.id}".encode()).digest()
+        rng = self._rng
+        rng.seed(int.from_bytes(digest[:8], "big"))
+        correct = rng.random() < self.cfg.accuracy
+        sigma = self.cfg.sigma_correct if correct else self.cfg.sigma_wrong
+        true_total = vm.true_exit_time - vm.create_time
+        if sigma > 0:
+            noise = rng.gauss(0.0, sigma)
+            total = 10.0 ** (math.log10(true_total) + noise)
+            total = min(max(total, 0.0), self.cfg.cap_s)
+        else:
+            # exact passthrough so sigma=0 reproduces the oracle bit-for-bit
+            total = true_total
+        self._totals[vm.id] = total
         return total
 
     def remaining(self, vm: VmRecord, now: float) -> float:
-        return max(self._predicted_total(vm) - vm.uptime(now), 0.0)
+        total = self._totals.get(vm.id)
+        if total is None:
+            total = self._draw(vm)
+        # vm.uptime(now), inlined
+        return max(total - max(now - vm.create_time, 0.0), 0.0)
 
 
 class _SurvivalCurve:
@@ -306,8 +313,10 @@ class EmpiricalLifetimeModel:
         lines = [f"lavasim-empirical-model v{self.FORMAT_VERSION} "
                  f"cap_s={self.cap_s} min_count={self.min_count} floor_s={self.floor_s:.17g}"]
         for name in FeatureVec._CATEGORICAL:
+            # no tab after the name when nothing is kept: "#kept name\t" is the
+            # set holding the empty string
             kept = sorted(self._kept_values.get(name, ()))
-            lines.append(f"#kept {name}\t" + "\t".join(kept))
+            lines.append("\t".join([f"#kept {name}"] + kept))
         keys = sorted(self.strata)
         for key in keys + [self.GLOBAL_KEY]:
             curve = self.global_curve if key == self.GLOBAL_KEY else self.strata[key]

@@ -1,13 +1,23 @@
 """Placement algorithms: Best Fit, LA-Binary, NILAS, and LAVA.
 
-Every algorithm scores feasible hosts with a fixed-length tuple compared
-lexicographically (lower is better) and picks the minimum; the host id is
-always the final component, so ties resolve deterministically.
+Every algorithm scores feasible hosts with a tuple compared
+lexicographically (lower is better) and picks the minimum.  The tuple is
+the algorithm's prefix, then the best-fit term (``best_fit_score``), then
+the host id, so ties resolve deterministically.
+
+The key protocol: ``Scheduler.host_key`` returns a host -> prefix function,
+and ``best_host`` owns the last two terms.  The prefixes are ``(0|1,)`` for
+Best Fit (has VMs or not), ``(tier,)`` for LA-Binary, ``(empty, cost)`` for
+NILAS and ``(tier, distance, cost)`` for LAVA, whose lazy key may also
+return a bare ``(tier, distance)`` (below).  ``best_host`` computes the
+best-fit term only for a host whose prefix is at most the best prefix so
+far; a greater prefix loses whatever its fit.  ``key_floor`` is a prefix
+too, and ``Scheduler.score`` returns the full tuple.
 
 ``Scheduler.select_host`` is the one placement decision, for arrivals and
 migration targets alike.  It builds each algorithm's VM-side terms (the
 VM's predicted exit, its LA-Binary class) once per call through
-``host_key`` and hands the host -> score function to ``best_host``, one walk
+``host_key`` and hands the host -> prefix function to ``best_host``, one walk
 over the pool's free-capacity index (``core.FreeIndex``).  The index files
 every host with VMs or non-zero ``used`` in a bucket keyed by its free CPU,
 and every host with no VMs and zero ``used`` in an id-ordered list per
@@ -36,8 +46,7 @@ of ``best_fit_score``, ``(k' - c) / cap``, is at least the bound: the
 numerators are exact integers and correctly rounded division is monotone,
 so this holds in floats too.  ``best_fit_score`` is the larger of the CPU
 and memory terms, so the bound holds for it as well.  A scheduler whose
-score tuple starts with a prefix that has a known least value
-(``key_floor``), followed by the best-fit term, stops once the best host so
+prefix has a known least value (``key_floor``) stops once the best host so
 far has that least prefix and the bound is strictly greater than its best
 fit: no host in a bucket still unseen can then beat it, while at equality
 one might tie and win on a lower id.  The walk returns at once, skipping the
@@ -49,10 +58,12 @@ temporal cost 0) and LAVA (``(0, 1, 0)``: a recycling host one class above
 the VM, temporal cost 0) declare a floor only under a ``time_invariant``
 model (``oracle``, ``noisy``), and LAVA's key is then lazy too: a host whose
 ``(tier, distance)`` is worse than the least pair the key has scored in full
-cannot win, and gets that bare pair without a temporal cost.  Both skips
-leave ``PredictionCache`` entries unfilled.  Under a time-invariant model an
-entry answers ``max(now, latest predicted exit)`` whenever it was filled, so
-this changes no output.  Under the empirical model an entry refreshes on a
+cannot win, and gets that bare pair without a temporal cost.  The bare pair
+is greater than the prefix of the best host so far, which starts with that
+least pair, so ``best_host`` skips it.  Both skips leave
+``PredictionCache`` entries unfilled.  Under a time-invariant model an entry
+answers ``max(now, latest predicted exit)`` whenever it was filled, so this
+changes no output.  Under the empirical model an entry refreshes on a
 timer and its answer depends on when it was filled, so NILAS and LAVA score
 every candidate there, filling the same entries at the same times as a full
 scan.
@@ -124,39 +135,52 @@ def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
 def best_host(index: FreeIndex, shape: ResourceVec, key: Callable[[HostRecord], tuple],
               floor: Optional[tuple]) -> Optional[HostRecord]:
     """The available host of ``index`` with room for ``shape`` and the least
-    ``key``, or None if no host has room.
+    ``key(host) + (best_fit_score(host, shape), host.id)``, or None if no
+    host has room.
 
-    ``floor`` is the least prefix ``key`` can return, with the best-fit term
-    right after it, or None to score every candidate.  The walk ends once the
-    best key so far starts with ``floor`` and the bound of the next bucket
-    (see the module docstring) is strictly greater than its best-fit term."""
+    ``key`` returns the score's prefix; the best-fit term is computed here,
+    only for hosts whose prefix is at most the best prefix so far.
+    ``floor`` is the least prefix ``key`` can return, or None to score every
+    candidate.  The walk ends once the best prefix so far is ``floor`` and
+    the bound of the next bucket (see the module docstring) is strictly
+    greater than its best-fit term."""
     cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
     hosts, keys, buckets, cap_max = index.hosts, index.keys, index.buckets, index.cap_max
-    n = 0 if floor is None else len(floor)
-    best = best_key = None
-    limit = None  # the best-fit term of ``best_key`` once it starts with ``floor``
+    best = best_prefix = None
+    best_fit = best_id = 0
+    limit = None  # the best-fit term of ``best`` once its prefix is ``floor``
     for i in range(bisect_left(keys, cpu_m), len(keys)):
         free = keys[i]
         if limit is not None and (free - cpu_m) / cap_max > limit:
             return best
         for hid in buckets[free]:
             host = hosts[hid]
-            if (host.used_mem_mib + mem_mib <= host.capacity.mem_mib
-                    and not host.unavailable_for_scheduling):
-                k = key(host)
-                if best_key is None or k < best_key:
-                    best, best_key = host, k
-                    if floor is not None and k[:n] == floor:
-                        limit = k[n]
+            cap = host.capacity
+            used_mem_mib = host.used_mem_mib
+            if used_mem_mib + mem_mib <= cap.mem_mib and not host.unavailable_for_scheduling:
+                prefix = key(host)
+                if best is not None and prefix > best_prefix:
+                    continue
+                # best_fit_score(host, shape), inlined
+                cpu = (cap.cpu_m - host.used_cpu_m - cpu_m) / cap.cpu_m
+                mem = (cap.mem_mib - used_mem_mib - mem_mib) / cap.mem_mib
+                fit = cpu if cpu >= mem else mem
+                if (best is None or prefix != best_prefix or fit < best_fit
+                        or (fit == best_fit and hid < best_id)):
+                    best, best_prefix, best_fit, best_id = host, prefix, fit, hid
+                    if prefix == floor:
+                        limit = fit
     # hosts with no VMs and zero used: the lowest-id available one per capacity
     for (cap_cpu_m, cap_mem_mib), ids in index.unused.items():
         if cpu_m <= cap_cpu_m and mem_mib <= cap_mem_mib:
             for hid in ids:
                 host = hosts[hid]
                 if not host.unavailable_for_scheduling:
-                    k = key(host)
-                    if best_key is None or k < best_key:
-                        best, best_key = host, k
+                    prefix = key(host)
+                    if best is None or prefix <= best_prefix:
+                        fit = best_fit_score(host, shape)
+                        if best is None or (prefix, fit, hid) < (best_prefix, best_fit, best_id):
+                            best, best_prefix, best_fit, best_id = host, prefix, fit, hid
                     break
     return best
 
@@ -169,8 +193,8 @@ class Scheduler:
     deadline_armed: Optional[Callable[[int, float], None]] = None
     # per-host state an evacuation replay carries over: LAVA's table
     state: Optional[Dict[int, LavaHost]] = None
-    # least prefix of a score tuple, followed by its best-fit term; None
-    # scores every candidate (see the module docstring)
+    # the least prefix ``host_key`` can return; None scores every candidate
+    # (see the module docstring)
     key_floor: Optional[tuple] = None
 
     def select_host(self, vm: VmRecord, pool: PoolState, now: float) -> Optional[int]:
@@ -179,12 +203,14 @@ class Scheduler:
 
     def host_key(self, vm: VmRecord, pool: PoolState,
                  now: float) -> Callable[[HostRecord], tuple]:
-        """The score function of ``vm``'s placement at ``now``, host -> tuple;
-        terms that depend only on the VM are computed here, once."""
+        """The score prefix of ``vm``'s placement at ``now``, host -> tuple;
+        ``best_host`` appends the best-fit term and the host id.  Terms that
+        depend only on the VM are computed here, once."""
         raise NotImplementedError
 
     def score(self, host, vm, pool, now):
-        return self.host_key(vm, pool, now)(host)
+        """The full score tuple of ``host``: prefix, best-fit term, host id."""
+        return self.host_key(vm, pool, now)(host) + (best_fit_score(host, vm.shape), host.id)
 
     # state-machine hooks; only LAVA uses them
     def on_arrival(self, vm: VmRecord, now: float) -> None:
@@ -206,6 +232,10 @@ class Scheduler:
         """Raise ``AssertionError`` if this scheduler's state disagrees with ``pool``."""
 
 
+def _has_vms_key(host: HostRecord) -> Tuple[int]:
+    return (0 if host.vms else 1,)
+
+
 class BestFitScheduler(Scheduler):
     """Multi-dimensional Best Fit; prefers already-started hosts over empty ones."""
 
@@ -213,7 +243,7 @@ class BestFitScheduler(Scheduler):
     key_floor = (0,)
 
     def host_key(self, vm, pool, now):
-        return lambda host: (0 if host.vms else 1, best_fit_score(host, vm.shape), host.id)
+        return _has_vms_key
 
 
 class NilasScheduler(Scheduler):
@@ -248,7 +278,7 @@ class NilasScheduler(Scheduler):
         def key(host):
             empty = 0 if host.vms else 1
             cost = 0 if empty else temporal(host)
-            return (empty, cost, best_fit_score(host, vm.shape), host.id)
+            return (empty, cost)
         return key
 
     def after_place(self, pool, vm, host, now):
@@ -291,7 +321,7 @@ class LaBinaryScheduler(Scheduler):
                 tier = 2
             else:
                 tier = 0 if self.host_is_long(host, pool, now) == vm_long else 1
-            return (tier, best_fit_score(host, vm.shape), host.id)
+            return (tier,)
         return key
 
 
@@ -365,7 +395,7 @@ class LavaScheduler(Scheduler):
                 least = pair
             tier, distance = pair
             cost = 0 if not host.vms else temporal(host)
-            return (tier, distance, cost, best_fit_score(host, vm.shape), host.id)
+            return (tier, distance, cost)
         return key
 
     def _arm_deadline(self, host_id: int, host_class: LifetimeClass, now: float) -> float:

@@ -6,15 +6,23 @@ Migrations run only here: a replay's defrag rounds and the evacuation
 replays of ``defrag.py`` use the same queue, slot filling and pending-exit
 handling.
 
-Events come from two sources.  The trace, sorted by create time, is walked
-by index, one arrival at a time; the event heap holds everything else
-(exits, migration ends, deadlines, defrag checks and samples), as
-``(time, kind, seq, arg)`` entries that ``_step`` pops and dispatches.  The
-tie rule is the ``EV_*`` order: before an arrival at ``t`` runs, every heap
-event with ``(time, kind) < (t, EV_ARRIVAL)`` runs, so at one timestamp
-exits, migration ends, deadlines and defrag checks come first, then the
-arrivals in trace order, then the samples; heap events of one kind run in
-the order they were pushed.
+Events come from three sources.  The trace, sorted by create time, is
+walked one arrival at a time.  The exit stream holds every VM's exit,
+sorted by exit time by a stable sort, so VMs that exit together keep trace
+order, the order they were placed in; ``run`` builds it from the trace, and
+an evacuation replay (``_over_pool``) from the pool's residents.  The event
+heap holds everything else (migration ends, deadlines, defrag checks and
+samples), as ``(time, kind, seq, arg)`` entries.  The tie rule is the
+``EV_*`` order: at one timestamp exits come first, then migration ends,
+deadlines and defrag checks, then the arrivals in trace order, then the
+samples; heap events of one kind run in the order they were pushed.  So an
+exit runs before a heap event unless the heap's is strictly earlier, and
+before an arrival at ``t`` runs every exit at ``t`` or earlier and every
+heap event with ``(time, kind) < (t, EV_ARRIVAL)`` runs.  ``run`` merges the
+three inline; ``_step`` applies the same rule to the stream and the heap
+for the drains after the last arrival and for evacuation replays.  An exit
+of a VM that was never placed (no host had room) changes nothing, not even
+``pool.now``.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
 from .predict import FeatureVec, PredictionCache
@@ -37,7 +45,6 @@ from .sched import (
     LavaHost,
     NilasConfig,
     Scheduler,
-    best_fit_score,
     best_host,
     make_scheduler,
 )
@@ -62,6 +69,9 @@ EV_ARRIVAL = 4
 EV_SAMPLE = 5
 
 DAY_S = 86400.0
+
+# the head of an exhausted exit stream: later than every event
+NO_EXIT = (math.inf, None)
 
 
 @dataclass(frozen=True)
@@ -151,6 +161,11 @@ _HOST_VALUES = _init_values(HostRecord)
 _VM_VALUES = _init_values(VmRecord)
 
 
+def _exit_time(rec: TraceRecord):
+    """The ``true_exit_time`` of ``rec``'s VM."""
+    return rec.create_time_s + rec.lifetime_s
+
+
 def clone_pool(pool: PoolState) -> PoolState:
     """Copy every host and VM record; the containers a record owns are copied
     too, and the clone files its hosts in a free-capacity index of its own."""
@@ -176,9 +191,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
 
     def place_best_fit(shape: ResourceVec) -> bool:
         best = best_host(snap.index, shape,
-                         lambda h: (0 if h.vms or h.used_cpu_m else 1,
-                                    best_fit_score(h, shape), h.id),
-                         (0,))
+                         lambda h: (0 if h.vms or h.used_cpu_m else 1,), (0,))
         if best is None:
             return False
         best.used = best.used + shape
@@ -192,7 +205,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
                 fails = 0
             else:
                 fails += 1
-        if best_host(snap.index, smallest, lambda h: (h.id,), None) is None:
+        if best_host(snap.index, smallest, lambda h: (), None) is None:
             break
 
     total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())
@@ -240,13 +253,20 @@ class Simulator:
         self.warmup_sched: Scheduler = BestFitScheduler()
         self.algorithm = algorithm
         # event heap: (time, kind, seq, arg); kind is one of the EV_* codes
-        # but EV_ARRIVAL, since arrivals are streamed from the trace
+        # but EV_ARRIVAL and EV_EXIT, which are streamed
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
-        self._handlers = {EV_EXIT: self._handle_exit, EV_MIG_END: self._handle_migration_end,
+        self._handlers = {EV_MIG_END: self._handle_migration_end,
                           EV_DEADLINE: self._handle_deadline,
                           EV_DEFRAG: self._handle_defrag_check, EV_SAMPLE: self._handle_sample}
-        self._measure_start = 0.0
+        # the exit stream, (time, vm id) in exit order, and its head; run()
+        # and _over_pool fill it
+        self._exits: Iterator[Tuple[float, int]] = iter(())
+        self._next_exit: Tuple[float, Optional[int]] = NO_EXIT
+        # samples are taken from here on, and arrivals before it are placed
+        # by the warm-up scheduler; without warm-up it is the first arrival
+        t0 = trace[0].create_time_s if trace else 0.0
+        self._measure_start = t0 + cfg.warmup_s if cfg.warmup else t0
         self._stranded: Optional[Tuple[float, float]] = None
         # the (shape, features) the VMs of one record key share (shared_terms)
         self._arrival_terms: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
@@ -275,9 +295,10 @@ class Simulator:
         sim = cls((), 0, ZERO, algorithm, model, cfg=cfg)
         sim.pool = pool
         sim.active.on_adopt(pool, pool.now, sched_state)
-        for vm in pool.vms.values():
-            if vm.true_exit_time > pool.now:
-                sim._push(vm.true_exit_time, EV_EXIT, vm.id)
+        exits = [(vm.true_exit_time, vm.id) for vm in pool.vms.values()
+                 if vm.true_exit_time > pool.now]
+        exits.sort(key=itemgetter(0))  # stable: ties keep the order of pool.vms
+        sim._stream_exits(iter(exits))
         for hid, lava in (sim.active.state or {}).items():
             if lava.deadline > pool.now:
                 sim._push(lava.deadline, EV_DEADLINE, (hid, lava.deadline))
@@ -289,10 +310,30 @@ class Simulator:
         heapq.heappush(self._heap, (time, kind, self._seq, arg))
         self._seq += 1
 
+    def _stream_exits(self, exits: Iterator[Tuple[float, int]]) -> None:
+        self._exits = exits
+        self._next_exit = next(exits, NO_EXIT)
+
+    def _next_time(self) -> float:
+        """Time of the next exit or heap event; ``math.inf`` if none is left."""
+        heap, t = self._heap, self._next_exit[0]
+        return heap[0][0] if heap and heap[0][0] < t else t
+
     def _step(self) -> None:
-        time, kind, _, arg = heapq.heappop(self._heap)
-        self.pool.now = time
-        self._handlers[kind](arg, time)
+        """Run the next event: the head of the exit stream, unless the heap's
+        head is strictly earlier."""
+        heap = self._heap
+        t, vm_id = self._next_exit
+        if heap and heap[0][0] < t:
+            time, kind, _, arg = heapq.heappop(heap)
+            self.pool.now = time
+            self._handlers[kind](arg, time)
+        else:
+            self._next_exit = next(self._exits, NO_EXIT)
+            if vm_id not in self.pool.vms:
+                return  # never placed
+            self.pool.now = t
+            self._handle_exit(vm_id, t)
         if self.cfg.check_invariants:
             self._check_invariants()
 
@@ -308,7 +349,6 @@ class Simulator:
             return self._empty_result()
         t0 = trace[0].create_time_s
         t_end = trace[-1].create_time_s
-        self._measure_start = t0 + self.cfg.warmup_s if self.cfg.warmup else t0
 
         t = t0
         while t <= t_end:
@@ -319,27 +359,50 @@ class Simulator:
             while t <= t_end:
                 self._push(t, EV_DEFRAG, None)
                 t += self.cfg.defrag.check_interval_s
+        by_exit = sorted(trace, key=_exit_time)  # stable: ties keep trace order
+        self._stream_exits(zip(map(_exit_time, by_exit), map(attrgetter("vm_id"), by_exit)))
+        del by_exit
 
-        heap, check = self._heap, self.cfg.check_invariants
+        heap, handlers, check = self._heap, self._handlers, self.cfg.check_invariants
+        pool, exits = self.pool, self._exits
+        vms = pool.vms
+        handle_exit, handle_arrival = self._handle_exit, self._handle_arrival
+        exit_t, exit_id = self._next_exit
         for rec in trace:
             now = rec.create_time_s
             # no heap entry has kind EV_ARRIVAL, so this compares (time, kind)
             # only: the heap events that come before the arrival
             before = (now, EV_ARRIVAL)
-            while heap and heap[0] < before:
-                self._step()
-            self.pool.now = now
-            self._handle_arrival(rec, now)
+            while True:
+                if exit_t <= now and (not heap or exit_t <= heap[0][0]):
+                    t, vm_id = exit_t, exit_id
+                    exit_t, exit_id = next(exits, NO_EXIT)
+                    if vm_id not in vms:
+                        continue  # never placed
+                    pool.now = t
+                    handle_exit(vm_id, t)
+                elif heap and heap[0] < before:
+                    t, kind, _, arg = heapq.heappop(heap)
+                    pool.now = t
+                    handlers[kind](arg, t)
+                else:
+                    break
+                if check:
+                    self._check_invariants()
+            pool.now = now
+            handle_arrival(rec, now)
             if check:
                 self._check_invariants()
-        while heap and heap[0][0] <= t_end:
+        self._next_exit = (exit_t, exit_id)
+        while self._next_time() <= t_end:
             self._step()
         if self.cfg.measure_stranding:
             # the pool at the end of the measured window, before the drain
             self._stranded = inflation_stranding(self.pool, trace_shape_mix(trace),
                                                  random.Random(self.cfg.stranding_seed))
-        while heap:
+        while self._next_time() < math.inf:
             self._step()
+        self._stream_exits(iter(()))
         return self._build_result(self._series, self._measure_start, t_end)
 
     def _handle_sample(self, _, now: float) -> None:
@@ -356,20 +419,18 @@ class Simulator:
         return used_c / cap_c, used_m / cap_m
 
     def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
-        terms = shared_terms(rec, self._arrival_terms)
-        vm = VmRecord(id=rec.vm_id, shape=terms[0], features=terms[1],
-                      create_time=rec.create_time_s,
-                      true_exit_time=rec.create_time_s + rec.lifetime_s)
-        self.active.on_arrival(vm, now)
-        selector = (self.warmup_sched if self.cfg.warmup and now < self._measure_start
-                    else self.active)
-        host_id = selector.select_host(vm, self.pool, now)
+        shape, features = shared_terms(rec, self._arrival_terms)
+        create = rec.create_time_s
+        vm = VmRecord(rec.vm_id, shape, features, create, create + rec.lifetime_s)
+        active, pool = self.active, self.pool
+        active.on_arrival(vm, now)
+        selector = self.warmup_sched if now < self._measure_start else active
+        host_id = selector.select_host(vm, pool, now)
         if host_id is None:
             self.scheduling_failures += 1
             return
-        self.pool.place(vm, host_id)
-        self.active.after_place(self.pool, vm, self.pool.hosts[host_id], now)
-        self._push(vm.true_exit_time, EV_EXIT, vm.id)
+        pool.place(vm, host_id)
+        active.after_place(pool, vm, pool.hosts[host_id], now)
         if self.cfg.record_placements:
             self.placements.append(f"{now:.0f}\tplace\t{vm.id}\t{host_id}\t{selector.name}")
 
@@ -378,12 +439,13 @@ class Simulator:
             # started migrations run to completion; the exit lands right after
             self._pending_exit.add(vm_id)
             return
-        vm = self.pool.vms.get(vm_id)
+        pool = self.pool
+        vm = pool.vms.get(vm_id)
         if vm is None or vm.host is None:
             return
-        host = self.pool.hosts[vm.host]
-        self.pool.remove(vm_id)
-        self.active.on_exit(self.pool, vm, host, now)
+        host = pool.hosts[vm.host]
+        pool.remove(vm_id)
+        self.active.on_exit(pool, vm, host, now)
         if host.unavailable_for_scheduling and host.is_empty():
             host.unavailable_for_scheduling = False
             self._candidates.discard(host.id)
@@ -427,7 +489,7 @@ class Simulator:
         no migration is queued or in flight, or no event is left."""
         self._mark_candidate(host, order)
         self._fill_migration_slots(self.pool.now)
-        while self._heap and (self._mig_queue or self._mig_active):
+        while (self._mig_queue or self._mig_active) and self._next_time() < math.inf:
             self._step()
 
     def _fill_migration_slots(self, now: float) -> None:

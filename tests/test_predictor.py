@@ -1,7 +1,9 @@
 """Predictors: oracle, noisy oracle, empirical survival model, cache."""
 
 import dataclasses
+import hashlib
 import math
+import random
 from collections import Counter, defaultdict
 
 import pytest
@@ -98,6 +100,35 @@ class TestNoisyOracle:
         for i in range(200):
             vm = make_vm(vm_id=i, exit_=H)
             assert noisy.remaining(vm, 0.0) <= 14 * 24 * H
+
+    @pytest.mark.parametrize("cfg", [NoisyOracleConfig(accuracy=0.0, seed=2),
+                                     NoisyOracleConfig(accuracy=0.5, seed=3),
+                                     NoisyOracleConfig(accuracy=1.0, seed=4),
+                                     NoisyOracleConfig(accuracy=0.5, sigma_correct=0.0)])
+    def test_draws_match_a_fresh_random_per_vm(self, cfg):
+        """The model re-seeds one ``random.Random`` per draw; every total
+        equals a draw from a fresh ``Random`` of the VM's seed, whatever
+        order the VMs are first asked about in."""
+        def reference_total(vm):
+            digest = hashlib.sha256(f"{cfg.seed}:{vm.id}".encode()).digest()
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
+            sigma = cfg.sigma_correct if rng.random() < cfg.accuracy else cfg.sigma_wrong
+            true_total = vm.true_exit_time - vm.create_time
+            if sigma == 0:
+                return true_total
+            total = 10.0 ** (math.log10(true_total) + rng.gauss(0.0, sigma))
+            return min(max(total, 0.0), cfg.cap_s)
+
+        vms = [make_vm(vm_id=i, create=7.0 * i, exit_=7.0 * i + 60.0 * (1 + i % 97))
+               for i in range(2000)]
+        random.Random(5).shuffle(vms)
+        noisy = NoisyOracleModel(cfg)
+        for vm in vms:
+            total = reference_total(vm)
+            assert noisy.remaining(vm, vm.create_time) == total
+            now = vm.create_time + 600.0
+            assert noisy.remaining(vm, now) == max(total - 600.0, 0.0)
+            assert noisy.remaining(vm, vm.create_time - 5.0) == total
 
     def test_accuracy_controls_error_rate(self):
         """With accuracy p, about (1-p) of VMs get the wide-sigma noise."""
@@ -253,6 +284,28 @@ class TestEmpiricalModel:
         assert clone.floor_s == floor_s
         assert clone.dumps() == model.dumps()
 
+    def test_feature_without_kept_values_round_trips(self):
+        """No ``vm_category`` value reaches ``min_count``, so none is kept and
+        a z1 VM falls in the z1 stratum (100 s and 5 000 s, three each).
+        Read back as the set holding the empty string, the category would
+        split z1 and move the VM to the pooled curve."""
+        def rows(zone, category, life):
+            return [(FeatureVec(zone=zone, vm_category=category), life)] * 3
+
+        model = fit_model(rows("z1", "a", 100.0) + rows("z1", "", 5000.0)
+                          + rows("z2", "b", 100.0) + rows("z2", "c", 100.0), min_count=5)
+        text = model.dumps()
+        assert "#kept vm_category\n" in text
+        clone = EmpiricalLifetimeModel.loads(text)
+        probe = FeatureVec(zone="z1")
+        assert model.predict_remaining(probe, 0.0) == 2550.0
+        assert clone.predict_remaining(probe, 0.0) == 2550.0
+        assert clone.dumps() == text
+        # the old form, a tab after the name, still loads: as the set of ""
+        old = EmpiricalLifetimeModel.loads(text.replace("#kept vm_category\n",
+                                                        "#kept vm_category\t\n"))
+        assert old._kept_values["vm_category"] == {""}
+
     def test_default_floor_header(self):
         text = fit_model([(FeatureVec(), H)] * 10).dumps()
         assert text.splitlines()[0].endswith(" floor_s=3600")
@@ -294,7 +347,7 @@ def reference_fit_dumps(examples, min_count, cap_s):
         per_stratum[stratum(fv)][life] += 1
         pooled[life] += 1
     lines = [f"lavasim-empirical-model v1 cap_s={cap_s} min_count={min_count} floor_s=3600"]
-    lines += [f"#kept {name}\t" + "\t".join(sorted(kept[name]))
+    lines += ["\t".join([f"#kept {name}"] + sorted(kept[name]))
               for name in FeatureVec._CATEGORICAL]
     for key in sorted(per_stratum) + ["__global__"]:
         counts = pooled if key == "__global__" else per_stratum[key]

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lavasim.core import (
     LifetimeClass,
@@ -23,6 +23,7 @@ from lavasim.sched import (
     NilasConfig,
     NilasScheduler,
     best_fit_score,
+    best_host,
     make_scheduler,
     quantize_temporal_cost,
 )
@@ -107,6 +108,42 @@ class TestBestFit:
         host = pool.hosts[0]
         # leftover fractions differ across dimensions; max governs
         assert best_fit_score(host, ResourceVec(5000, 1000)) == pytest.approx(0.9)
+
+
+PREFIX_CAPS = ((8000, 16_384), (16_000, 32_768))
+PREFIX_SHAPES = ((1000, 2048), (2000, 4096), (4000, 4096))
+PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), use_floor=st.booleans())
+def test_best_host_takes_least_prefix_then_fit_then_id(data, use_floor):
+    """``best_host`` with a random prefix key returns the feasible host with
+    the least ``(prefix, best_fit_score, id)``.  Prefixes, fits and ids tie
+    often.  Hosts without VMs share their capacity's prefix, as every
+    algorithm's do; with the floor ``(0, 0)`` their prefix is above it."""
+    pool = PoolState()
+    for _ in range(data.draw(st.integers(1, 9))):
+        pool.add_host(ResourceVec(*data.draw(st.sampled_from(PREFIX_CAPS))))
+    vm_id = 0
+    for host in pool.hosts.values():
+        for _ in range(data.draw(st.integers(0, 3))):
+            cpu_m, mem_mib = data.draw(st.sampled_from(PREFIX_SHAPES))
+            if pool.fits(ResourceVec(cpu_m, mem_mib), host):
+                pool.place(make_vm(vm_id, cpu_m, mem_mib), host.id)
+                vm_id += 1
+        host.unavailable_for_scheduling = data.draw(st.sampled_from((False, False, True)))
+    empty_prefix = {cap: data.draw(st.sampled_from(PAIRS[1:] if use_floor else PAIRS))
+                    for cap in PREFIX_CAPS}
+    prefix = {h.id: data.draw(st.sampled_from(PAIRS)) if h.vms
+              else empty_prefix[h.capacity.cpu_m, h.capacity.mem_mib]
+              for h in pool.hosts.values()}
+    shape = ResourceVec(*data.draw(st.sampled_from(PREFIX_SHAPES)))
+    scores = [(prefix[h.id], best_fit_score(h, shape), h.id)
+              for h in pool.hosts.values() if pool.fits(shape, h)]
+    best = best_host(pool.index, shape, lambda h: prefix[h.id],
+                     (0, 0) if use_floor else None)
+    assert (None if best is None else best.id) == (min(scores)[2] if scores else None)
 
 
 class TestNilas:

@@ -1,5 +1,6 @@
 """Replay engine: metrics, stranding, bounds, event ordering, determinism."""
 
+import copy
 import dataclasses
 import random
 from unittest import mock
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
-from lavasim.defrag import compare_orderings
+from lavasim.defrag import EvacuationOutcome, compare_orderings, simulate_evacuation
 from lavasim.predict import OracleModel, make_predictor
 from lavasim.sched import LavaConfig, Scheduler
 from lavasim.sim import (
     EV_ARRIVAL,
     EV_DEFRAG,
+    EV_EXIT,
     EV_SAMPLE,
     DefragConfig,
     HeterogeneousPool,
@@ -24,6 +26,7 @@ from lavasim.sim import (
     inflation_stranding,
     metrics_snapshot,
     optimal_empty_bound,
+    order_evacuation,
     trace_shape_mix,
 )
 from lavasim.workload import GeneratorConfig, TraceRecord, generate
@@ -289,13 +292,21 @@ class TestStrandingWindow:
 
 
 class HeapEverything(Simulator):
-    """The replay loop before arrivals were streamed from the trace: every
+    """The replay loop before arrivals and exits were streamed: every
     arrival, sample and defrag check is pushed onto the event heap before
-    the loop starts, and ``_step`` dispatches arrivals like any other event."""
+    the loop starts, each placed VM's exit is pushed when it is placed, and
+    ``_step`` dispatches arrivals and exits like any other heap event."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._handlers[EV_ARRIVAL] = self._handle_arrival
+        self._handlers[EV_EXIT] = self._handle_exit
+
+    def _handle_arrival(self, r, now):
+        super()._handle_arrival(r, now)
+        vm = self.pool.vms.get(r.vm_id)
+        if vm is not None:
+            self._push(vm.true_exit_time, EV_EXIT, vm.id)
 
     def run(self):
         trace = self.trace
@@ -303,7 +314,6 @@ class HeapEverything(Simulator):
             return self._empty_result()
         t0 = trace[0].create_time_s
         t_end = trace[-1].create_time_s
-        self._measure_start = t0 + self.cfg.warmup_s if self.cfg.warmup else t0
         for r in trace:
             self._push(r.create_time_s, EV_ARRIVAL, r)
         t = t0
@@ -425,6 +435,90 @@ def test_events_of_one_second_run_in_kind_order():
     assert sim.log == ref.log
     assert (got.series, got.summary, got.placements) == (want.series, want.summary,
                                                          want.placements)
+
+
+def test_exits_of_one_second_run_in_placement_order():
+    """At 3600 s VMs 5 and 1 exit, placed in that order (trace order, not
+    id order), before the deadline of host 0, the defrag check, the
+    arrivals of VMs 2 and 3 and the sample of that second."""
+    t = 2 * GRID_S
+    trace = [rec(0, 0, 3000), rec(5, 600, 3000), rec(1, 1200, 2400),
+             rec(2, t, 3000), rec(3, t, 3000)]
+    cfg = tie_config(interval_s=t)
+    sim, got = tie_run(LoggedSimulator, trace, "lava", cfg, hosts=2)
+    ref, want = tie_run(LoggedHeapEverything, trace, "lava", cfg, hosts=2)
+    assert [e for e in sim.log if e[0] == t] == [
+        (t, "exit", 5), (t, "exit", 1), (t, "deadline", 0), (t, "defrag", None),
+        (t, "arrival", 2), (t, "arrival", 3), (t, "sample", None)]
+    assert sim.log == ref.log
+    assert (got.series, got.summary, got.placements) == (want.series, want.summary,
+                                                         want.placements)
+
+
+def test_exit_of_an_unplaced_vm_changes_nothing():
+    """VMs 1 and 3 find no room, so their exits are no events: VM 1's at
+    150 s, before the next arrival, and VM 3's at 350 s, after the last
+    arrival and the last exit.  The replay ends with ``pool.now`` at VM 2's
+    exit, 300 s."""
+    trace = [rec(0, 0, 100), rec(1, 50, 100), rec(2, 200, 100), rec(3, 250, 100)]
+    cfg = SimConfig(warmup=False, check_invariants=True)
+    sim = LoggedSimulator(trace, 1, CAP, "baseline", OracleModel(), cfg=cfg)
+    ref = LoggedHeapEverything(trace, 1, CAP, "baseline", OracleModel(), cfg=cfg)
+    got, want = sim.run(), ref.run()
+    assert sim.scheduling_failures == 2
+    assert [e for e in sim.log if e[1] == "exit"] == [(100, "exit", 0), (300, "exit", 2)]
+    assert sim.log == ref.log
+    assert sim.pool.now == ref.pool.now == 300
+    assert (got.series, got.summary) == (want.series, want.summary)
+
+
+class HeapOverPool(Simulator):
+    """``_over_pool`` before exits were streamed: each resident's exit is a
+    heap event."""
+
+    @classmethod
+    def _over_pool(cls, pool, algorithm, model, cfg, sched_state=None):
+        sim = super()._over_pool(pool, algorithm, model, cfg, sched_state)
+        sim._stream_exits(iter(()))
+        sim._handlers[EV_EXIT] = sim._handle_exit
+        for vm in pool.vms.values():
+            if vm.true_exit_time > pool.now:
+                sim._push(vm.true_exit_time, EV_EXIT, vm.id)
+        return sim
+
+
+def evacuate(cls, inst, host_id, ordering, algo, max_concurrent):
+    """``defrag.simulate_evacuation`` on ``cls``; returns its outcome and the
+    pool it leaves."""
+    snap = clone_pool(inst.pool)
+    host = snap.hosts[host_id]
+    cfg = SimConfig(check_invariants=True,
+                    defrag=DefragConfig(max_concurrent=max_concurrent, migration_s=GRID_S))
+    sim = cls._over_pool(snap, algo, OracleModel(), cfg, copy.deepcopy(inst.sched_state))
+    sim._evacuate(host, order_evacuation(snap, host, ordering, OracleModel(), snap.now))
+    outcome = EvacuationOutcome(sim.migrations_done, sim.migrations_saved,
+                                sim.migration_deferrals)
+    hosts = [(h.id, h.used, sorted(h.vms)) for h in sim.pool.hosts.values()]
+    return outcome, sim.pool.now, hosts
+
+
+@settings(deadline=None, max_examples=150)
+@given(trace=tie_traces(), algo=st.sampled_from(["baseline", "la-binary", "nilas", "lava"]),
+       max_concurrent=st.integers(1, 2))
+def test_streamed_evacuation_matches_heaped_exits(trace, algo, max_concurrent):
+    """Evacuation replays of grid-time pools, where residents exit together
+    and at migration ends: streaming the residents' exits runs the same
+    events as heaping them, under both orderings."""
+    _, result = tie_run(Simulator, trace, algo, tie_config(max_concurrent=max_concurrent))
+    for inst in result.defrag_instances:
+        for hid in inst.candidate_hosts:
+            for ordering in ("trace", "lars"):
+                got = evacuate(Simulator, inst, hid, ordering, algo, max_concurrent)
+                want = evacuate(HeapOverPool, inst, hid, ordering, algo, max_concurrent)
+                assert got == want
+                assert simulate_evacuation(inst.pool, hid, ordering, OracleModel(), algo,
+                                           max_concurrent, GRID_S,
+                                           inst.sched_state) == got[0]
 
 
 def score_every_candidate(self, vm, pool, now):
