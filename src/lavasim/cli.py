@@ -45,6 +45,11 @@ class PoolConfig:
     cpu_m: int = 96_000
     mem_mib: int = 393_216
 
+    def __post_init__(self):
+        for name in ("hosts", "cpu_m", "mem_mib"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"pool {name} must be >= 1")
+
     @property
     def capacity(self) -> ResourceVec:
         return ResourceVec(self.cpu_m, self.mem_mib)
@@ -54,17 +59,17 @@ def _int_list(text: str) -> Tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-# the keys each config section accepts, and how each value is read; the
-# values become keyword arguments of the section's config dataclass
+# ``SimConfig`` fields a command sets, not a config file
+_RUN_ONLY = ("record_placements", "record_defrag_instances", "stranding_seed", "defrag")
+
+# the keys each config section accepts: the fields of the section's config
+# dataclass, each read by the type of its default (a tuple as ``_int_list``);
+# the values become keyword arguments of that dataclass
 CONFIG_KEYS = {
-    "pool": {"hosts": int, "cpu_m": int, "mem_mib": int},
-    "nilas": {"bucket_boundaries_s": _int_list},
-    "lava": {"recycle_threshold": float, "deadline_factor": float},
-    "sim": {"warmup": bool, "warmup_s": float, "sample_interval_s": float,
-            "check_invariants": bool, "measure_stranding": bool},
-    "defrag": {"enabled": bool, "empty_host_trigger": float, "check_interval_s": float,
-               "candidates_per_round": int, "ordering": str, "max_concurrent": int,
-               "migration_s": float},
+    name: {f.name: _int_list if isinstance(f.default, tuple) else type(f.default)
+           for f in dataclasses.fields(cls) if f.name not in _RUN_ONLY}
+    for name, cls in (("pool", PoolConfig), ("nilas", NilasConfig), ("lava", LavaConfig),
+                      ("sim", SimConfig), ("defrag", DefragConfig))
 }
 
 

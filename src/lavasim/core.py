@@ -73,48 +73,25 @@ class VmRecord:
         return max(now - self.create_time, 0.0)
 
 
-class _HostSlots:
-    """Slots of ``HostRecord`` that are not dataclass fields: the plain ints
-    ``used_cpu_m`` and ``used_mem_mib`` hold the value of the ``used``
-    property, and ``_index`` is the index of the pool that files the host.
-    A write of the ints skips the re-file, so only ``PoolState`` writes them
-    and re-files the host itself."""
-
-    __slots__ = ("used_cpu_m", "used_mem_mib", "_index")
-
-
 @dataclass(slots=True)
-class HostRecord(_HostSlots):
+class HostRecord:
     id: int
     capacity: ResourceVec
-    used: ResourceVec = ZERO  # a property over the two ``used_*`` int slots, bound below
+    # the ``used`` vector as plain ints; only ``PoolState`` changes them, and it
+    # re-files the host in its index each time
+    used_cpu_m: int = 0
+    used_mem_mib: int = 0
     vms: Set[int] = field(default_factory=set)
     unavailable_for_scheduling: bool = False
     # shapes reserved by in-flight incoming live migrations, vm id -> shape
     incoming: Dict[int, ResourceVec] = field(default_factory=dict)
 
+    @property
+    def used(self) -> ResourceVec:
+        return ResourceVec(self.used_cpu_m, self.used_mem_mib)
+
     def is_empty(self) -> bool:
         return not self.vms and not self.incoming
-
-
-def _get_used(host: HostRecord) -> ResourceVec:
-    return ResourceVec(host.used_cpu_m, host.used_mem_mib)
-
-
-def _set_used(host: HostRecord, used: ResourceVec) -> None:
-    host.used_cpu_m, host.used_mem_mib = used.cpu_m, used.mem_mib
-    index = getattr(host, "_index", None)  # unset while __init__ runs
-    if index is not None:
-        index.refile(host)
-
-
-# ``used`` is the API boundary: it reads as a ``ResourceVec``, and every write
-# of it, also one from outside ``PoolState``, re-files the host in its pool's
-# index.  Placement and hot loops add and read the ``used_*`` ints directly.
-# The property replaces the slot the dataclass made for the field, which stays
-# unused; the field itself stays, so ``dataclasses.fields`` and ``replace``
-# see ``used`` as before.
-HostRecord.used = property(_get_used, _set_used)
 
 
 def has_room(host: HostRecord, shape: ResourceVec) -> bool:
@@ -125,26 +102,25 @@ def has_room(host: HostRecord, shape: ResourceVec) -> bool:
 
 
 def free_key(host: HostRecord) -> Optional[int]:
-    """Where ``FreeIndex`` files ``host``: its free CPU, or None if it has no
-    VMs and zero ``used``."""
+    """Where ``FreeIndex`` files ``host``: its free CPU, or None if its
+    ``used`` is zero (a host with VMs never has zero ``used``: ``VmRecord``
+    rejects zero shapes)."""
     used_cpu_m = host.used_cpu_m
-    return (host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib or host.vms
-            else None)
+    return host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib else None
 
 
 class FreeIndex:
     """The hosts of one pool filed by free capacity, so that a placement
     visits only the hosts a shape fits on.
 
-    A host with VMs or non-zero ``used`` sits in the bucket of its free CPU,
-    and ``keys`` holds the bucket keys in ascending order.  A host with no
-    VMs and zero ``used`` sits in the id-ordered list of its capacity, keyed
-    by the capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than a
-    ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``, and
-    ``cap_max`` is the largest CPU capacity of a host added.  A host's VM set
-    changes only with its ``used`` (``PoolState.place``, ``remove`` and
-    ``remove_keep``),
-    and the re-file follows both; ``sched.best_host`` walks the index.
+    A host with non-zero ``used`` sits in the bucket of its free CPU, and
+    ``keys`` holds the bucket keys in ascending order.  A host with zero
+    ``used``, and so no VMs, sits in the id-ordered list of its capacity,
+    keyed by the capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than
+    a ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``, and
+    ``cap_max`` is the largest CPU capacity of a host added.  ``PoolState``
+    is the one writer of ``used`` and re-files the host after each write;
+    ``sched.best_host`` walks the index.
     """
 
     __slots__ = ("hosts", "keys", "buckets", "unused", "filed", "cap_max")
@@ -158,14 +134,12 @@ class FreeIndex:
         self.cap_max = 0
 
     def add(self, host: HostRecord) -> None:
-        host._index = self
         self.cap_max = max(self.cap_max, host.capacity.cpu_m)
         self._file(host.id, host.capacity, free_key(host))
 
     def refile(self, host: HostRecord) -> None:
         used_cpu_m = host.used_cpu_m  # free_key(host) and _file, inlined: this runs on every write
-        key = (host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib or host.vms
-               else None)
+        key = host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib else None
         hid, filed = host.id, self.filed
         old = filed[hid]
         if key == old:
@@ -204,11 +178,9 @@ class FreeIndex:
 
     def check(self) -> None:
         """Every host of the pool is filed exactly once, under its current
-        ``used``, and refers back to this index."""
+        ``used``."""
         fresh = FreeIndex(self.hosts)
         for host in self.hosts.values():
-            if host._index is not self:
-                raise AssertionError(f"host {host.id} refers to another index")
             fresh._file(host.id, host.capacity, free_key(host))
         unused = {cap: ids for cap, ids in self.unused.items() if ids}
         if (self.keys, self.buckets, unused, self.filed) != (
@@ -274,16 +246,24 @@ class PoolState:
 
     # -- live migration bookkeeping -------------------------------------
 
-    def reserve_incoming(self, vm: VmRecord, host_id: int) -> None:
-        """Reserve the VM's shape on the migration target; the VM stays on its source."""
+    def reserve(self, host_id: int, shape: ResourceVec) -> None:
+        """Add ``shape`` to the host's ``used`` without placing a VM, whether
+        the host is available or not."""
         host = self.hosts[host_id]
-        if not has_room(host, vm.shape):
-            raise CapacityExceeded(f"migration reservation for vm {vm.id} overflows host {host_id}")
-        shape = vm.shape
+        if not has_room(host, shape):
+            raise CapacityExceeded(f"reserving {shape} overflows host {host_id}")
         host.used_cpu_m += shape.cpu_m
         host.used_mem_mib += shape.mem_mib
         self.index.refile(host)
-        host.incoming[vm.id] = shape
+
+    def reserve_incoming(self, vm: VmRecord, host_id: int) -> None:
+        """Reserve the VM's shape on the migration target; the VM stays on its source."""
+        try:
+            self.reserve(host_id, vm.shape)
+        except CapacityExceeded:
+            raise CapacityExceeded(
+                f"migration reservation for vm {vm.id} overflows host {host_id}") from None
+        self.hosts[host_id].incoming[vm.id] = vm.shape
 
     def commit_incoming(self, vm: VmRecord, host_id: int) -> None:
         """Migration finished: the reservation becomes a normal placement."""

@@ -19,24 +19,25 @@ migration targets alike.  It builds each algorithm's VM-side terms (the
 VM's predicted exit, its LA-Binary class) once per call through
 ``host_key`` and hands the host -> prefix function to ``best_host``, one walk
 over the pool's free-capacity index (``core.FreeIndex``).  The index files
-every host with VMs or non-zero ``used`` in a bucket keyed by its free CPU,
-and every host with no VMs and zero ``used`` in an id-ordered list per
-capacity.  A VM needing ``c`` milli-cores visits only the buckets with free
-CPU of at least ``c``; memory and ``unavailable_for_scheduling`` are tested
-at the visit.  Each write of ``host.used``, also a direct one, re-files the
-host, and so does each change of its VM set, so the walk scores exactly the
-hosts ``PoolState.fits`` accepts, except as below.  The buckets come in
-ascending free CPU and the lists after them; the order within a bucket does
-not matter, because the host id ends every score tuple.
+every host with non-zero ``used`` in a bucket keyed by its free CPU, and
+every host with zero ``used`` in an id-ordered list per capacity.  A VM
+needing ``c`` milli-cores visits only the buckets with free CPU of at least
+``c``; memory and ``unavailable_for_scheduling`` are tested at the visit.
+``PoolState`` re-files a host each time it changes the host's ``used``, so
+the walk scores exactly the hosts ``PoolState.fits`` accepts, except as
+below.  The buckets come in ascending free CPU and the lists after them; the
+order within a bucket does not matter, because the host id ends every score
+tuple.
 
 Of the hosts in the lists, only the lowest-id available one of each
-capacity is scored.  This is exact.  Every algorithm scores a host with no
-VMs from its VM set, ``used``, ``capacity`` and ``id`` alone (tier "empty",
-temporal cost 0, best fit from ``used`` and ``capacity``), so such hosts of
-one capacity tie on every component but the final id, and the lowest id
-wins among them.  A host with no VMs but non-zero ``used`` (incoming
-migration reservations, or a hand-set ``used``) sits in a bucket and scores
-as itself.
+capacity is scored.  This is exact.  A host with zero ``used`` has no VMs,
+because ``VmRecord`` rejects zero shapes, and every algorithm scores a host
+with no VMs from its VM set, ``used``, ``capacity`` and ``id`` alone (tier
+"empty", temporal cost 0, best fit from ``used`` and ``capacity``), so such
+hosts of one capacity tie on every component but the final id, and the
+lowest id wins among them.  A host with no VMs but non-zero ``used``
+(incoming migration reservations, or the stranding packer's shapes) sits in
+a bucket and scores as itself.
 
 The walk stops once no unseen host can win.  Before it visits the bucket of
 free CPU ``k`` it takes ``(k - c) / cap_max``, with ``cap_max`` the pool's
@@ -170,7 +171,7 @@ def best_host(index: FreeIndex, shape: ResourceVec, key: Callable[[HostRecord], 
                     best, best_prefix, best_fit, best_id = host, prefix, fit, hid
                     if prefix == floor:
                         limit = fit
-    # hosts with no VMs and zero used: the lowest-id available one per capacity
+    # hosts with zero used: the lowest-id available one per capacity
     for (cap_cpu_m, cap_mem_mib), ids in index.unused.items():
         if cpu_m <= cap_cpu_m and mem_mib <= cap_mem_mib:
             for hid in ids:

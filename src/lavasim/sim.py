@@ -89,6 +89,13 @@ class DefragConfig:
             raise ValueError("empty_host_trigger must be in [0,1]")
         if self.ordering not in ("trace", "lars"):
             raise ValueError(f"unknown defrag ordering {self.ordering!r}")
+        if not self.check_interval_s > 0:
+            raise ValueError("defrag check_interval_s must be > 0")
+        if not self.migration_s >= 0:
+            raise ValueError("defrag migration_s must be >= 0")
+        for name in ("candidates_per_round", "max_concurrent"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"defrag {name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,12 @@ class SimConfig:
     measure_stranding: bool = False
     stranding_seed: int = 0
     defrag: DefragConfig = DefragConfig()
+
+    def __post_init__(self):
+        if not self.sample_interval_s > 0:
+            raise ValueError("sample_interval_s must be > 0")
+        if not self.warmup_s >= 0:
+            raise ValueError("warmup_s must be >= 0")
 
 
 @dataclass
@@ -194,7 +207,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
                          lambda h: (0 if h.vms or h.used_cpu_m else 1,), (0,))
         if best is None:
             return False
-        best.used = best.used + shape
+        snap.reserve(best.id, shape)
         return True
 
     while True:

@@ -253,13 +253,26 @@ class TestConfigFile:
 
     def test_config_keys_are_dataclass_fields(self):
         """A key missing from its dataclass would reach the constructor as a
-        ``TypeError``, a traceback rather than exit 2."""
+        ``TypeError``, a traceback rather than exit 2.  The keys derived from
+        the dataclasses are exactly the documented ones, each read by the
+        type of its default."""
         sections = {"pool": PoolConfig, "nilas": NilasConfig, "lava": LavaConfig,
                     "sim": SimConfig, "defrag": DefragConfig}
         assert sections.keys() == CONFIG_KEYS.keys()
         for name, cls in sections.items():
             fields = {f.name for f in dataclasses.fields(cls) if f.init}
             assert CONFIG_KEYS[name].keys() <= fields, name
+        assert {name: {key: read.__name__ for key, read in keys.items()}
+                for name, keys in CONFIG_KEYS.items()} == {
+            "pool": {"hosts": "int", "cpu_m": "int", "mem_mib": "int"},
+            "nilas": {"bucket_boundaries_s": "_int_list"},
+            "lava": {"recycle_threshold": "float", "deadline_factor": "float"},
+            "sim": {"warmup": "bool", "warmup_s": "float", "sample_interval_s": "float",
+                    "check_invariants": "bool", "measure_stranding": "bool"},
+            "defrag": {"enabled": "bool", "empty_host_trigger": "float",
+                       "check_interval_s": "float", "candidates_per_round": "int",
+                       "ordering": "str", "max_concurrent": "int", "migration_s": "float"},
+        }
 
     def test_nilas_position_flag_is_gone(self, trace_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -277,6 +290,19 @@ class TestConfigFile:
         "[pool]\nhosts = 6\nhosts = 7\n",
         "hosts = 6\n",
         "[nilas]\nposition = highest\n",
+        # out-of-range values, each of which would hang a run, end it in a
+        # traceback or silently change it
+        "[sim]\nsample_interval_s = 0\n",
+        "[sim]\nsample_interval_s = -300\n",
+        "[sim]\nsample_interval_s = nan\n",
+        "[sim]\nwarmup_s = -1\n",
+        "[defrag]\nenabled = true\ncheck_interval_s = 0\n",
+        "[defrag]\nmax_concurrent = 0\n",
+        "[defrag]\ncandidates_per_round = -1\n",
+        "[defrag]\nmigration_s = -1200\n",
+        "[pool]\nhosts = 0\n",
+        "[pool]\ncpu_m = 0\n",
+        "[pool]\nmem_mib = -1\n",
     ])
     def test_bad_config_exits_2(self, trace_path, tmp_path, capsys, ini):
         cfg = tmp_path / "bad.ini"

@@ -85,8 +85,8 @@ class TestQuantization:
 class TestBestFit:
     def test_prefers_tightest_fit(self):
         pool = make_pool(3)
-        pool.hosts[0].used = ResourceVec(50_000, 100_000)
-        pool.hosts[1].used = ResourceVec(90_000, 300_000)
+        pool.reserve(0, ResourceVec(50_000, 100_000))
+        pool.reserve(1, ResourceVec(90_000, 300_000))
         vm = make_vm(1, 4000, 16384)
         assert BestFitScheduler().select_host(vm, pool, 0.0) == 1
 
@@ -159,7 +159,7 @@ class TestNilas:
         assert self.sched.select_host(vm, self.pool, 0.0) == 1
 
     def test_short_vm_zero_cost_everywhere_falls_to_best_fit(self):
-        self.pool.hosts[0].used = ResourceVec(50_000, 200_000)
+        self.pool.reserve(0, ResourceVec(49_000, 195_904))  # used (50_000, 200_000)
         vm = make_vm(3, exit_=100.0)
         assert self.sched.select_host(vm, self.pool, 0.0) == 0
 

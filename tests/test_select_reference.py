@@ -98,7 +98,7 @@ def ref_stranding(pool, vm_mix, rng, consecutive_failures=200):
                     best, best_score = host, score
         if best is None:
             return False
-        best.used = best.used + shape
+        snap.reserve(best.id, shape)
         return True
 
     while True:
@@ -137,7 +137,7 @@ def random_pool(seed, sched, now):
     """Mixed capacities (shared and separate capacity objects), VMs placed
     through the scheduler's hooks, random LAVA entries and hosts with VMs but
     no entry, incoming reservations on hosts with and without VMs, closed
-    hosts, and hosts with a hand-set ``used`` and no VMs."""
+    hosts, and hosts with a reserved shape and no VMs."""
     rng = random.Random(seed)
     pool = PoolState()
     shared = [ResourceVec(*c) for c in CAPACITIES]
@@ -168,8 +168,7 @@ def random_pool(seed, sched, now):
                 pool.reserve_incoming(vm, target.id)
     for host in hosts:
         if not host.vms and not host.incoming and rng.random() < 0.2:
-            shape = rng.choice(SHAPES)
-            host.used = ResourceVec(*shape)
+            pool.reserve(host.id, ResourceVec(*rng.choice(SHAPES)))
         if rng.random() < 0.15:
             host.unavailable_for_scheduling = True
     probe = make_vm(10_000, rng.choice(SHAPES), now + rng.uniform(1.0, 400_000.0))
@@ -273,20 +272,6 @@ def test_bound_uses_largest_capacity(algo):
     select_both(algo, pool, probe, 2)
 
 
-@pytest.mark.parametrize("algo", ["baseline", "la-binary"])
-def test_zero_used_hosts_follow_a_stop(algo):
-    """Host 0 holds a VM but had its ``used`` hand-set to zero.  The index
-    files it in the bucket of free CPU 8000, so the walk scores it first,
-    before any stop, and it wins with 0.875; the walk then stops at host 1's
-    bucket (bound 0.906 above 0.875).  An index that filed such a host in no
-    bucket could leave it unscored after a stop."""
-    pool = crafted_pool((SMALL, BIG, BIG), ((1000, 1024), (500, 1024), (100, 1024)))
-    pool.hosts[0].used = ZERO
-    probe = make_vm(1, (1000, 8192), 1000.0)
-    assert [best_fit_score(h, probe.shape) for h in pool.hosts.values()] == [0.875, 0.90625, 0.93125]
-    select_both(algo, pool, probe, 0)
-
-
 def ladder():
     """Six hosts whose free CPU climbs from 2000 to 7000 milli-cores, with
     long-lived VMs that leave 1024 MiB free, and two empty hosts.  The tightest
@@ -302,17 +287,6 @@ def test_cutoff_skips_buckets():
     assert sched.select_host(probe, pool, 0.0) == 0 == ref_select(sched, probe, pool, 0.0)
     assert sched.scored == [0]  # the tightest host; no host without VMs can win after a stop
     assert sum(pool.fits(probe.shape, h) for h in pool.hosts.values()) == 8
-
-
-def test_host_with_vms_and_zero_used_after_an_empty_host():
-    """Host 2 holds a VM but had its ``used`` hand-set to zero, and hosts 0
-    and 1 of its capacity are empty.  The walk must score host 2, which wins
-    on holding VMs, not only the lowest-id empty host."""
-    cap = ResourceVec(4000, 8192)
-    pool = crafted_pool((cap, cap, cap), (None, None, (1000, 1024)))
-    pool.hosts[2].used = ZERO
-    check_candidates(pool)
-    select_both("baseline", pool, make_vm(1, (1000, 1024), 1000.0), 2)
 
 
 class CountingCache(PredictionCache):
@@ -395,7 +369,7 @@ def test_lava_skips_the_cache_below_its_best_tier():
 def test_key_floor_ranks_below_hosts_without_vms(seed, algo, now):
     """Under a time-invariant model every scheduler has a ``key_floor``: no
     key starts below it, and every host without VMs (also one holding
-    incoming reservations or a hand-set ``used``) starts strictly above it,
+    incoming reservations or a reserved shape) starts strictly above it,
     so a walk that stops need not score those hosts."""
     sched = SCHEDULERS[algo](OracleModel())
     floor = sched.key_floor
@@ -452,7 +426,7 @@ def snapshot(pool):
     return hosts, set(pool.vms), check_candidates(pool)
 
 
-OPS = ("place", "remove", "reserve", "commit", "write", "reset", "toggle", "clone")
+OPS = ("place", "remove", "reserve", "commit", "write", "toggle", "clone")
 
 
 @settings(deadline=None, max_examples=200)
@@ -460,8 +434,8 @@ OPS = ("place", "remove", "reserve", "commit", "write", "reset", "toggle", "clon
        ops=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**16)), max_size=60))
 def test_index_matches_naive_filter(seed, ops):
     """Random operation sequences on a mixed-capacity pool: placements,
-    removals, migration reservations and commits, direct ``used`` writes
-    (back to zero too), availability toggles, and clones that later steps
+    removals, migration reservations and commits, reserved shapes without a
+    VM, availability toggles, and clones that later steps
     change while the pool they came from must stay as it was."""
     rng = random.Random(seed)
     pool = PoolState()
@@ -491,10 +465,7 @@ def test_index_matches_naive_filter(seed, ops):
             target.unavailable_for_scheduling = False  # the commit places the VM there
             pool.commit_incoming(pool.vms[vid], target.id)
         elif op == "write" and pool.fits(shape, host):
-            host.used = host.used + shape
-        elif op == "reset":
-            shapes = [pool.vms[v].shape for v in host.vms] + list(host.incoming.values())
-            host.used = sum(shapes, ZERO)
+            pool.reserve(host.id, shape)
         elif op == "toggle":
             host.unavailable_for_scheduling = not host.unavailable_for_scheduling
         elif op == "clone":
