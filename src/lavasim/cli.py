@@ -114,10 +114,18 @@ def resolve_configs(raw: Dict[str, Dict[str, object]], args) -> Tuple[
 def run_one(trace, algorithm: str, predictor_spec: str, pool: PoolConfig,
             nilas: NilasConfig, lava: LavaConfig, sim_cfg: SimConfig,
             seed: int = 0) -> RunResult:
+    """Replay ``trace``; a non-empty trace that yields no sample raises
+    ``ValueError``, as its summary would read like an empty pool."""
     model = make_predictor(predictor_spec, seed=seed)
     sim = Simulator(trace, pool.hosts, pool.capacity, algorithm, model,
                     nilas, lava, sim_cfg)
-    return sim.run()
+    result = sim.run()
+    if trace and not result.series:
+        s = result.summary
+        raise ValueError(f"no sample between the end of warm-up at {s['measure_start_s']:.0f} s "
+                         f"and the trace's last arrival at {s['measure_end_s']:.0f} s; use a "
+                         f"longer trace, a smaller warmup_s or --cold-start")
+    return result
 
 
 def write_series_csv(path, series) -> None:
@@ -188,21 +196,20 @@ def _map(worker, payloads: list, jobs: int) -> list:
         return list(pool_exec.map(worker, payloads))
 
 
-def _compare_worker(payload):
-    trace_path, algo, predictor, pool, nilas, lava, sim_cfg, seed = payload
-    trace = parse_trace(trace_path)
-    result = run_one(trace, algo, predictor, pool, nilas, lava, sim_cfg, seed)
-    return algo, result.summary
+def _replay_worker(payload):
+    """Replay ``(trace path, algorithm, predictor spec, configs, seed)``; the
+    summary."""
+    trace_path, algo, predictor, configs, seed = payload
+    return run_one(parse_trace(trace_path), algo, predictor, *configs, seed=seed).summary
 
 
 def cmd_compare(args) -> int:
     if len(args.algos) < 2:
         print("error: compare needs at least two algorithms", file=sys.stderr)
         return 2
-    pool, nilas, lava, sim_cfg = resolve_configs(load_config(args.config), args)
-    payloads = [(args.trace, algo, args.predictor, pool, nilas, lava, sim_cfg,
-                 args.seed) for algo in args.algos]
-    results = dict(_map(_compare_worker, payloads, args.jobs))
+    configs = resolve_configs(load_config(args.config), args)
+    payloads = [(args.trace, algo, args.predictor, configs, args.seed) for algo in args.algos]
+    results = dict(zip(args.algos, _map(_replay_worker, payloads, args.jobs)))
     base = results[args.algos[0]]["avg_empty_hosts_pct"]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "comparison.csv")
@@ -222,32 +229,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _sweep_worker(payload):
-    trace_path, algo, accuracy, seed, pool, nilas, lava, sim_cfg = payload
-    trace = parse_trace(trace_path)
-    spec = "oracle" if accuracy is None else f"noisy:{accuracy}"
-    result = run_one(trace, algo, spec, pool, nilas, lava, sim_cfg, seed)
-    return (algo, accuracy, seed, result.summary["avg_empty_hosts_pct"])
-
-
 def cmd_sweep_accuracy(args) -> int:
     grid = [float(x) for x in args.accuracies.split(",")]
     for acc in grid:
         if not 0.0 <= acc <= 1.0:
             print(f"error: accuracy {acc} outside [0,1]", file=sys.stderr)
             return 2
-    pool, nilas, lava, sim_cfg = resolve_configs(load_config(args.config), args)
-    seeds = list(range(args.seed, args.seed + args.num_seeds))
-    payloads = []
-    for algo in args.algos:
-        for acc in grid:
-            for seed in seeds:
-                payloads.append((args.trace, algo, acc, seed, pool, nilas, lava, sim_cfg))
-    baseline_payloads = [(args.trace, "baseline", None, args.seed, pool, nilas,
-                          lava, sim_cfg)]
-    rows = _map(_sweep_worker, payloads + baseline_payloads, args.jobs)
-    baseline_pct = next(r[3] for r in rows if r[0] == "baseline")
-    rows = sorted(r for r in rows if r[0] != "baseline")
+    configs = resolve_configs(load_config(args.config), args)
+    cells = [(algo, acc, seed) for algo in args.algos for acc in grid
+             for seed in range(args.seed, args.seed + args.num_seeds)]
+    payloads = [(args.trace, algo, f"noisy:{acc}", configs, seed) for algo, acc, seed in cells]
+    payloads.append((args.trace, "baseline", "oracle", configs, args.seed))
+    summaries = _map(_replay_worker, payloads, args.jobs)
+    baseline_pct = summaries.pop()["avg_empty_hosts_pct"]
+    rows = sorted(cell + (s["avg_empty_hosts_pct"],) for cell, s in zip(cells, summaries))
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
         fh.write("# lavasim-sweep v1\n")

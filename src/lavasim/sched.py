@@ -67,16 +67,21 @@ answers ``max(now, latest predicted exit)`` whenever it was filled, so this
 changes no output.  Under the empirical model an entry refreshes on a
 timer and its answer depends on when it was filled, so NILAS and LAVA score
 every candidate there, filling the same entries at the same times as a full
-scan.
+scan.  ``NilasScheduler`` reads ``time_invariant``, for LAVA too, and sets
+from it both the floor and the refresh interval of the ``PredictionCache`` it
+builds when given none: entries of a time-invariant model never expire by
+age, entries of any other model after the cache's 60 s default.
 
 LAVA's host lifecycle lives in ``LavaScheduler.state``, not in ``core``.  A
 host without an entry there is empty or holds only VMs placed under another
 scheduler, and a deadline event acts only while the host's entry still holds
-the deadline the event carries.
+the deadline the event carries.  LAVA hands each deadline it arms to
+``deadline_armed``, also those of a table it adopts.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set, Tuple
@@ -190,7 +195,7 @@ class Scheduler:
     """Common surface: select a host for a VM, plus LAVA-style state hooks."""
 
     name = "base"
-    # set by the simulator; LAVA calls it with (host id, deadline) per armed deadline
+    # set by the simulator; LAVA calls it with (host id, deadline) per armed or adopted deadline
     deadline_armed: Optional[Callable[[int, float], None]] = None
     # per-host state an evacuation replay carries over: LAVA's table
     state: Optional[Dict[int, LavaHost]] = None
@@ -256,9 +261,12 @@ class NilasScheduler(Scheduler):
     def __init__(self, model, cache: Optional[PredictionCache] = None,
                  cfg: NilasConfig = NilasConfig()):
         self.model = model
-        self.cache = cache if cache is not None else PredictionCache()
         self.cfg = cfg
-        if getattr(model, "time_invariant", False):
+        invariant = getattr(model, "time_invariant", False)
+        if cache is None:
+            cache = PredictionCache(math.inf) if invariant else PredictionCache()
+        self.cache = cache
+        if invariant:
             self.key_floor = (0, 0)
 
     def temporal_key(self, vm, pool, now) -> Callable[[HostRecord], int]:
@@ -367,6 +375,12 @@ class LavaScheduler(Scheduler):
 
     def on_adopt(self, pool, now, state):
         self.state = {} if state is None else state
+        # re-arm the live deadlines; one at ``now`` fired before the snapshot,
+        # which a defrag check takes after the deadlines of its timestamp
+        if self.deadline_armed:
+            for hid, lava in self.state.items():
+                if lava.deadline > now:
+                    self.deadline_armed(hid, lava.deadline)
 
     def _tier(self, host: HostRecord, vm: VmRecord) -> Tuple[int, int]:
         if not host.vms:
@@ -461,14 +475,13 @@ ALGORITHMS = ("baseline", "la-binary", "nilas", "lava")
 
 
 def make_scheduler(name: str, model, nilas_cfg: NilasConfig = NilasConfig(),
-                   lava_cfg: LavaConfig = LavaConfig(),
-                   cache: Optional[PredictionCache] = None) -> Scheduler:
+                   lava_cfg: LavaConfig = LavaConfig()) -> Scheduler:
     if name == "baseline":
         return BestFitScheduler()
     if name == "la-binary":
         return LaBinaryScheduler(model)
     if name == "nilas":
-        return NilasScheduler(model, cache, nilas_cfg)
+        return NilasScheduler(model, cfg=nilas_cfg)
     if name == "lava":
-        return LavaScheduler(model, cache, lava_cfg, nilas_cfg)
+        return LavaScheduler(model, cfg=lava_cfg, nilas_cfg=nilas_cfg)
     raise ValueError(f"unknown algorithm {name!r}")

@@ -6,23 +6,29 @@ Migrations run only here: a replay's defrag rounds and the evacuation
 replays of ``defrag.py`` use the same queue, slot filling and pending-exit
 handling.
 
-Events come from three sources.  The trace, sorted by create time, is
-walked one arrival at a time.  The exit stream holds every VM's exit,
-sorted by exit time by a stable sort, so VMs that exit together keep trace
-order, the order they were placed in; ``run`` builds it from the trace, and
-an evacuation replay (``_over_pool``) from the pool's residents.  The event
-heap holds everything else (migration ends, deadlines, defrag checks and
-samples), as ``(time, kind, seq, arg)`` entries.  The tie rule is the
-``EV_*`` order: at one timestamp exits come first, then migration ends,
-deadlines and defrag checks, then the arrivals in trace order, then the
-samples; heap events of one kind run in the order they were pushed.  So an
-exit runs before a heap event unless the heap's is strictly earlier, and
-before an arrival at ``t`` runs every exit at ``t`` or earlier and every
-heap event with ``(time, kind) < (t, EV_ARRIVAL)`` runs.  ``run`` merges the
-three inline; ``_step`` applies the same rule to the stream and the heap
-for the drains after the last arrival and for evacuation replays.  An exit
-of a VM that was never placed (no host had room) changes nothing, not even
+One loop, ``Simulator._advance``, runs every event, from three sources.  The
+arrival stream walks the trace's records in create-time order.  The exit
+stream yields every VM's ``(exit time, vm id)``, sorted by a stable sort, so
+VMs that exit together keep trace order, the order they were placed in;
+``run`` builds it from the trace, and an evacuation replay (``_over_pool``)
+from the pool's residents.  A stream is an iterator plus its head,
+``(time, item)``, or ``(inf, None)`` once it is used up.  The event heap
+holds everything else (migration ends, deadlines, defrag checks and
+samples) as ``(time, kind, seq, arg)`` entries.
+
+One tie rule, the ``EV_*`` order: at one timestamp exits come first, then
+migration ends, deadlines and defrag checks, then the arrivals in trace
+order, then the samples; heap events of one kind run in the order they were
+pushed.  So an exit runs unless the heap's head or the next arrival is
+strictly earlier, and a heap event runs before the next arrival if its
+``(time, kind)`` is less than ``(arrival time, EV_ARRIVAL)``.  An exit of a
+VM that was never placed (no host had room) changes nothing, not even
 ``pool.now``.
+
+One stop rule: the loop ends when the next event is later than its limit,
+when no event is left, or, for an evacuation, when no migration is queued or
+in flight.  ``run`` advances to the last arrival, measures stranding, then
+advances until no event is left.
 """
 
 from __future__ import annotations
@@ -38,16 +44,8 @@ from operator import attrgetter, itemgetter
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
-from .predict import FeatureVec, PredictionCache
-from .sched import (
-    BestFitScheduler,
-    LavaConfig,
-    LavaHost,
-    NilasConfig,
-    Scheduler,
-    best_host,
-    make_scheduler,
-)
+from .predict import FeatureVec
+from .sched import BestFitScheduler, LavaConfig, NilasConfig, Scheduler, best_host, make_scheduler
 from .workload import TraceRecord, shared_terms
 
 
@@ -70,8 +68,8 @@ EV_SAMPLE = 5
 
 DAY_S = 86400.0
 
-# the head of an exhausted exit stream: later than every event
-NO_EXIT = (math.inf, None)
+# the head of an exhausted stream: later than every event
+NO_EVENT = (math.inf, None)
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ class DefragInstance:
     time: float
     candidate_hosts: List[int]
     pool: PoolState
-    sched_state: Optional[Dict[int, LavaHost]]  # a copy of the scheduler's ``state``
+    sched_state: Optional[dict]  # a copy of the scheduler's ``state``
 
 
 @dataclass
@@ -259,10 +257,7 @@ class Simulator:
         for _ in range(num_hosts):
             self.pool.add_host(host_capacity)
         self.model = model
-        cache = PredictionCache()
-        if getattr(model, "time_invariant", False):
-            cache.refresh_interval_s = math.inf
-        self.active = make_scheduler(algorithm, model, nilas_cfg, lava_cfg, cache)
+        self.active = make_scheduler(algorithm, model, nilas_cfg, lava_cfg)
         self.warmup_sched: Scheduler = BestFitScheduler()
         self.algorithm = algorithm
         # event heap: (time, kind, seq, arg); kind is one of the EV_* codes
@@ -272,10 +267,12 @@ class Simulator:
         self._handlers = {EV_MIG_END: self._handle_migration_end,
                           EV_DEADLINE: self._handle_deadline,
                           EV_DEFRAG: self._handle_defrag_check, EV_SAMPLE: self._handle_sample}
-        # the exit stream, (time, vm id) in exit order, and its head; run()
-        # and _over_pool fill it
+        # the streams, (time, vm id) in exit order and records in trace order,
+        # each with its (time, item) head; run() fills both, _over_pool the exits
         self._exits: Iterator[Tuple[float, int]] = iter(())
-        self._next_exit: Tuple[float, Optional[int]] = NO_EXIT
+        self._next_exit: Tuple[float, Optional[int]] = NO_EVENT
+        self._arrivals: Iterator[TraceRecord] = iter(())
+        self._next_arrival: Tuple[float, Optional[TraceRecord]] = NO_EVENT
         # samples are taken from here on, and arrivals before it are placed
         # by the warm-up scheduler; without warm-up it is the first arrival
         t0 = trace[0].create_time_s if trace else 0.0
@@ -299,12 +296,11 @@ class Simulator:
 
     @classmethod
     def _over_pool(cls, pool: PoolState, algorithm: str, model, cfg: SimConfig,
-                   sched_state: Optional[Dict[int, LavaHost]] = None) -> "Simulator":
+                   sched_state: Optional[dict] = None) -> "Simulator":
         """A simulator without a trace that continues ``pool`` from ``pool.now``:
-        the exits of its VMs and the deadlines of the adopted state are
-        scheduled, and no VM arrives.  A deadline at ``pool.now`` has already
-        fired: a snapshot is taken at a defrag check, which runs after the
-        deadlines of its timestamp."""
+        the exits of its VMs are streamed, the scheduler adopts the pool and
+        ``sched_state`` (re-arming the live deadlines it holds), and no VM
+        arrives."""
         sim = cls((), 0, ZERO, algorithm, model, cfg=cfg)
         sim.pool = pool
         sim.active.on_adopt(pool, pool.now, sched_state)
@@ -312,9 +308,6 @@ class Simulator:
                  if vm.true_exit_time > pool.now]
         exits.sort(key=itemgetter(0))  # stable: ties keep the order of pool.vms
         sim._stream_exits(iter(exits))
-        for hid, lava in (sim.active.state or {}).items():
-            if lava.deadline > pool.now:
-                sim._push(lava.deadline, EV_DEADLINE, (hid, lava.deadline))
         return sim
 
     # -- event plumbing --------------------------------------------------
@@ -325,36 +318,53 @@ class Simulator:
 
     def _stream_exits(self, exits: Iterator[Tuple[float, int]]) -> None:
         self._exits = exits
-        self._next_exit = next(exits, NO_EXIT)
-
-    def _next_time(self) -> float:
-        """Time of the next exit or heap event; ``math.inf`` if none is left."""
-        heap, t = self._heap, self._next_exit[0]
-        return heap[0][0] if heap and heap[0][0] < t else t
-
-    def _step(self) -> None:
-        """Run the next event: the head of the exit stream, unless the heap's
-        head is strictly earlier."""
-        heap = self._heap
-        t, vm_id = self._next_exit
-        if heap and heap[0][0] < t:
-            time, kind, _, arg = heapq.heappop(heap)
-            self.pool.now = time
-            self._handlers[kind](arg, time)
-        else:
-            self._next_exit = next(self._exits, NO_EXIT)
-            if vm_id not in self.pool.vms:
-                return  # never placed
-            self.pool.now = t
-            self._handle_exit(vm_id, t)
-        if self.cfg.check_invariants:
-            self._check_invariants()
+        self._next_exit = next(exits, NO_EVENT)
 
     def _check_invariants(self) -> None:
         self.pool.check_invariants()
         self.active.check_invariants(self.pool)
 
     # -- main loop -------------------------------------------------------
+
+    def _advance(self, limit: float, migrating: bool = False) -> None:
+        """Run events in tie-rule order (see the module docstring) until the
+        next one is later than ``limit`` or none is left; with ``migrating``,
+        also stop once no migration is queued or in flight."""
+        heap, handlers, check = self._heap, self._handlers, self.cfg.check_invariants
+        pool, exits, arrivals = self.pool, self._exits, self._arrivals
+        vms, queued, in_flight = pool.vms, self._mig_queue, self._mig_active
+        handle_exit, handle_arrival = self._handle_exit, self._handle_arrival
+        exit_t, exit_id = self._next_exit
+        arrival_t, rec = self._next_arrival
+        # no heap entry has kind EV_ARRIVAL, so this compares (time, kind)
+        # only: the heap events that come before the arrival
+        before = (arrival_t, EV_ARRIVAL)
+        while not migrating or queued or in_flight:
+            if exit_t <= arrival_t and (not heap or exit_t <= heap[0][0]):
+                if exit_t > limit or exit_id is None:
+                    break  # past the limit, or no event is left
+                if exit_id in vms:  # else the VM was never placed
+                    pool.now = exit_t
+                    handle_exit(exit_id, exit_t)
+                exit_t, exit_id = next(exits, NO_EVENT)
+            elif heap and heap[0] < before:
+                if heap[0][0] > limit:
+                    break
+                t, kind, _, arg = heapq.heappop(heap)
+                pool.now = t
+                handlers[kind](arg, t)
+            else:
+                if arrival_t > limit:
+                    break
+                pool.now = arrival_t
+                handle_arrival(rec, arrival_t)
+                rec = next(arrivals, None)
+                arrival_t = math.inf if rec is None else rec.create_time_s
+                before = (arrival_t, EV_ARRIVAL)
+            if check:
+                self._check_invariants()
+        self._next_exit = (exit_t, exit_id)
+        self._next_arrival = (arrival_t, rec)
 
     def run(self) -> RunResult:
         trace = self.trace
@@ -375,46 +385,15 @@ class Simulator:
         by_exit = sorted(trace, key=_exit_time)  # stable: ties keep trace order
         self._stream_exits(zip(map(_exit_time, by_exit), map(attrgetter("vm_id"), by_exit)))
         del by_exit
+        self._arrivals = iter(trace)
+        self._next_arrival = (t0, next(self._arrivals))
 
-        heap, handlers, check = self._heap, self._handlers, self.cfg.check_invariants
-        pool, exits = self.pool, self._exits
-        vms = pool.vms
-        handle_exit, handle_arrival = self._handle_exit, self._handle_arrival
-        exit_t, exit_id = self._next_exit
-        for rec in trace:
-            now = rec.create_time_s
-            # no heap entry has kind EV_ARRIVAL, so this compares (time, kind)
-            # only: the heap events that come before the arrival
-            before = (now, EV_ARRIVAL)
-            while True:
-                if exit_t <= now and (not heap or exit_t <= heap[0][0]):
-                    t, vm_id = exit_t, exit_id
-                    exit_t, exit_id = next(exits, NO_EXIT)
-                    if vm_id not in vms:
-                        continue  # never placed
-                    pool.now = t
-                    handle_exit(vm_id, t)
-                elif heap and heap[0] < before:
-                    t, kind, _, arg = heapq.heappop(heap)
-                    pool.now = t
-                    handlers[kind](arg, t)
-                else:
-                    break
-                if check:
-                    self._check_invariants()
-            pool.now = now
-            handle_arrival(rec, now)
-            if check:
-                self._check_invariants()
-        self._next_exit = (exit_t, exit_id)
-        while self._next_time() <= t_end:
-            self._step()
+        self._advance(t_end)
         if self.cfg.measure_stranding:
             # the pool at the end of the measured window, before the drain
             self._stranded = inflation_stranding(self.pool, trace_shape_mix(trace),
                                                  random.Random(self.cfg.stranding_seed))
-        while self._next_time() < math.inf:
-            self._step()
+        self._advance(math.inf)
         self._stream_exits(iter(()))
         return self._build_result(self._series, self._measure_start, t_end)
 
@@ -459,9 +438,8 @@ class Simulator:
         host = pool.hosts[vm.host]
         pool.remove(vm_id)
         self.active.on_exit(pool, vm, host, now)
-        if host.unavailable_for_scheduling and host.is_empty():
-            host.unavailable_for_scheduling = False
-            self._candidates.discard(host.id)
+        if host.unavailable_for_scheduling:  # tested here too: most exits skip the call
+            self._reopen_if_drained(host)
         if self._mig_queue and len(self._mig_active) < self.cfg.defrag.max_concurrent:
             self._fill_migration_slots(now)
 
@@ -497,13 +475,18 @@ class Simulator:
         self._candidates.add(host.id)
         self._mig_queue.extend(order)
 
+    def _reopen_if_drained(self, host: HostRecord) -> None:
+        """Open an evacuation candidate to placements again once it is empty."""
+        if host.unavailable_for_scheduling and host.is_empty():
+            host.unavailable_for_scheduling = False
+            self._candidates.discard(host.id)
+
     def _evacuate(self, host: HostRecord, order: List[int]) -> None:
         """Evacuate one host with no arrivals: run exits and migrations until
         no migration is queued or in flight, or no event is left."""
         self._mark_candidate(host, order)
         self._fill_migration_slots(self.pool.now)
-        while (self._mig_queue or self._mig_active) and self._next_time() < math.inf:
-            self._step()
+        self._advance(math.inf, migrating=True)
 
     def _fill_migration_slots(self, now: float) -> None:
         attempts = len(self._mig_queue)
@@ -537,9 +520,7 @@ class Simulator:
         self.migrations_done += 1
         self.active.on_exit(self.pool, vm, source, now)
         self.active.after_place(self.pool, vm, self.pool.hosts[task.target_host], now)
-        if source.unavailable_for_scheduling and source.is_empty():
-            source.unavailable_for_scheduling = False
-            self._candidates.discard(source.id)
+        self._reopen_if_drained(source)
         if vm_id in self._pending_exit:
             self._pending_exit.discard(vm_id)
             self._handle_exit(vm_id, now)

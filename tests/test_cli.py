@@ -235,21 +235,46 @@ class TestBadModelInput:
 
 
 class TestConfigFile:
-    def test_readme_example_verbatim(self, trace_path, tmp_path):
-        """The README's pool.ini, inline comments included, is read as written."""
-        ini = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    @staticmethod
+    def readme_ini(tmp_path):
         cfg = tmp_path / "pool.ini"
-        cfg.write_text(ini)
+        cfg.write_text(README.read_text().split("```ini\n", 1)[1].split("```", 1)[0])
+        return str(cfg)
+
+    def test_readme_example_verbatim(self, tmp_path):
+        """The README's pool.ini, inline comments included, is read as
+        written, on a trace that outlasts its 2-day warm-up (7 000 VMs at
+        128/h arrive over 55 h)."""
+        trace = tmp_path / "long.tsv"
+        assert main(["generate", "--num-vms", "7000", "--rate", "128",
+                     "--seed", "3", "--out", str(trace)]) == 0
         out = tmp_path / "readme"
-        rc = main(["run", "--trace", trace_path, "--config", str(cfg),
+        rc = main(["run", "--trace", str(trace), "--config", self.readme_ini(tmp_path),
                    "--algo", "nilas", "--out", str(out)])
         assert rc == 0
-        config = json.loads((out / "summary.json").read_text())["config"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["samples"] > 0
+        config = summary["config"]
         assert config["sim"]["warmup"] is True
         assert config["sim"]["defrag"]["enabled"] is True
         assert config["sim"]["defrag"]["ordering"] == "lars"
         assert config["nilas"]["bucket_boundaries_s"] == [
             0, 1800, 3600, 5400, 7200, 10800, 14400, 21600, 43200, 86400, 604800]
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep-accuracy", "defrag-compare"])
+    def test_warmup_past_the_trace_exits_2(self, trace_path, tmp_path, capsys, command):
+        """The 800-VM trace ends after 6.25 h, inside the README's 2-day
+        warm-up: nothing is measured, and every replaying command says so
+        instead of reporting an empty window as an empty pool."""
+        args = {"run": ["--algo", "nilas"], "compare": ["--algos", "baseline", "nilas"],
+                "sweep-accuracy": ["--num-seeds", "1"], "defrag-compare": []}[command]
+        rc = main([command, "--trace", trace_path, "--config", self.readme_ini(tmp_path),
+                   "--out", str(tmp_path / "x")] + args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: no sample between the end of warm-up at ")
+        assert err.count("\n") == 1 and "--cold-start" in err
+        assert not (tmp_path / "x").exists()
 
     def test_config_keys_are_dataclass_fields(self):
         """A key missing from its dataclass would reach the constructor as a

@@ -1,6 +1,7 @@
 """Placement algorithms: quantization, score vectors, LAVA state machine."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from lavasim.core import (
     ResourceVec,
     VmRecord,
 )
-from lavasim.predict import FeatureVec, OracleModel, PredictionCache
+from lavasim.predict import EmpiricalLifetimeModel, FeatureVec, OracleModel, make_predictor
 from lavasim.sched import (
     ALGORITHMS,
     BestFitScheduler,
@@ -515,7 +516,14 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_scheduler("firstfit", OracleModel())
 
-    def test_shared_cache(self):
-        cache = PredictionCache()
-        sched = make_scheduler("lava", OracleModel(), cache=cache)
-        assert sched.nilas.cache is cache
+    @pytest.mark.parametrize("cache_of", [lambda model: NilasScheduler(model).cache,
+                                          lambda model: LavaScheduler(model).nilas.cache],
+                             ids=["nilas", "lava"])
+    def test_cache_refresh_follows_time_invariance(self, cache_of):
+        """A scheduler built without a cache never refreshes an entry under a
+        time-invariant model, and after the 60 s default under a model that
+        makes no such promise."""
+        assert cache_of(OracleModel()).refresh_interval_s == math.inf
+        assert cache_of(make_predictor("noisy:0.5")).refresh_interval_s == math.inf
+        assert not hasattr(EmpiricalLifetimeModel(), "time_invariant")
+        assert cache_of(EmpiricalLifetimeModel()).refresh_interval_s == 60.0

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import heapq
 import random
 from unittest import mock
 
@@ -295,7 +296,8 @@ class HeapEverything(Simulator):
     """The replay loop before arrivals and exits were streamed: every
     arrival, sample and defrag check is pushed onto the event heap before
     the loop starts, each placed VM's exit is pushed when it is placed, and
-    ``_step`` dispatches arrivals and exits like any other heap event."""
+    one pop-and-dispatch loop runs arrivals and exits like any other heap
+    event."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -326,7 +328,11 @@ class HeapEverything(Simulator):
                 self._push(t, EV_DEFRAG, None)
                 t += self.cfg.defrag.check_interval_s
         while self._heap:
-            self._step()
+            t, kind, _, arg = heapq.heappop(self._heap)
+            self.pool.now = t
+            self._handlers[kind](arg, t)
+            if self.cfg.check_invariants:
+                self._check_invariants()
         return self._build_result(self._series, self._measure_start, t_end)
 
 
