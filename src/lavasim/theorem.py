@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -193,6 +192,7 @@ def gap_vs_m(base: TheoremConfig, ms: Sequence[int], seeds: Sequence[int]
 
 def gap_regression(rows: Sequence[Tuple[int, int, float, float]]):
     """Linear regression of the (no-learning - learning) gap on m."""
+    from scipy import stats  # only here: at module level it doubles every lavasim process's RSS
     xs = [r[0] for r in rows]
     ys = [r[2] - r[3] for r in rows]
     return stats.linregress(xs, ys)

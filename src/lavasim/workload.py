@@ -115,6 +115,11 @@ def parse_trace_text(text: str) -> List[TraceRecord]:
         raise ParseError("line 1: bad or missing trace header")
     values = []  # every row's fields in TraceRecord field order, row after row
     seen = set()
+    # Repeated values share one object: ``share`` returns the first copy of
+    # each string, and rows take their ints from ``shapes``, so each shape
+    # key is checked once (and again for a row whose ints differ from it).
+    share = {}.setdefault
+    shapes = {}  # vm_shape_key -> (cpu_m, mem_mib)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -138,11 +143,16 @@ def parse_trace_text(text: str) -> List[TraceRecord]:
         if vm_id in seen:
             raise DuplicateId(f"line {lineno}: duplicate vm id {vm_id}")
         seen.add(vm_id)
-        expected_key = f"{cpu_m}x{mem_mib}"
-        if cols[7] != expected_key:
-            raise ParseError(f"line {lineno}: shape key {cols[7]!r} != {expected_key!r}")
-        values += (vm_id, create, lifetime, cpu_m, mem_mib, cols[5], cols[6], cols[8],
-                   cols[9] == "1", cols[10], cols[11] == "1")
+        shape = shapes.get(cols[7])
+        if shape != (cpu_m, mem_mib):
+            expected_key = f"{cpu_m}x{mem_mib}"
+            if cols[7] != expected_key:
+                raise ParseError(f"line {lineno}: shape key {cols[7]!r} != {expected_key!r}")
+            shape = shapes[cols[7]] = (cpu_m, mem_mib)
+        cpu_m, mem_mib = shape
+        values += (vm_id, create, lifetime, cpu_m, mem_mib, share(cols[5], cols[5]),
+                   share(cols[6], cols[6]), share(cols[8], cols[8]), cols[9] == "1",
+                   share(cols[10], cols[10]), cols[11] == "1")
     del lines  # freed before the records are built, to lower peak memory
     width = len(_SLOTS)
     records = _build_records(len(values) // width, {

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lavasim
 from lavasim.cli import CONFIG_KEYS, PoolConfig, main
 from lavasim.sched import LavaConfig, NilasConfig
 from lavasim.sim import DefragConfig, SimConfig
@@ -85,6 +89,19 @@ class TestRun:
                    "--algo", "nilas", "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("case", ["trace is a directory", "out is a file"])
+    def test_io_error_is_one_line(self, case, trace_path, config_path, tmp_path, capsys):
+        trace, out = trace_path, tmp_path / "x"
+        if case == "trace is a directory":
+            trace = str(tmp_path)
+        else:
+            out.write_text("")
+        rc = main(["run", "--trace", trace, "--config", config_path, "--algo", "nilas",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cold_start_flag(self, trace_path, config_path, tmp_path):
         out = tmp_path / "cold"
         main(["run", "--trace", trace_path, "--config", config_path,
@@ -163,6 +180,15 @@ class TestTheorem:
         assert len(rows) == 6  # banner + header + 2 ms x 2 seeds
         summary = json.loads((out / "theorem_summary.json").read_text())
         assert {"slope", "p_value", "eq1_example"} <= summary.keys()
+
+    def test_only_theorem_loads_scipy(self):
+        # a fresh interpreter: this one has scipy loaded by other test modules
+        code = ("import sys, lavasim, lavasim.cli; "
+                "print(any(m.startswith('scipy') for m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(Path(lavasim.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
 
 
 class TestTrainEval:

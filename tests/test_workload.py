@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestSerialization:
         text = serialize_trace(sample_records()).replace("1000x4096", "1000x9999", 1)
         with pytest.raises(ParseError):
             parse_trace_text(text)
+
+    def test_reused_shape_key_with_other_ints(self):
+        header, row = serialize_trace(sample_records()[:1]).splitlines()
+        other = row.replace("0\t0\t600\t1000", "1\t0\t600\t2000", 1)
+        message = "line 3: shape key '1000x4096' != '2000x4096'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_trace_text("\n".join((header, row, other)) + "\n")
+
+    def test_repeated_values_share_one_object(self):
+        rec = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600, cpu_m=3000, mem_mib=12288,
+                          zone="eu-west-1", vm_family="svc", vm_category="web",
+                          priority="batch")
+        a, b = parse_trace_text(serialize_trace([rec, dataclasses.replace(rec, vm_id=1)]))
+        for name in ("cpu_m", "mem_mib", "zone", "vm_family", "vm_category", "priority"):
+            assert getattr(a, name) is getattr(b, name), name
 
     def test_zero_shape(self):
         rec = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600, cpu_m=0, mem_mib=0)
