@@ -14,22 +14,20 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .core import ResourceVec
 from .defrag import compare_orderings
 from .evaluate import model_report
 from .predict import EmpiricalLifetimeModel, make_predictor
 from .sched import ALGORITHMS, LavaConfig, NilasConfig
-from .sim import DefragConfig, RunResult, SimConfig, Simulator, optimal_empty_bound
+from .sim import DefragConfig, RunResult, SimConfig, Simulator
 from .theorem import TheoremConfig, gap_regression, gap_vs_m, misprediction_probability
 from .workload import (
     GeneratorConfig,
     ParseError,
-    Stratum,
     generate,
     parse_trace,
-    split,
     training_examples,
     write_trace,
 )

@@ -83,8 +83,8 @@ class HostRecord:
     used_mem_mib: int = 0
     vms: Set[int] = field(default_factory=set)
     unavailable_for_scheduling: bool = False
-    # shapes reserved by in-flight incoming live migrations, vm id -> shape
-    incoming: Dict[int, ResourceVec] = field(default_factory=dict)
+    # ids of the VMs whose in-flight live migrations reserved their shapes here
+    incoming: Set[int] = field(default_factory=set)
 
     @property
     def used(self) -> ResourceVec:
@@ -263,27 +263,21 @@ class PoolState:
         except CapacityExceeded:
             raise CapacityExceeded(
                 f"migration reservation for vm {vm.id} overflows host {host_id}") from None
-        self.hosts[host_id].incoming[vm.id] = vm.shape
+        self.hosts[host_id].incoming.add(vm.id)
 
     def commit_incoming(self, vm: VmRecord, host_id: int) -> None:
-        """Migration finished: the reservation becomes a normal placement."""
-        host = self.hosts[host_id]
-        shape = host.incoming.pop(vm.id)
-        host.used_cpu_m -= shape.cpu_m
-        host.used_mem_mib -= shape.mem_mib
-        self.index.refile(host)
-        self.remove_keep(vm)
-        vm.host = None
-        self.place(vm, host_id)
-
-    def remove_keep(self, vm: VmRecord) -> None:
-        """Detach a live VM from its host without ending its life (migration source side)."""
-        host = self.hosts[vm.host]
-        shape = vm.shape
-        host.used_cpu_m -= shape.cpu_m
-        host.used_mem_mib -= shape.mem_mib
-        host.vms.discard(vm.id)
-        self.index.refile(host)
+        """Migration finished: the source gives up the VM's share, and the
+        target's reservation becomes the placement, so the target's ``used``
+        does not change."""
+        target = self.hosts[host_id]
+        target.incoming.remove(vm.id)
+        source, shape = self.hosts[vm.host], vm.shape
+        source.used_cpu_m -= shape.cpu_m
+        source.used_mem_mib -= shape.mem_mib
+        source.vms.discard(vm.id)
+        self.index.refile(source)
+        target.vms.add(vm.id)
+        vm.host = host_id
 
     # -- invariants ------------------------------------------------------
 
@@ -299,8 +293,8 @@ class PoolState:
                 if vm.host != host.id:
                     raise AssertionError(f"vm {vid} host pointer inconsistent")
                 acc = acc + vm.shape
-            for shape in host.incoming.values():
-                acc = acc + shape
+            for vid in host.incoming:
+                acc = acc + self.vms[vid].shape
             if acc != host.used:
                 raise AssertionError(f"host {host.id} used {host.used} != sum of shapes {acc}")
             total_used = total_used + host.used

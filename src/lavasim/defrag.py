@@ -4,7 +4,7 @@ An evacuation replay evacuates one candidate host of a recorded instance --
 a pool snapshot taken at a defrag round -- on a clone of that pool, with no
 new arrivals and the VMs' true exit times.  It runs the simulator's own
 migration path (``Simulator._evacuate``: the same queue, slot filling,
-reprediction and pending-exit handling as a replay's defrag rounds), so
+reprediction and deferred exits as a replay's defrag rounds), so
 orderings are compared on identical candidate selections under the
 simulator's semantics.
 """

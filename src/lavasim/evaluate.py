@@ -3,7 +3,6 @@ log-domain error histograms, and the F1-vs-uptime-quantile curve."""
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Tuple
 
 from .predict import log_error

@@ -10,10 +10,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_right, bisect_left
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import HostRecord, LifetimeClass, PoolState, VmRecord
 

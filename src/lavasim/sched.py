@@ -117,7 +117,7 @@ class LavaConfig:
     def __post_init__(self):
         if not 0.0 < self.recycle_threshold < 1.0:
             raise ValueError("recycle_threshold must be in (0,1)")
-        if self.deadline_factor < 1.0:
+        if not self.deadline_factor >= 1.0:
             raise ValueError("deadline_factor must be >= 1")
 
 
@@ -345,7 +345,7 @@ class LavaHost:
     residual_vms: Set[int] = field(default_factory=set)
 
 
-class LavaScheduler(Scheduler):
+class LavaScheduler(NilasScheduler):
     """Lifetime-class host state machine with NILAS tie-breaking.
 
     Preference order: recycling hosts of a strictly higher class (closest
@@ -356,18 +356,19 @@ class LavaScheduler(Scheduler):
     empties; a non-empty host without one (VMs placed under another scheduler)
     scores like an open host of no class.  ``on_deadline`` acts only while the
     entry still holds the deadline its event carries: a re-arm, or the host
-    emptying, makes the events of older deadlines stale.
+    emptying, makes the events of older deadlines stale.  The temporal cost
+    and cache are NILAS's; ``cfg`` is the ``NilasConfig`` and ``lava_cfg``
+    the ``LavaConfig``.
     """
 
     name = "lava"
 
     def __init__(self, model, cache: Optional[PredictionCache] = None,
                  cfg: LavaConfig = LavaConfig(), nilas_cfg: NilasConfig = NilasConfig()):
-        self.model = model
-        self.cfg = cfg
-        self.nilas = NilasScheduler(model, cache, nilas_cfg)
+        super().__init__(model, cache, nilas_cfg)
+        self.lava_cfg = cfg
         self.state: Dict[int, LavaHost] = {}
-        if self.nilas.key_floor is not None:
+        if self.key_floor is not None:
             self.key_floor = (0, 1, 0)
 
     def on_arrival(self, vm, now):
@@ -394,7 +395,7 @@ class LavaScheduler(Scheduler):
         return (2, 0)
 
     def host_key(self, vm, pool, now):
-        temporal = self.nilas.temporal_key(vm, pool, now)
+        temporal = self.temporal_key(vm, pool, now)
         lazy = self.key_floor is not None
         # the least (tier, distance) scored in full; it starts above every
         # pair and moves only when the key is lazy
@@ -414,7 +415,7 @@ class LavaScheduler(Scheduler):
         return key
 
     def _arm_deadline(self, host_id: int, host_class: LifetimeClass, now: float) -> float:
-        deadline = now + self.cfg.deadline_factor * CLASS_UPPER_BOUND_S[host_class]
+        deadline = now + self.lava_cfg.deadline_factor * CLASS_UPPER_BOUND_S[host_class]
         if self.deadline_armed:
             self.deadline_armed(host_id, deadline)
         return deadline
@@ -425,7 +426,7 @@ class LavaScheduler(Scheduler):
         lava.deadline = self._arm_deadline(host.id, lava.host_class, now)
 
     def after_place(self, pool, vm, host, now):
-        self.nilas.cache.invalidate(host.id)
+        self.cache.invalidate(host.id)
         lava = self.state.get(host.id)
         if lava is None:
             # first LAVA placement on the host: its class follows the VM
@@ -440,12 +441,12 @@ class LavaScheduler(Scheduler):
             lava.residual_vms = set(host.vms)
 
     def _over_threshold(self, host: HostRecord) -> bool:
-        t = self.cfg.recycle_threshold
+        t = self.lava_cfg.recycle_threshold
         return (host.used_cpu_m > t * host.capacity.cpu_m
                 or host.used_mem_mib > t * host.capacity.mem_mib)
 
     def on_exit(self, pool, vm, host, now):
-        self.nilas.cache.invalidate(host.id)
+        self.cache.invalidate(host.id)
         lava = self.state.get(host.id)
         if lava is not None:
             lava.residual_vms.discard(vm.id)

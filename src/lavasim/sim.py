@@ -3,8 +3,11 @@ defragmentation (including LARS ordering), inflation-based stranding, and the
 optimal empty-host bound.
 
 Migrations run only here: a replay's defrag rounds and the evacuation
-replays of ``defrag.py`` use the same queue, slot filling and pending-exit
-handling.
+replays of ``defrag.py`` use the same queue, slot filling and deferred
+exits.  The engine keeps only the queue and the in-flight targets; the rest
+is read off the pool.  A migrating VM stays on its source until the commit,
+an exit during its migration runs at the end, and a host is closed to
+placements exactly while it is a candidate with VMs left to move.
 
 One loop, ``Simulator._advance``, runs every event, from three sources.  The
 arrival stream walks the trace's records in create-time order.  The exit
@@ -116,15 +119,6 @@ class SimConfig:
 
 
 @dataclass
-class MigrationTask:
-    vm_id: int
-    source_host: int
-    target_host: int
-    start_time: float
-    end_time: float
-
-
-@dataclass
 class DefragInstance:
     """Snapshot of one evacuation round, for paired ordering comparisons."""
 
@@ -183,7 +177,7 @@ def clone_pool(pool: PoolState) -> PoolState:
     hosts = {}
     for hid, h in pool.hosts.items():
         copied = hosts[hid] = HostRecord(*_HOST_VALUES(h))
-        copied.vms, copied.incoming = set(h.vms), dict(h.incoming)
+        copied.vms, copied.incoming = set(h.vms), set(h.incoming)
     vms = {vid: VmRecord(*_VM_VALUES(vm)) for vid, vm in pool.vms.items()}
     return dataclasses.replace(pool, hosts=hosts, vms=vms)
 
@@ -281,11 +275,10 @@ class Simulator:
         # the (shape, features) the VMs of one record key share (shared_terms)
         self._arrival_terms: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
         self._series: List[Tuple[float, float, float, float, int, float, float]] = []
-        # defrag state
-        self._mig_active: Dict[int, MigrationTask] = {}
+        # defrag state: the VMs queued for migration, and those in flight with
+        # their targets (a VM stays on its source until the commit)
         self._mig_queue: Deque[int] = deque()
-        self._pending_exit: set = set()
-        self._candidates: set = set()
+        self._mig_active: Dict[int, int] = {}
         self.migrations_done = 0
         self.migrations_saved = 0
         self.migration_deferrals = 0
@@ -321,8 +314,17 @@ class Simulator:
         self._next_exit = next(exits, NO_EVENT)
 
     def _check_invariants(self) -> None:
-        self.pool.check_invariants()
-        self.active.check_invariants(self.pool)
+        pool, in_flight = self.pool, self._mig_active
+        pool.check_invariants()
+        self.active.check_invariants(pool)
+        for host in pool.hosts.values():
+            for vid in host.incoming:
+                if in_flight.get(vid) != host.id:
+                    raise AssertionError(f"host {host.id} reserves for vm {vid}, "
+                                         f"which is not migrating to it")
+            # a closed host is a candidate with VMs left to queue or move
+            if host.unavailable_for_scheduling and not (self._mig_queue or in_flight):
+                raise AssertionError(f"host {host.id} is closed with no migration left")
 
     # -- main loop -------------------------------------------------------
 
@@ -428,15 +430,10 @@ class Simulator:
 
     def _handle_exit(self, vm_id: int, now: float) -> None:
         if vm_id in self._mig_active:
-            # started migrations run to completion; the exit lands right after
-            self._pending_exit.add(vm_id)
-            return
+            return  # started migrations run to completion; the exit lands at their end
         pool = self.pool
-        vm = pool.vms.get(vm_id)
-        if vm is None or vm.host is None:
-            return
-        host = pool.hosts[vm.host]
-        pool.remove(vm_id)
+        host = pool.hosts[pool.vms[vm_id].host]
+        vm = pool.remove(vm_id)
         self.active.on_exit(pool, vm, host, now)
         if host.unavailable_for_scheduling:  # tested here too: most exits skip the call
             self._reopen_if_drained(host)
@@ -450,8 +447,8 @@ class Simulator:
     # -- defragmentation -------------------------------------------------
 
     def _handle_defrag_check(self, _, now: float) -> None:
-        if self._mig_queue or self._mig_active or self._candidates:
-            return  # previous round still draining
+        if self._mig_queue or self._mig_active:
+            return  # previous round still draining; its candidates reopen as they empty
         empty_frac = sum(1 for h in self.pool.hosts.values() if h.is_empty()) / len(self.pool.hosts)
         if empty_frac >= self.cfg.defrag.empty_host_trigger:
             return
@@ -472,14 +469,12 @@ class Simulator:
     def _mark_candidate(self, host: HostRecord, order: List[int]) -> None:
         """Close ``host`` to placements and queue its VMs for migration in ``order``."""
         host.unavailable_for_scheduling = True
-        self._candidates.add(host.id)
         self._mig_queue.extend(order)
 
     def _reopen_if_drained(self, host: HostRecord) -> None:
         """Open an evacuation candidate to placements again once it is empty."""
         if host.unavailable_for_scheduling and host.is_empty():
             host.unavailable_for_scheduling = False
-            self._candidates.discard(host.id)
 
     def _evacuate(self, host: HostRecord, order: List[int]) -> None:
         """Evacuate one host with no arrivals: run exits and migrations until
@@ -495,7 +490,7 @@ class Simulator:
             attempts -= 1
             vm_id = self._mig_queue.popleft()
             vm = self.pool.vms.get(vm_id)
-            if vm is None or vm.host is None:
+            if vm is None:
                 self.migrations_saved += 1  # exited before its migration started
                 continue
             # migration placement uses the current reprediction, not the
@@ -507,22 +502,22 @@ class Simulator:
                 self.migration_deferrals += 1
                 continue
             self.pool.reserve_incoming(vm, target)
-            task = MigrationTask(vm_id=vm_id, source_host=vm.host, target_host=target,
-                                 start_time=now, end_time=now + self.cfg.defrag.migration_s)
-            self._mig_active[vm_id] = task
-            self._push(task.end_time, EV_MIG_END, vm_id)
+            self._mig_active[vm_id] = target
+            self._push(now + self.cfg.defrag.migration_s, EV_MIG_END, vm_id)
 
     def _handle_migration_end(self, vm_id: int, now: float) -> None:
-        task = self._mig_active.pop(vm_id)
-        vm = self.pool.vms[vm_id]
-        source = self.pool.hosts[task.source_host]
-        self.pool.commit_incoming(vm, task.target_host)
+        pool = self.pool
+        target = pool.hosts[self._mig_active.pop(vm_id)]
+        vm = pool.vms[vm_id]
+        source = pool.hosts[vm.host]
+        pool.commit_incoming(vm, target.id)
         self.migrations_done += 1
-        self.active.on_exit(self.pool, vm, source, now)
-        self.active.after_place(self.pool, vm, self.pool.hosts[task.target_host], now)
+        self.active.on_exit(pool, vm, source, now)
+        self.active.after_place(pool, vm, target, now)
         self._reopen_if_drained(source)
-        if vm_id in self._pending_exit:
-            self._pending_exit.discard(vm_id)
+        # exits run before migration ends at a tied second, so an exit at or
+        # before ``now`` was deferred by _handle_exit
+        if vm.true_exit_time <= now:
             self._handle_exit(vm_id, now)
         self._fill_migration_slots(now)
 

@@ -211,8 +211,8 @@ class GeneratorConfig:
             raise ValueError("stratum weights must sum to 1")
         if abs(sum(w for _, _, w in self.shape_catalog) - 1.0) > 1e-9:
             raise ValueError("shape weights must sum to 1")
-        if self.arrival_rate_per_h <= 0 or self.num_vms <= 0:
-            raise ValueError("rate and size must be positive")
+        if not 0 < self.arrival_rate_per_h < math.inf or self.num_vms <= 0:
+            raise ValueError("rate must be positive and finite, and size positive")
 
 
 def generate(cfg: GeneratorConfig) -> List[TraceRecord]:

@@ -53,6 +53,16 @@ class TestGenerate:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_bad_rate_exits_2(self, tmp_path, capsys, rate):
+        """A NaN rate would write garbage arrival times, an infinite one put
+        every arrival at second 0."""
+        out = tmp_path / "t.tsv"
+        assert main(["generate", "--num-vms", "5", "--rate", rate, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_row_count(self, trace_path):
         with open(trace_path) as fh:
             lines = fh.read().splitlines()
@@ -354,12 +364,13 @@ class TestConfigFile:
         "[pool]\nhosts = 0\n",
         "[pool]\ncpu_m = 0\n",
         "[pool]\nmem_mib = -1\n",
+        "[lava]\ndeadline_factor = nan\n",
     ])
     def test_bad_config_exits_2(self, trace_path, tmp_path, capsys, ini):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(ini)
         rc = main(["run", "--trace", trace_path, "--config", str(cfg),
-                   "--algo", "nilas", "--out", str(tmp_path / "x")])
+                   "--algo", "lava", "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -76,13 +76,15 @@ class TestSimulateEvacuation:
         assert out.migrations == 2
         assert out.saved == 1
 
-    def test_exit_during_own_migration(self):
-        """A VM whose exit falls inside its own migration is migrated first
-        and exits when the migration ends; it counts as migrated, not saved."""
+    @pytest.mark.parametrize("exit_s", [600.0, 1200.0])
+    def test_exit_during_own_migration(self, exit_s):
+        """A VM whose exit falls inside its own migration, or exactly at its
+        end, is migrated first and exits when the migration ends; it counts
+        as migrated, not saved."""
         pool = PoolState()
         pool.add_host(CAP)
         pool.add_host(CAP)
-        pool.place(make_vm(0, 0.0, 600.0), 0)
+        pool.place(make_vm(0, 0.0, exit_s), 0)
         assert simulate_evacuation(pool, 0, "trace", OracleModel()) == EvacuationOutcome(
             migrations=1, saved=0, deferrals=0)
         cfg = SimConfig(check_invariants=True, defrag=DefragConfig(migration_s=1200.0))

@@ -517,7 +517,7 @@ class TestFactory:
             make_scheduler("firstfit", OracleModel())
 
     @pytest.mark.parametrize("cache_of", [lambda model: NilasScheduler(model).cache,
-                                          lambda model: LavaScheduler(model).nilas.cache],
+                                          lambda model: LavaScheduler(model).cache],
                              ids=["nilas", "lava"])
     def test_cache_refresh_follows_time_invariance(self, cache_of):
         """A scheduler built without a cache never refreshes an entry under a

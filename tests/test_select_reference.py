@@ -64,7 +64,7 @@ def ref_score(sched, host, vm, pool, now):
             tier, distance = 1, 0
         else:
             tier, distance = 2, 0
-        temporal = 0 if not host.vms else ref_temporal(sched.nilas, host, vm, pool, now)
+        temporal = 0 if not host.vms else ref_temporal(sched, host, vm, pool, now)
         return (tier, distance, temporal, ref_best_fit(host, vm.shape), host.id)
     empty = 0 if host.vms else 1
     temporal = 0 if empty else ref_temporal(sched, host, vm, pool, now)
@@ -178,7 +178,7 @@ def random_pool(seed, sched, now):
 
 def clear_cache(sched):
     """Drop the host exits the reference cached, so the scan computes its own."""
-    cache = sched.nilas.cache if isinstance(sched, LavaScheduler) else getattr(sched, "cache", None)
+    cache = getattr(sched, "cache", None)
     if cache is not None:
         cache.clear()
 
@@ -421,7 +421,7 @@ def check_candidates(pool):
 
 
 def snapshot(pool):
-    hosts = [(h.id, h.used, set(h.vms), dict(h.incoming), h.unavailable_for_scheduling)
+    hosts = [(h.id, h.used, set(h.vms), set(h.incoming), h.unavailable_for_scheduling)
              for h in pool.hosts.values()]
     return hosts, set(pool.vms), check_candidates(pool)
 
