@@ -364,9 +364,9 @@ class LavaScheduler(NilasScheduler):
     name = "lava"
 
     def __init__(self, model, cache: Optional[PredictionCache] = None,
-                 cfg: LavaConfig = LavaConfig(), nilas_cfg: NilasConfig = NilasConfig()):
+                 lava_cfg: LavaConfig = LavaConfig(), nilas_cfg: NilasConfig = NilasConfig()):
         super().__init__(model, cache, nilas_cfg)
-        self.lava_cfg = cfg
+        self.lava_cfg = lava_cfg
         self.state: Dict[int, LavaHost] = {}
         if self.key_floor is not None:
             self.key_floor = (0, 1, 0)
@@ -484,5 +484,5 @@ def make_scheduler(name: str, model, nilas_cfg: NilasConfig = NilasConfig(),
     if name == "nilas":
         return NilasScheduler(model, cfg=nilas_cfg)
     if name == "lava":
-        return LavaScheduler(model, cfg=lava_cfg, nilas_cfg=nilas_cfg)
+        return LavaScheduler(model, lava_cfg=lava_cfg, nilas_cfg=nilas_cfg)
     raise ValueError(f"unknown algorithm {name!r}")

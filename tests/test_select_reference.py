@@ -462,7 +462,6 @@ def test_index_matches_naive_filter(seed, ops):
         elif op == "commit" and reservations:
             vid = sorted(reservations)[k % len(reservations)]
             target = pool.hosts[reservations.pop(vid)]
-            target.unavailable_for_scheduling = False  # the commit places the VM there
             pool.commit_incoming(pool.vms[vid], target.id)
         elif op == "write" and pool.fits(shape, host):
             pool.reserve(host.id, shape)
