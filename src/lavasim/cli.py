@@ -20,7 +20,7 @@ from .core import ResourceVec
 from .defrag import compare_orderings
 from .evaluate import model_report
 from .predict import EmpiricalLifetimeModel, make_predictor
-from .sched import ALGORITHMS, LavaConfig, NilasConfig
+from .sched import LavaConfig, NilasConfig
 from .sim import DefragConfig, RunResult, SimConfig, Simulator
 from .theorem import TheoremConfig, gap_regression, gap_vs_m, misprediction_probability
 from .workload import (
@@ -167,10 +167,6 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     trace = parse_trace(args.trace)
     pool, nilas, lava, sim_cfg = resolve_configs(load_config(args.config), args)
-    if args.algo not in ALGORITHMS:
-        print(f"error: unknown algorithm {args.algo!r} (choose from {ALGORITHMS})",
-              file=sys.stderr)
-        return 2
     result = run_one(trace, args.algo, args.predictor, pool, nilas, lava,
                      sim_cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -227,7 +223,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _check_num_seeds(args) -> None:
+    if args.num_seeds < 1:
+        raise ValueError(f"--num-seeds must be >= 1, got {args.num_seeds}")
+
+
 def cmd_sweep_accuracy(args) -> int:
+    _check_num_seeds(args)
     grid = [float(x) for x in args.accuracies.split(",")]
     for acc in grid:
         if not 0.0 <= acc <= 1.0:
@@ -278,8 +280,12 @@ def cmd_defrag_compare(args) -> int:
 
 
 def cmd_theorem(args) -> int:
+    _check_num_seeds(args)
     base = TheoremConfig(epsilon=args.epsilon, rho=args.rho, seed=args.seed)
     ms = [int(x) for x in args.ms.split(",")]
+    if len(set(ms)) < 2:
+        raise ValueError(f"--ms needs at least two distinct values to fit the gap against m, "
+                         f"got {args.ms}")
     rows = gap_vs_m(base, ms, seeds=list(range(args.seed, args.seed + args.num_seeds)))
     reg = gap_regression(rows)
     os.makedirs(args.out, exist_ok=True)

@@ -485,4 +485,4 @@ def make_scheduler(name: str, model, nilas_cfg: NilasConfig = NilasConfig(),
         return NilasScheduler(model, cfg=nilas_cfg)
     if name == "lava":
         return LavaScheduler(model, lava_cfg=lava_cfg, nilas_cfg=nilas_cfg)
-    raise ValueError(f"unknown algorithm {name!r}")
+    raise ValueError(f"unknown algorithm {name!r} (choose from {', '.join(ALGORITHMS)})")

@@ -9,7 +9,8 @@ import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
+from .core import PoolState, ResourceVec, VmRecord
+from .sched import best_host
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ def misprediction_probability(epsilon: float, rho: float, rate: float, window_s:
 def misprediction_probability_mc(epsilon: float, rho: float, rate: float,
                                  window_s: float, trials: int = 100_000,
                                  seed: int = 0) -> float:
+    import numpy as np
     rng = np.random.default_rng(seed)
     n_long = rng.poisson(rho * rate * window_s, size=trials)
     errors = rng.binomial(n_long, epsilon)
@@ -59,6 +61,7 @@ def misprediction_probability_mc(epsilon: float, rho: float, rate: float,
 
 
 def _sample_jobs(cfg: TheoremConfig, seed: int):
+    import numpy as np
     rng = np.random.default_rng(seed)
     n = rng.poisson(cfg.total_rate * cfg.horizon_s)
     # Poisson process restricted to the on-phase of each burst period: draw
@@ -74,100 +77,54 @@ def _sample_jobs(cfg: TheoremConfig, seed: int):
     return arrivals, durations, is_long, pred_long
 
 
-class _HostPool:
-    """Labeled hosts with slot capacity k; best fit = fullest matching host."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.label: Dict[int, str] = {}
-        self.occupancy: Dict[int, int] = {}
-        # (label, occupancy) -> set of host ids with free slots
-        self.buckets: Dict[Tuple[str, int], set] = {}
-        self.empty_ids: List[int] = []
-        self.next_id = 0
-        self.nonempty = 0
-
-    def _bucket_add(self, hid):
-        self.buckets.setdefault((self.label[hid], self.occupancy[hid]), set()).add(hid)
-
-    def _bucket_remove(self, hid):
-        key = (self.label[hid], self.occupancy[hid])
-        b = self.buckets.get(key)
-        if b is not None:
-            b.discard(hid)
-
-    def place(self, label: str) -> int:
-        for occ in range(self.k - 1, 0, -1):
-            b = self.buckets.get((label, occ))
-            if b:
-                hid = min(b)
-                self._bucket_remove(hid)
-                self.occupancy[hid] += 1
-                if self.occupancy[hid] < self.k:
-                    self._bucket_add(hid)
-                return hid
-        # open a host (reuse an empty one if possible)
-        hid = heapq.heappop(self.empty_ids) if self.empty_ids else self._new_host()
-        self.label[hid] = label
-        self.occupancy[hid] = 1
-        self._bucket_add(hid)
-        self.nonempty += 1
-        return hid
-
-    def _new_host(self) -> int:
-        hid = self.next_id
-        self.next_id += 1
-        return hid
-
-    def depart(self, hid: int) -> None:
-        self._bucket_remove(hid)
-        self.occupancy[hid] -= 1
-        if self.occupancy[hid] == 0:
-            self.nonempty -= 1
-            del self.label[hid]
-            del self.occupancy[hid]
-            heapq.heappush(self.empty_ids, hid)
-        else:
-            self._bucket_add(hid)
-
-    def reveal_long(self, hid: int) -> None:
-        if self.label[hid] != "L":
-            self._bucket_remove(hid)
-            self.label[hid] = "L"
-            self._bucket_add(hid)
-
-
 def _run_policy(cfg: TheoremConfig, seed: int, learning: bool) -> float:
-    """Time-averaged non-empty host count under one labeling policy."""
+    """Time-averaged non-empty host count under one labeling policy.
+
+    Each job is a unit shape on ``(k, k)`` hosts, placed by ``best_host``
+    with a key that prefers a host holding jobs of its predicted label, then
+    an empty host, then a host of the other label; the best fit then takes
+    the fullest host, and the lowest id among equals."""
     arrivals, durations, is_long, pred_long = _sample_jobs(cfg, seed)
-    pool = _HostPool(cfg.k)
+    capacity, unit = ResourceVec(cfg.k, cfg.k), ResourceVec(1, 1)
+    pool = PoolState()
+    pool.add_host(capacity)
+    label: Dict[int, str] = {}  # host id -> "S" | "L", read only while the host holds jobs
+    nonempty = 0
     # (time, priority, seq, kind, payload): exits before reveals before arrivals
     events: List[Tuple[float, int, int, str, int]] = []
     for i in range(len(arrivals)):
         events.append((arrivals[i], 2, i, "arrive", i))
     heapq.heapify(events)
     seq = len(arrivals)
-    host_of: Dict[int, int] = {}
     area = 0.0
     last_t = 0.0
     while events:
         t, _, _, kind, i = heapq.heappop(events)
-        area += pool.nonempty * (t - last_t)
+        area += nonempty * (t - last_t)
         last_t = t
         if kind == "arrive":
-            label = "L" if pred_long[i] else "S"
-            hid = pool.place(label)
-            host_of[i] = hid
+            want = "L" if pred_long[i] else "S"
+            host = best_host(pool.index, unit,
+                             lambda h: (1,) if not h.vms else (0,) if label[h.id] == want else (2,),
+                             (0,))
+            if not host.vms:
+                label[host.id] = want
+                nonempty += 1
+                if host.id == len(pool.hosts) - 1:  # keep an empty host to open
+                    pool.add_host(capacity)
+            pool.place(VmRecord(i, unit, None, t, t + durations[i]), host.id)
             heapq.heappush(events, (t + durations[i], 0, seq, "exit", i))
             seq += 1
             if learning and is_long[i]:
                 heapq.heappush(events, (t + cfg.short_s, 1, seq, "reveal", i))
                 seq += 1
         elif kind == "reveal":
-            if i in host_of:
-                pool.reveal_long(host_of[i])
+            label[pool.vms[i].host] = "L"
         else:  # exit
-            pool.depart(host_of.pop(i))
+            host = pool.hosts[pool.vms[i].host]
+            pool.remove(i)
+            if not host.vms:
+                nonempty -= 1
     return area / last_t if last_t > 0 else 0.0
 
 

@@ -15,8 +15,6 @@ from itertools import islice, repeat
 from operator import attrgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .core import ResourceVec
 from .predict import FeatureVec
 
@@ -218,6 +216,7 @@ class GeneratorConfig:
 def generate(cfg: GeneratorConfig) -> List[TraceRecord]:
     """Poisson arrivals; per-VM stratum by weight; log-normal lifetime per
     stratum; features encode the stratum via the family label."""
+    import numpy as np
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_vms
     gaps = rng.exponential(3600.0 / cfg.arrival_rate_per_h, size=n)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lavasim
+from lavasim import cli
 from lavasim.cli import CONFIG_KEYS, PoolConfig, main
 from lavasim.sched import LavaConfig, NilasConfig
 from lavasim.sim import DefragConfig, SimConfig
@@ -27,6 +28,22 @@ warmup = 0
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _refuse_runs(monkeypatch):
+    """Make any replay or theorem run fail the test: a bad grid must be
+    rejected before the first one."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "run_one", ran)
+    monkeypatch.setattr(cli, "gap_vs_m", ran)
+
+
+def _expect_one_line_exit_2(rc, capsys, out, start):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(start) and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +110,16 @@ class TestRun:
         rc = main(["run", "--trace", trace_path, "--algo", "mystery",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["compare", "sweep-accuracy", "defrag-compare"])
+    def test_unknown_algorithm_one_line(self, trace_path, tmp_path, capsys, command):
+        flags = {"compare": ["--algos", "mystery", "nilas"],
+                 "sweep-accuracy": ["--algos", "mystery", "nilas"],
+                 "defrag-compare": ["--algo", "mystery"]}[command]
+        out = tmp_path / "x"
+        rc = main([command, "--trace", trace_path, "--out", str(out)] + flags)
+        _expect_one_line_exit_2(rc, capsys, out, "error: unknown algorithm 'mystery' "
+                                "(choose from baseline, la-binary, nilas, lava)")
 
     def test_missing_trace(self, tmp_path):
         rc = main(["run", "--trace", str(tmp_path / "nope.tsv"),
@@ -166,6 +193,13 @@ class TestSweepAccuracy:
                    "--accuracies", "1.5", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_zero_seeds_exits_2(self, trace_path, tmp_path, capsys, monkeypatch):
+        _refuse_runs(monkeypatch)
+        out = tmp_path / "x"
+        rc = main(["sweep-accuracy", "--trace", trace_path, "--num-seeds", "0",
+                   "--out", str(out)])
+        _expect_one_line_exit_2(rc, capsys, out, "error: --num-seeds must be >= 1")
+
 
 class TestDefragCompare:
     def test_report_written(self, trace_path, tmp_path):
@@ -191,14 +225,35 @@ class TestTheorem:
         summary = json.loads((out / "theorem_summary.json").read_text())
         assert {"slope", "p_value", "eq1_example"} <= summary.keys()
 
-    def test_only_theorem_loads_scipy(self):
-        # a fresh interpreter: this one has scipy loaded by other test modules
-        code = ("import sys, lavasim, lavasim.cli; "
-                "print(any(m.startswith('scipy') for m in sys.modules))")
+    @pytest.mark.parametrize("flags,start", [
+        (["--ms", "20,40", "--num-seeds", "0"], "error: --num-seeds must be >= 1"),
+        (["--ms", "20"], "error: --ms needs at least two distinct values"),
+        (["--ms", "20,20"], "error: --ms needs at least two distinct values"),
+    ], ids=["zero-seeds", "one-m", "repeated-m"])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, monkeypatch, flags, start):
+        """A zero-seed grid would write NaN into the summary, and one m value
+        would run every experiment before the regression fails."""
+        _refuse_runs(monkeypatch)
+        out = tmp_path / "thm"
+        rc = main(["theorem", "--out", str(out)] + flags)
+        _expect_one_line_exit_2(rc, capsys, out, start)
+
+    @staticmethod
+    def _fresh_cli_modules():
+        # a fresh interpreter: this one has numpy and scipy loaded by other test modules
+        code = "import sys, lavasim, lavasim.cli; print(' '.join(sys.modules))"
         env = dict(os.environ, PYTHONPATH=str(Path(lavasim.__file__).resolve().parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out == "False\n"
+        return {name.split(".")[0] for name in out.split()}
+
+    def test_only_theorem_loads_scipy(self):
+        assert "scipy" not in self._fresh_cli_modules()
+
+    def test_cli_loads_no_numpy(self):
+        """Only the generator and the theorem experiment use numpy, so every
+        other command starts without it."""
+        assert "numpy" not in self._fresh_cli_modules()
 
 
 class TestTrainEval:

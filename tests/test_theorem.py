@@ -70,6 +70,17 @@ class TestExperiment:
         assert reg.slope > 0
         assert reg.pvalue < 0.05
 
+    @pytest.mark.parametrize("cfg,seed,expected", [
+        (TheoremConfig(m=20), 0, (14.778333317803824, 13.304230721969892)),
+        (TheoremConfig(m=80), 3, (56.01759473429355, 49.90259129732162)),
+        (TheoremConfig(epsilon=0.0, m=40), 1, (24.247523295185307, 24.247523295185307)),
+    ], ids=["m20-seed0", "m80-seed3", "eps0-m40-seed1"])
+    def test_pinned_values(self, cfg, seed, expected):
+        """Exact averages recorded from a hand-written label/occupancy index
+        that took the fullest matching host; ``best_host`` must make the
+        same choices."""
+        assert two_class_experiment(cfg, seed=seed) == expected
+
     def test_zero_epsilon_control(self):
         """With no label noise the two policies see identical labels, so the
         gap is exactly zero on every draw."""
