@@ -33,7 +33,6 @@ from .sim import (
     Simulator,
     inflation_stranding,
     metrics_snapshot,
-    optimal_empty_bound,
 )
 from .workload import GeneratorConfig, TraceRecord, generate, parse_trace, split
 

@@ -20,7 +20,7 @@ from .core import ResourceVec
 from .defrag import compare_orderings
 from .evaluate import model_report
 from .predict import EmpiricalLifetimeModel, make_predictor
-from .sched import LavaConfig, NilasConfig
+from .sched import LavaConfig, NilasConfig, check_algorithm
 from .sim import DefragConfig, RunResult, SimConfig, Simulator
 from .theorem import TheoremConfig, gap_regression, gap_vs_m, misprediction_probability
 from .workload import (
@@ -112,13 +112,15 @@ def resolve_configs(raw: Dict[str, Dict[str, object]], args) -> Tuple[
 def run_one(trace, algorithm: str, predictor_spec: str, pool: PoolConfig,
             nilas: NilasConfig, lava: LavaConfig, sim_cfg: SimConfig,
             seed: int = 0) -> RunResult:
-    """Replay ``trace``; a non-empty trace that yields no sample raises
-    ``ValueError``, as its summary would read like an empty pool."""
+    """Replay ``trace``; an empty trace, or one that yields no sample, raises
+    ``ValueError``, as its summary would report 0 % empty hosts over nothing."""
+    if not trace:
+        raise ValueError("the trace has no VMs to replay")
     model = make_predictor(predictor_spec, seed=seed)
     sim = Simulator(trace, pool.hosts, pool.capacity, algorithm, model,
                     nilas, lava, sim_cfg)
     result = sim.run()
-    if trace and not result.series:
+    if not result.series:
         s = result.summary
         raise ValueError(f"no sample between the end of warm-up at {s['measure_start_s']:.0f} s "
                          f"and the trace's last arrival at {s['measure_end_s']:.0f} s; use a "
@@ -143,16 +145,6 @@ def write_summary_json(path, summary: Dict, resolved: Dict) -> None:
         fh.write("\n")
 
 
-def _resolved_dict(pool, nilas, lava, sim_cfg, extra=None) -> Dict:
-    out = {"pool": dataclasses.asdict(pool),
-           "nilas": dataclasses.asdict(nilas),
-           "lava": dataclasses.asdict(lava),
-           "sim": dataclasses.asdict(sim_cfg)}
-    if extra:
-        out.update(extra)
-    return out
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -171,9 +163,10 @@ def cmd_run(args) -> int:
                      sim_cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_series_csv(os.path.join(args.out, "series.csv"), result.series)
-    resolved = _resolved_dict(pool, nilas, lava, sim_cfg,
-                              {"algorithm": args.algo, "predictor": args.predictor,
-                               "seed": args.seed, "trace": args.trace})
+    resolved = {"pool": dataclasses.asdict(pool), "nilas": dataclasses.asdict(nilas),
+                "lava": dataclasses.asdict(lava), "sim": dataclasses.asdict(sim_cfg),
+                "algorithm": args.algo, "predictor": args.predictor,
+                "seed": args.seed, "trace": args.trace}
     write_summary_json(os.path.join(args.out, "summary.json"), result.summary, resolved)
     with open(os.path.join(args.out, "placements.log"), "w") as fh:
         fh.write("\n".join(result.placements) + ("\n" if result.placements else ""))
@@ -201,6 +194,8 @@ def cmd_compare(args) -> int:
     if len(args.algos) < 2:
         print("error: compare needs at least two algorithms", file=sys.stderr)
         return 2
+    for algo in args.algos:
+        check_algorithm(algo)
     configs = resolve_configs(load_config(args.config), args)
     payloads = [(args.trace, algo, args.predictor, configs, args.seed) for algo in args.algos]
     results = dict(zip(args.algos, _map(_replay_worker, payloads, args.jobs)))
@@ -230,6 +225,8 @@ def _check_num_seeds(args) -> None:
 
 def cmd_sweep_accuracy(args) -> int:
     _check_num_seeds(args)
+    for algo in args.algos:
+        check_algorithm(algo)
     grid = [float(x) for x in args.accuracies.split(",")]
     for acc in grid:
         if not 0.0 <= acc <= 1.0:
@@ -281,7 +278,7 @@ def cmd_defrag_compare(args) -> int:
 
 def cmd_theorem(args) -> int:
     _check_num_seeds(args)
-    base = TheoremConfig(epsilon=args.epsilon, rho=args.rho, seed=args.seed)
+    base = TheoremConfig(epsilon=args.epsilon, rho=args.rho)
     ms = [int(x) for x in args.ms.split(",")]
     if len(set(ms)) < 2:
         raise ValueError(f"--ms needs at least two distinct values to fit the gap against m, "

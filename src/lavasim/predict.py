@@ -218,9 +218,6 @@ class EmpiricalLifetimeModel:
     def is_fitted(self) -> bool:
         return self.global_curve is not None
 
-    def get_params(self) -> Dict[str, object]:
-        return {"min_count": self.min_count, "cap_s": self.cap_s, "floor_s": self.floor_s}
-
     def _collapse(self, fv: FeatureVec) -> str:
         key = self._stratum_keys.get(fv)
         if key is None:

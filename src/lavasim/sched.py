@@ -88,7 +88,6 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from .core import FreeIndex, HostRecord, LifetimeClass, PoolState, ResourceVec, VmRecord
 from .predict import (
-    BINARY_THRESHOLD_S,
     CLASS_UPPER_BOUND_S,
     PredictionCache,
     classify_binary,
@@ -304,9 +303,8 @@ class LaBinaryScheduler(Scheduler):
     name = "la-binary"
     key_floor = (0,)
 
-    def __init__(self, model, threshold_s: float = BINARY_THRESHOLD_S):
+    def __init__(self, model):
         self.model = model
-        self.threshold_s = threshold_s
 
     def on_arrival(self, vm, now):
         if vm.initial_predicted_exit is None:
@@ -320,10 +318,10 @@ class LaBinaryScheduler(Scheduler):
     def host_is_long(self, host: HostRecord, pool: PoolState, now: float) -> bool:
         vms = pool.vms
         latest = max([vms[vid].initial_predicted_exit for vid in host.vms])
-        return classify_binary(latest - now, self.threshold_s) == "Long"
+        return classify_binary(latest - now) == "Long"
 
     def host_key(self, vm, pool, now):
-        vm_long = classify_binary(vm.initial_predicted_exit - now, self.threshold_s) == "Long"
+        vm_long = classify_binary(vm.initial_predicted_exit - now) == "Long"
 
         def key(host):
             if not host.vms:
@@ -475,14 +473,19 @@ class LavaScheduler(NilasScheduler):
 ALGORITHMS = ("baseline", "la-binary", "nilas", "lava")
 
 
+def check_algorithm(name: str) -> None:
+    """Raise ``ValueError``, naming the choices, unless ``name`` is in ``ALGORITHMS``."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r} (choose from {', '.join(ALGORITHMS)})")
+
+
 def make_scheduler(name: str, model, nilas_cfg: NilasConfig = NilasConfig(),
                    lava_cfg: LavaConfig = LavaConfig()) -> Scheduler:
+    check_algorithm(name)
     if name == "baseline":
         return BestFitScheduler()
     if name == "la-binary":
         return LaBinaryScheduler(model)
     if name == "nilas":
         return NilasScheduler(model, cfg=nilas_cfg)
-    if name == "lava":
-        return LavaScheduler(model, lava_cfg=lava_cfg, nilas_cfg=nilas_cfg)
-    raise ValueError(f"unknown algorithm {name!r} (choose from {', '.join(ALGORITHMS)})")
+    return LavaScheduler(model, lava_cfg=lava_cfg, nilas_cfg=nilas_cfg)

@@ -1,6 +1,5 @@
 """Deterministic event-driven replay engine with warm-up, metric sampling,
-defragmentation (including LARS ordering), inflation-based stranding, and the
-optimal empty-host bound.
+defragmentation (including LARS ordering) and inflation-based stranding.
 
 Migrations run only here: a replay's defrag rounds and the evacuation
 replays of ``defrag.py`` use the same queue, slot filling and deferred
@@ -53,10 +52,6 @@ from .workload import TraceRecord, shared_terms
 
 
 class TraceNotSorted(Exception):
-    pass
-
-
-class HeterogeneousPool(Exception):
     pass
 
 
@@ -220,20 +215,6 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
     return free_cpu / total_cpu, free_mem / total_mem
 
 
-def optimal_empty_bound(pool: PoolState) -> float:
-    """Upper bound on the empty-host fraction from aggregate free resources;
-    requires a homogeneous pool."""
-    hosts = list(pool.hosts.values())
-    cap = hosts[0].capacity
-    if any(h.capacity != cap for h in hosts):
-        raise HeterogeneousPool("optimal bound assumes identical host capacity")
-    n = len(hosts)
-    free_cpu = sum(cap.cpu_m - h.used_cpu_m for h in hosts)
-    free_mem = sum(cap.mem_mib - h.used_mem_mib for h in hosts)
-    bound_hosts = min(free_cpu // cap.cpu_m, free_mem // cap.mem_mib)
-    return bound_hosts / n
-
-
 class Simulator:
     """Replays one trace against one (algorithm, predictor) configuration."""
 
@@ -371,7 +352,7 @@ class Simulator:
     def run(self) -> RunResult:
         trace = self.trace
         if not trace:
-            return self._empty_result()
+            return self._build_result([], 0.0, 0.0)
         t0 = trace[0].create_time_s
         t_end = trace[-1].create_time_s
 
@@ -522,11 +503,6 @@ class Simulator:
         self._fill_migration_slots(now)
 
     # -- results ---------------------------------------------------------
-
-    def _empty_result(self) -> RunResult:
-        e, r, d = metrics_snapshot(self.pool)
-        return RunResult(series=[(0.0, e, r, d, 0, 0.0, 0.0)],
-                         summary=self._summary([], 0.0, 0.0))
 
     def _build_result(self, series, measure_start, t_end) -> RunResult:
         return RunResult(series=series, summary=self._summary(series, measure_start, t_end),

@@ -27,7 +27,6 @@ class TheoremConfig:
     # fully unless a mispredicted long job pins them
     burst_period_s: float = 1000.0
     burst_duty: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.short_s >= self.long_s:
@@ -128,11 +127,10 @@ def _run_policy(cfg: TheoremConfig, seed: int, learning: bool) -> float:
     return area / last_t if last_t > 0 else 0.0
 
 
-def two_class_experiment(cfg: TheoremConfig, seed: int = None) -> Tuple[float, float]:
+def two_class_experiment(cfg: TheoremConfig, seed: int) -> Tuple[float, float]:
     """(avg hosts without learning, avg hosts with learning) on one shared
     arrival sequence."""
-    s = cfg.seed if seed is None else seed
-    return _run_policy(cfg, s, learning=False), _run_policy(cfg, s, learning=True)
+    return _run_policy(cfg, seed, learning=False), _run_policy(cfg, seed, learning=True)
 
 
 def gap_vs_m(base: TheoremConfig, ms: Sequence[int], seeds: Sequence[int]
@@ -142,7 +140,7 @@ def gap_vs_m(base: TheoremConfig, ms: Sequence[int], seeds: Sequence[int]
     for m in ms:
         cfg = replace(base, m=m)
         for seed in seeds:
-            no_learn, learn = two_class_experiment(cfg, seed=seed)
+            no_learn, learn = two_class_experiment(cfg, seed)
             rows.append((m, seed, no_learn, learn))
     return rows
 

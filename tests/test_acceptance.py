@@ -22,9 +22,7 @@ from lavasim.predict import EmpiricalLifetimeModel, OracleModel, make_predictor
 from lavasim.sched import quantize_temporal_cost
 from lavasim.sim import DefragConfig, SimConfig, Simulator
 from lavasim.theorem import (
-    TheoremConfig,
     gap_regression,
-    gap_vs_m,
     misprediction_probability,
     misprediction_probability_mc,
 )
@@ -246,17 +244,13 @@ class TestTheorem:
     """Criterion 6: the learning gap grows with scale; the closed form
     matches Monte Carlo."""
 
-    def test_gap_slope_positive(self):
-        rows = gap_vs_m(TheoremConfig(epsilon=0.05, rho=0.1),
-                        ms=(20, 40, 80), seeds=range(20))
-        reg = gap_regression(rows)
+    def test_gap_slope_positive(self, theorem_rows):
+        reg = gap_regression(theorem_rows)
         assert reg.slope > 0
         assert reg.pvalue < 0.05
 
-    def test_zero_epsilon_control(self):
-        rows = gap_vs_m(TheoremConfig(epsilon=0.0), ms=(20, 40, 80),
-                        seeds=range(10))
-        gaps = [r[2] - r[3] for r in rows]
+    def test_zero_epsilon_control(self, zero_epsilon_rows):
+        gaps = [r[2] - r[3] for r in zero_epsilon_rows]
         assert all(abs(g) < 1e-9 for g in gaps)
 
     def test_closed_form_matches_monte_carlo(self):

@@ -121,6 +121,30 @@ class TestRun:
         _expect_one_line_exit_2(rc, capsys, out, "error: unknown algorithm 'mystery' "
                                 "(choose from baseline, la-binary, nilas, lava)")
 
+    @pytest.mark.parametrize("command", ["compare", "sweep-accuracy"])
+    def test_unknown_algorithm_before_any_replay(self, trace_path, tmp_path, capsys,
+                                                 monkeypatch, command):
+        """Every name is checked before the first cell replays, not when its
+        own cell starts."""
+        _refuse_runs(monkeypatch)
+        out = tmp_path / "x"
+        rc = main([command, "--trace", trace_path, "--out", str(out),
+                   "--algos", "nilas", "mystery"])
+        _expect_one_line_exit_2(rc, capsys, out, "error: unknown algorithm 'mystery' "
+                                "(choose from baseline, la-binary, nilas, lava)")
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep-accuracy", "defrag-compare"])
+    def test_empty_trace_exits_2(self, tmp_path, capsys, command):
+        """A header-only trace has nothing to measure; its summary would
+        report 0 % empty hosts."""
+        trace = tmp_path / "empty.tsv"
+        write_trace([], trace)
+        args = {"run": ["--algo", "nilas"], "compare": ["--algos", "baseline", "nilas"],
+                "sweep-accuracy": ["--num-seeds", "1"], "defrag-compare": []}[command]
+        out = tmp_path / "x"
+        rc = main([command, "--trace", str(trace), "--out", str(out)] + args)
+        _expect_one_line_exit_2(rc, capsys, out, "error: the trace has no VMs to replay")
+
     def test_missing_trace(self, tmp_path):
         rc = main(["run", "--trace", str(tmp_path / "nope.tsv"),
                    "--algo", "nilas", "--out", str(tmp_path / "x")])

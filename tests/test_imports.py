@@ -1,18 +1,29 @@
-"""Every module-level import of a ``lavasim`` module is used by that module.
+"""Two syntax-tree guards on the ``lavasim`` sources.
 
+Every module-level import of a ``lavasim`` module is used by that module.
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: a name bound by a top-level ``import`` or ``from ... import``
 must appear as a name, or as the root of an attribute chain, somewhere in the
 module.  ``__init__.py`` re-exports its imports and is skipped, as are
 ``from __future__`` imports.
+
+Every module-level ``def`` and ``class`` is reached by something other than
+the tests: its name appears, as a name or an attribute, in the sources
+outside its own definition, in ``perfbench/*.py`` or as a
+``pyproject.toml`` script.  A re-export in ``__init__.py`` does not count.
+The guard reads names only, so a function that shares its name with an
+attribute in use (``workload.split`` and ``str.split``) passes unseen.
 """
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lavasim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lavasim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -38,3 +49,58 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Dict\nx: Dict = {}\n") == [
         (1, "os"), (2, "List")]
+
+
+# module-level names that only the tests reach, and why the library keeps each
+KEPT_FOR_TESTS = {
+    "bimodal_config": "an acceptance trace family: two lifetime modes that share every feature",
+    "misprediction_probability_mc": "the Monte Carlo estimate the closed form is checked against",
+    "quantize_temporal_cost": "the plain form of the bucket lookup that NILAS's score inlines; "
+                              "the reference scorer checks the inlined copy against it",
+}
+
+
+def appearing_names(statements):
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for statement in statements for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unreached(modules, outside):
+    """The sorted names of the top-level ``def``s and ``class``es of
+    ``modules`` (file name -> source) that appear in no other top-level
+    statement of ``modules`` and are not in ``outside``."""
+    statements = [node for source in modules.values() for node in ast.parse(source).body]
+    names = [appearing_names([node]) for node in statements]
+    # how many top-level statements each name appears in
+    spread = collections.Counter(name for found in names for name in found)
+    return sorted(node.name for node, found in zip(statements, names)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in outside
+                  and spread[node.name] == (node.name in found))
+
+
+def reached_from_outside():
+    """Names in ``perfbench/*.py``, and the functions ``pyproject.toml``'s
+    scripts name."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        names |= appearing_names(ast.parse(path.read_text()).body)
+    scripts = re.findall(r'^\S+ = "[\w.]+:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert scripts, "pyproject.toml names no script"
+    return names | set(scripts)
+
+
+def source_modules():
+    return {path.name: path.read_text() for path in MODULES}
+
+
+def test_only_kept_names_are_reached_by_tests_alone():
+    """Flags new code only tests reach, and any kept name that is now used."""
+    assert unreached(source_modules(), reached_from_outside()) == sorted(KEPT_FOR_TESTS)
+
+
+def test_detects_an_unreached_function():
+    modules = source_modules()
+    modules["sim.py"] += "\n\ndef planted(pool):\n    return planted(pool)\n"
+    assert "planted" in unreached(modules, reached_from_outside())

@@ -310,10 +310,6 @@ class TestEmpiricalModel:
         text = fit_model([(FeatureVec(), H)] * 10).dumps()
         assert text.splitlines()[0].endswith(" floor_s=3600")
 
-    def test_get_params(self):
-        params = EmpiricalLifetimeModel(min_count=5).get_params()
-        assert params["min_count"] == 5
-
     @given(st.lists(st.integers(60, 600_000), min_size=1, max_size=200),
            st.floats(0, 700_000))
     def test_expected_total_monotone(self, lifetimes, uptime):

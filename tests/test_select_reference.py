@@ -48,9 +48,9 @@ def ref_score(sched, host, vm, pool, now):
         if not host.vms:
             tier = 2
         else:
-            vm_long = classify_binary(vm.initial_predicted_exit - now, sched.threshold_s) == "Long"
+            vm_long = classify_binary(vm.initial_predicted_exit - now) == "Long"
             latest = max(pool.vms[vid].initial_predicted_exit for vid in host.vms)
-            host_long = classify_binary(latest - now, sched.threshold_s) == "Long"
+            host_long = classify_binary(latest - now) == "Long"
             tier = 0 if host_long == vm_long else 1
         return (tier, ref_best_fit(host, vm.shape), host.id)
     if isinstance(sched, LavaScheduler):

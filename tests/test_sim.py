@@ -1,4 +1,4 @@
-"""Replay engine: metrics, stranding, bounds, event ordering, determinism."""
+"""Replay engine: metrics, stranding, event ordering, determinism."""
 
 import copy
 import dataclasses
@@ -19,14 +19,12 @@ from lavasim.sim import (
     EV_EXIT,
     EV_SAMPLE,
     DefragConfig,
-    HeterogeneousPool,
     SimConfig,
     Simulator,
     TraceNotSorted,
     clone_pool,
     inflation_stranding,
     metrics_snapshot,
-    optimal_empty_bound,
     order_evacuation,
     trace_shape_mix,
 )
@@ -64,30 +62,6 @@ class TestMetricsSnapshot:
 
     def test_no_hosts(self):
         assert metrics_snapshot(PoolState()) == (0.0, 0.0, 1.0)
-
-
-class TestOptimalEmptyBound:
-    def test_hand_computed(self):
-        pool = PoolState()
-        for _ in range(3):
-            pool.add_host(CAP)
-        pool.place(make_vm(0, ResourceVec(800, 1000)), 0)
-        pool.place(make_vm(1, ResourceVec(900, 1000)), 1)
-        # free cpu 1300 -> 1 host; free mem 10288 -> 2 hosts; min = 1 of 3
-        assert optimal_empty_bound(pool) == pytest.approx(1 / 3)
-
-    def test_empty_pool_bound_is_one(self):
-        pool = PoolState()
-        for _ in range(5):
-            pool.add_host(CAP)
-        assert optimal_empty_bound(pool) == 1.0
-
-    def test_heterogeneous_rejected(self):
-        pool = PoolState()
-        pool.add_host(CAP)
-        pool.add_host(ResourceVec(2000, 8192))
-        with pytest.raises(HeterogeneousPool):
-            optimal_empty_bound(pool)
 
 
 class TestInflationStranding:
@@ -170,6 +144,7 @@ class TestSimulatorBasics:
     def test_empty_trace(self):
         result = Simulator([], 2, CAP, "baseline", OracleModel()).run()
         assert result.summary["samples"] == 0
+        assert result.series == []
 
     def test_sequential_vms_fit_one_host(self):
         sim = Simulator([rec(0, 0, 100), rec(1, 200, 100)], 1, CAP,
@@ -313,7 +288,7 @@ class HeapEverything(Simulator):
     def run(self):
         trace = self.trace
         if not trace:
-            return self._empty_result()
+            return self._build_result([], 0.0, 0.0)
         t0 = trace[0].create_time_s
         t_end = trace[-1].create_time_s
         for r in trace:

@@ -5,7 +5,6 @@ import pytest
 from lavasim.theorem import (
     TheoremConfig,
     gap_regression,
-    gap_vs_m,
     misprediction_probability,
     misprediction_probability_mc,
     two_class_experiment,
@@ -54,8 +53,8 @@ class TestConfigValidation:
 
 class TestExperiment:
     def test_deterministic(self):
-        cfg = TheoremConfig(m=20, seed=4)
-        assert two_class_experiment(cfg) == two_class_experiment(cfg)
+        cfg = TheoremConfig(m=20)
+        assert two_class_experiment(cfg, 4) == two_class_experiment(cfg, 4)
 
     def test_learning_not_worse(self):
         """Relabeling hosts that hold a revealed long job frees them for the
@@ -64,9 +63,8 @@ class TestExperiment:
             no_learn, learn = two_class_experiment(TheoremConfig(m=40), seed=seed)
             assert learn <= no_learn + 0.5
 
-    def test_gap_grows_with_m(self):
-        rows = gap_vs_m(TheoremConfig(), ms=(20, 40, 80), seeds=range(20))
-        reg = gap_regression(rows)
+    def test_gap_grows_with_m(self, theorem_rows):
+        reg = gap_regression(theorem_rows)
         assert reg.slope > 0
         assert reg.pvalue < 0.05
 
@@ -81,11 +79,10 @@ class TestExperiment:
         same choices."""
         assert two_class_experiment(cfg, seed=seed) == expected
 
-    def test_zero_epsilon_control(self):
+    def test_zero_epsilon_control(self, zero_epsilon_rows):
         """With no label noise the two policies see identical labels, so the
         gap is exactly zero on every draw."""
-        rows = gap_vs_m(TheoremConfig(epsilon=0.0), ms=(20, 40, 80), seeds=range(10))
-        gaps = [r[2] - r[3] for r in rows]
+        gaps = [r[2] - r[3] for r in zero_epsilon_rows]
         # identical labels, identical placements; only the reveal no-ops
         # perturb the float accumulation order
         assert all(abs(g) < 1e-9 for g in gaps)
