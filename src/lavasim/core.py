@@ -13,11 +13,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 
 class CapacityExceeded(Exception):
-    """Placement would overflow a host, or the VM is already placed."""
+    """Placement would overflow a host, or the VM is already placed or migrating."""
 
 
 class UnknownVm(Exception):
-    """Operation on a VM id that is not placed in the pool."""
+    """Operation on a VM id that is not placed in the pool, or not migrating."""
 
 
 class LifetimeClass(enum.IntEnum):
@@ -83,15 +83,14 @@ class HostRecord:
     used_mem_mib: int = 0
     vms: Set[int] = field(default_factory=set)
     unavailable_for_scheduling: bool = False
-    # ids of the VMs whose in-flight live migrations reserved their shapes here
-    incoming: Set[int] = field(default_factory=set)
 
     @property
     def used(self) -> ResourceVec:
         return ResourceVec(self.used_cpu_m, self.used_mem_mib)
 
     def is_empty(self) -> bool:
-        return not self.vms and not self.incoming
+        """Zero ``used``: no VMs (``VmRecord`` rejects zero shapes), no reservation."""
+        return not self.used_cpu_m and not self.used_mem_mib
 
 
 def has_room(host: HostRecord, shape: ResourceVec) -> bool:
@@ -102,11 +101,8 @@ def has_room(host: HostRecord, shape: ResourceVec) -> bool:
 
 
 def free_key(host: HostRecord) -> Optional[int]:
-    """Where ``FreeIndex`` files ``host``: its free CPU, or None if its
-    ``used`` is zero (a host with VMs never has zero ``used``: ``VmRecord``
-    rejects zero shapes)."""
-    used_cpu_m = host.used_cpu_m
-    return host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib else None
+    """Where ``FreeIndex`` files ``host``: its free CPU, or None if it is empty."""
+    return None if host.is_empty() else host.capacity.cpu_m - host.used_cpu_m
 
 
 class FreeIndex:
@@ -195,6 +191,8 @@ class PoolState:
     hosts: Dict[int, HostRecord] = field(default_factory=dict)
     vms: Dict[int, VmRecord] = field(default_factory=dict)
     now: float = 0.0
+    # in-flight migrations, VM id -> target host id; a VM stays on its source until the commit
+    incoming: Dict[int, int] = field(default_factory=dict)
     # the hosts filed by free capacity; each write of a host's ``used`` re-files
     # it, and a pool built from records (a clone) files them in an index of its own
     index: FreeIndex = field(init=False, repr=False, compare=False)
@@ -258,47 +256,49 @@ class PoolState:
 
     def reserve_incoming(self, vm: VmRecord, host_id: int) -> None:
         """Reserve the VM's shape on the migration target; the VM stays on its source."""
+        if vm.id in self.incoming:
+            raise CapacityExceeded(f"vm {vm.id} already migrates to host {self.incoming[vm.id]}")
         try:
             self.reserve(host_id, vm.shape)
         except CapacityExceeded:
             raise CapacityExceeded(
                 f"migration reservation for vm {vm.id} overflows host {host_id}") from None
-        self.hosts[host_id].incoming.add(vm.id)
+        self.incoming[vm.id] = host_id
 
-    def commit_incoming(self, vm: VmRecord, host_id: int) -> None:
+    def commit_incoming(self, vm: VmRecord) -> int:
         """Migration finished: the source gives up the VM's share, and the
         target's reservation becomes the placement, so the target's ``used``
-        does not change."""
-        target = self.hosts[host_id]
-        target.incoming.remove(vm.id)
+        does not change.  Returns the target's id."""
+        host_id = self.incoming.pop(vm.id, None)
+        if host_id is None:
+            raise UnknownVm(f"vm {vm.id} is not migrating")
         source, shape = self.hosts[vm.host], vm.shape
         source.used_cpu_m -= shape.cpu_m
         source.used_mem_mib -= shape.mem_mib
         source.vms.discard(vm.id)
         self.index.refile(source)
-        target.vms.add(vm.id)
+        self.hosts[host_id].vms.add(vm.id)
         vm.host = host_id
+        return host_id
 
     # -- invariants ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        total_used = ZERO
-        total_shapes = ZERO
+        reserved: Dict[int, ResourceVec] = {}  # host id -> the shapes migrating to it
+        for vid, target in self.incoming.items():
+            vm = self.vms.get(vid)
+            if vm is None or vm.host is None or vm.host == target:
+                raise AssertionError(f"vm {vid} migrates to host {target} from no other host")
+            reserved[target] = reserved.get(target, ZERO) + vm.shape
         for host in self.hosts.values():
             if not host.used.fits_within(host.capacity):
                 raise AssertionError(f"host {host.id} over capacity: {host.used} > {host.capacity}")
-            acc = ZERO
+            acc = reserved.get(host.id, ZERO)
             for vid in host.vms:
                 vm = self.vms[vid]
                 if vm.host != host.id:
                     raise AssertionError(f"vm {vid} host pointer inconsistent")
                 acc = acc + vm.shape
-            for vid in host.incoming:
-                acc = acc + self.vms[vid].shape
             if acc != host.used:
                 raise AssertionError(f"host {host.id} used {host.used} != sum of shapes {acc}")
-            total_used = total_used + host.used
-            total_shapes = total_shapes + acc
-        if total_used != total_shapes:
-            raise AssertionError("pool-wide conservation violated")
         self.index.check()

@@ -15,19 +15,19 @@ far; a greater prefix loses whatever its fit.  ``key_floor`` is a prefix
 too, and ``Scheduler.score`` returns the full tuple.
 
 ``Scheduler.select_host`` is the one placement decision, for arrivals and
-migration targets alike.  It builds each algorithm's VM-side terms (the
-VM's predicted exit, its LA-Binary class) once per call through
-``host_key`` and hands the host -> prefix function to ``best_host``, one walk
-over the pool's free-capacity index (``core.FreeIndex``).  The index files
-every host with non-zero ``used`` in a bucket keyed by its free CPU, and
-every host with zero ``used`` in an id-ordered list per capacity.  A VM
-needing ``c`` milli-cores visits only the buckets with free CPU of at least
-``c``; memory and ``unavailable_for_scheduling`` are tested at the visit.
-``PoolState`` re-files a host each time it changes the host's ``used``, so
-the walk scores exactly the hosts ``PoolState.fits`` accepts, except as
-below.  The buckets come in ascending free CPU and the lists after them; the
-order within a bucket does not matter, because the host id ends every score
-tuple.
+migration targets alike.  It builds each algorithm's VM-side terms (the VM's
+predicted exit and LAVA class, both from one ``remaining`` call, and its
+LA-Binary class) once per call through ``host_key`` and hands the host ->
+prefix function to ``best_host``, one walk over the pool's free-capacity
+index (``core.FreeIndex``).  The index files every host with non-zero
+``used`` in a bucket keyed by its free CPU, and every host with zero
+``used`` in an id-ordered list per capacity.  A VM needing ``c`` milli-cores
+visits only the buckets with free CPU of at least ``c``; memory and
+``unavailable_for_scheduling`` are tested at the visit.  ``PoolState``
+re-files a host each time it changes the host's ``used``, so the walk scores
+exactly the hosts ``PoolState.fits`` accepts, except as below.  The buckets
+come in ascending free CPU and the lists after them; the order within a
+bucket does not matter, because the host id ends every score tuple.
 
 Of the hosts in the lists, only the lowest-id available one of each
 capacity is scored.  This is exact.  A host with zero ``used`` has no VMs,
@@ -217,10 +217,7 @@ class Scheduler:
         """The full score tuple of ``host``: prefix, best-fit term, host id."""
         return self.host_key(vm, pool, now)(host) + (best_fit_score(host, vm.shape), host.id)
 
-    # state-machine hooks; only LAVA uses them
-    def on_arrival(self, vm: VmRecord, now: float) -> None:
-        pass
-
+    # state-machine hooks
     def after_place(self, pool: PoolState, vm: VmRecord, host: HostRecord, now: float) -> None:
         pass
 
@@ -268,10 +265,9 @@ class NilasScheduler(Scheduler):
         if invariant:
             self.key_floor = (0, 0)
 
-    def temporal_key(self, vm, pool, now) -> Callable[[HostRecord], int]:
-        """Temporal cost of placing ``vm`` on a host with VMs, host -> bucket."""
+    def temporal_key(self, vm_exit: float, pool, now) -> Callable[[HostRecord], int]:
+        """Temporal cost of a VM exiting at ``vm_exit`` on a host with VMs, host -> bucket."""
         model, host_exit_time = self.model, self.cache.host_exit_time
-        vm_exit = now + model.remaining(vm, now)
         bounds = self.cfg.bucket_boundaries_s
 
         def temporal(host):
@@ -281,7 +277,7 @@ class NilasScheduler(Scheduler):
         return temporal
 
     def host_key(self, vm, pool, now):
-        temporal = self.temporal_key(vm, pool, now)
+        temporal = self.temporal_key(now + self.model.remaining(vm, now), pool, now)
 
         def key(host):
             empty = 0 if host.vms else 1
@@ -306,14 +302,19 @@ class LaBinaryScheduler(Scheduler):
     def __init__(self, model):
         self.model = model
 
-    def on_arrival(self, vm, now):
+    def one_shot(self, vm: VmRecord, now: float) -> float:
+        """``vm``'s one-shot predicted exit, made at ``now`` the first time."""
         if vm.initial_predicted_exit is None:
             vm.initial_predicted_exit = now + self.model.remaining(vm, now)
+        return vm.initial_predicted_exit
+
+    def after_place(self, pool, vm, host, now):
+        self.one_shot(vm, now)  # a warm-up placement: Best Fit chose the host
 
     def on_adopt(self, pool, now, state):
         # VMs placed under another algorithm carry no one-shot prediction yet
         for vm in pool.vms.values():
-            self.on_arrival(vm, now)
+            self.one_shot(vm, now)
 
     def host_is_long(self, host: HostRecord, pool: PoolState, now: float) -> bool:
         vms = pool.vms
@@ -321,7 +322,7 @@ class LaBinaryScheduler(Scheduler):
         return classify_binary(latest - now) == "Long"
 
     def host_key(self, vm, pool, now):
-        vm_long = classify_binary(vm.initial_predicted_exit - now) == "Long"
+        vm_long = classify_binary(self.one_shot(vm, now) - now) == "Long"
 
         def key(host):
             if not host.vms:
@@ -354,9 +355,11 @@ class LavaScheduler(NilasScheduler):
     empties; a non-empty host without one (VMs placed under another scheduler)
     scores like an open host of no class.  ``on_deadline`` acts only while the
     entry still holds the deadline its event carries: a re-arm, or the host
-    emptying, makes the events of older deadlines stale.  The temporal cost
-    and cache are NILAS's; ``cfg`` is the ``NilasConfig`` and ``lava_cfg``
-    the ``LavaConfig``.
+    emptying, makes the events of older deadlines stale.  ``host_key`` sets
+    the VM's ``lifetime_class`` from the one prediction it makes, and
+    ``after_place`` classifies a VM Best Fit placed in warm-up.  The temporal
+    cost and cache are NILAS's; ``cfg`` is the ``NilasConfig`` and
+    ``lava_cfg`` the ``LavaConfig``.
     """
 
     name = "lava"
@@ -368,9 +371,6 @@ class LavaScheduler(NilasScheduler):
         self.state: Dict[int, LavaHost] = {}
         if self.key_floor is not None:
             self.key_floor = (0, 1, 0)
-
-    def on_arrival(self, vm, now):
-        vm.lifetime_class = lifetime_class(self.model.remaining(vm, now))
 
     def on_adopt(self, pool, now, state):
         self.state = {} if state is None else state
@@ -393,7 +393,10 @@ class LavaScheduler(NilasScheduler):
         return (2, 0)
 
     def host_key(self, vm, pool, now):
-        temporal = self.temporal_key(vm, pool, now)
+        # one prediction: the VM's class, which ``after_place`` reads, and its exit
+        remaining = self.model.remaining(vm, now)
+        vm.lifetime_class = lifetime_class(remaining)
+        temporal = self.temporal_key(now + remaining, pool, now)
         lazy = self.key_floor is not None
         # the least (tier, distance) scored in full; it starts above every
         # pair and moves only when the key is lazy
@@ -425,6 +428,8 @@ class LavaScheduler(NilasScheduler):
 
     def after_place(self, pool, vm, host, now):
         self.cache.invalidate(host.id)
+        if vm.lifetime_class is None:  # a warm-up placement: Best Fit chose the host
+            vm.lifetime_class = lifetime_class(self.model.remaining(vm, now))
         lava = self.state.get(host.id)
         if lava is None:
             # first LAVA placement on the host: its class follows the VM

@@ -3,10 +3,11 @@ defragmentation (including LARS ordering) and inflation-based stranding.
 
 Migrations run only here: a replay's defrag rounds and the evacuation
 replays of ``defrag.py`` use the same queue, slot filling and deferred
-exits.  The engine keeps only the queue and the in-flight targets; the rest
-is read off the pool.  A migrating VM stays on its source until the commit,
-an exit during its migration runs at the end, and a host is closed to
-placements exactly while it is a candidate with VMs left to move.
+exits.  The engine keeps only the queue; the in-flight migrations belong to
+the pool (``PoolState.incoming``), and the rest is read off the pool too.  A
+migrating VM stays on its source until the commit, an exit during its
+migration runs at the end, and a host is closed to placements exactly while
+it is a candidate with VMs left to move.
 
 One loop, ``Simulator._advance``, runs every event, from three sources.  The
 arrival stream walks the trace's records in create-time order.  The exit
@@ -167,14 +168,15 @@ def _exit_time(rec: TraceRecord):
 
 
 def clone_pool(pool: PoolState) -> PoolState:
-    """Copy every host and VM record; the containers a record owns are copied
-    too, and the clone files its hosts in a free-capacity index of its own."""
+    """Copy every host and VM record and the in-flight map; the containers a
+    record owns are copied too, and the clone files its hosts in a
+    free-capacity index of its own."""
     hosts = {}
     for hid, h in pool.hosts.items():
         copied = hosts[hid] = HostRecord(*_HOST_VALUES(h))
-        copied.vms, copied.incoming = set(h.vms), set(h.incoming)
+        copied.vms = set(h.vms)
     vms = {vid: VmRecord(*_VM_VALUES(vm)) for vid, vm in pool.vms.items()}
-    return dataclasses.replace(pool, hosts=hosts, vms=vms)
+    return dataclasses.replace(pool, hosts=hosts, vms=vms, incoming=dict(pool.incoming))
 
 
 def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, float]],
@@ -256,10 +258,8 @@ class Simulator:
         # the (shape, features) the VMs of one record key share (shared_terms)
         self._arrival_terms: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
         self._series: List[Tuple[float, float, float, float, int, float, float]] = []
-        # defrag state: the VMs queued for migration, and those in flight with
-        # their targets (a VM stays on its source until the commit)
+        # the VMs queued for migration; those in flight are ``pool.incoming``
         self._mig_queue: Deque[int] = deque()
-        self._mig_active: Dict[int, int] = {}
         self.migrations_done = 0
         self.migrations_saved = 0
         self.migration_deferrals = 0
@@ -295,16 +295,12 @@ class Simulator:
         self._next_exit = next(exits, NO_EVENT)
 
     def _check_invariants(self) -> None:
-        pool, in_flight = self.pool, self._mig_active
+        pool = self.pool
         pool.check_invariants()
         self.active.check_invariants(pool)
         for host in pool.hosts.values():
-            for vid in host.incoming:
-                if in_flight.get(vid) != host.id:
-                    raise AssertionError(f"host {host.id} reserves for vm {vid}, "
-                                         f"which is not migrating to it")
             # a closed host is a candidate with VMs left to queue or move
-            if host.unavailable_for_scheduling and not (self._mig_queue or in_flight):
+            if host.unavailable_for_scheduling and not (self._mig_queue or pool.incoming):
                 raise AssertionError(f"host {host.id} is closed with no migration left")
 
     # -- main loop -------------------------------------------------------
@@ -315,7 +311,7 @@ class Simulator:
         also stop once no migration is queued or in flight."""
         heap, handlers, check = self._heap, self._handlers, self.cfg.check_invariants
         pool, exits, arrivals = self.pool, self._exits, self._arrivals
-        vms, queued, in_flight = pool.vms, self._mig_queue, self._mig_active
+        vms, queued, in_flight = pool.vms, self._mig_queue, pool.incoming
         handle_exit, handle_arrival = self._handle_exit, self._handle_arrival
         exit_t, exit_id = self._next_exit
         arrival_t, rec = self._next_arrival
@@ -398,7 +394,6 @@ class Simulator:
         create = rec.create_time_s
         vm = VmRecord(rec.vm_id, shape, features, create, create + rec.lifetime_s)
         active, pool = self.active, self.pool
-        active.on_arrival(vm, now)
         selector = self.warmup_sched if now < self._measure_start else active
         host_id = selector.select_host(vm, pool, now)
         if host_id is None:
@@ -410,15 +405,15 @@ class Simulator:
             self.placements.append(f"{now:.0f}\tplace\t{vm.id}\t{host_id}\t{selector.name}")
 
     def _handle_exit(self, vm_id: int, now: float) -> None:
-        if vm_id in self._mig_active:
-            return  # started migrations run to completion; the exit lands at their end
         pool = self.pool
+        if vm_id in pool.incoming:
+            return  # started migrations run to completion; the exit lands at their end
         host = pool.hosts[pool.vms[vm_id].host]
         vm = pool.remove(vm_id)
         self.active.on_exit(pool, vm, host, now)
         if host.unavailable_for_scheduling:  # tested here too: most exits skip the call
             self._reopen_if_drained(host)
-        if self._mig_queue and len(self._mig_active) < self.cfg.defrag.max_concurrent:
+        if self._mig_queue and len(pool.incoming) < self.cfg.defrag.max_concurrent:
             self._fill_migration_slots(now)
 
     def _handle_deadline(self, event: Tuple[int, float], now: float) -> None:
@@ -428,7 +423,7 @@ class Simulator:
     # -- defragmentation -------------------------------------------------
 
     def _handle_defrag_check(self, _, now: float) -> None:
-        if self._mig_queue or self._mig_active:
+        if self._mig_queue or self.pool.incoming:
             return  # previous round still draining; its candidates reopen as they empty
         empty_frac = sum(1 for h in self.pool.hosts.values() if h.is_empty()) / len(self.pool.hosts)
         if empty_frac >= self.cfg.defrag.empty_host_trigger:
@@ -467,7 +462,7 @@ class Simulator:
     def _fill_migration_slots(self, now: float) -> None:
         attempts = len(self._mig_queue)
         while (self._mig_queue and attempts > 0
-               and len(self._mig_active) < self.cfg.defrag.max_concurrent):
+               and len(self.pool.incoming) < self.cfg.defrag.max_concurrent):
             attempts -= 1
             vm_id = self._mig_queue.popleft()
             vm = self.pool.vms.get(vm_id)
@@ -476,22 +471,19 @@ class Simulator:
                 continue
             # migration placement uses the current reprediction, not the
             # arrival-time one (LA-Binary keeps its one-shot class)
-            self.active.on_arrival(vm, now)
             target = self.active.select_host(vm, self.pool, now)
             if target is None:
                 self._mig_queue.append(vm_id)
                 self.migration_deferrals += 1
                 continue
             self.pool.reserve_incoming(vm, target)
-            self._mig_active[vm_id] = target
             self._push(now + self.cfg.defrag.migration_s, EV_MIG_END, vm_id)
 
     def _handle_migration_end(self, vm_id: int, now: float) -> None:
         pool = self.pool
-        target = pool.hosts[self._mig_active.pop(vm_id)]
         vm = pool.vms[vm_id]
         source = pool.hosts[vm.host]
-        pool.commit_incoming(vm, target.id)
+        target = pool.hosts[pool.commit_incoming(vm)]
         self.migrations_done += 1
         self.active.on_exit(pool, vm, source, now)
         self.active.after_place(pool, vm, target, now)
@@ -542,7 +534,7 @@ def select_candidates(pool: PoolState, count: int) -> List[int]:
     """Evacuation candidates: fewest VMs first, then most free capacity."""
     ranked = sorted(
         (h for h in pool.hosts.values()
-         if h.vms and not h.incoming and not h.unavailable_for_scheduling),
+         if h.vms and not h.unavailable_for_scheduling),
         key=lambda h: (len(h.vms),
                        -(h.capacity.cpu_m - h.used_cpu_m) / h.capacity.cpu_m
                        - (h.capacity.mem_mib - h.used_mem_mib) / h.capacity.mem_mib,

@@ -123,7 +123,10 @@ class TestMigrationBookkeeping:
         assert pool.hosts[0].used == ResourceVec(4000, 4000)
         assert pool.hosts[1].used == ResourceVec(4000, 4000)
         assert not pool.hosts[1].is_empty()
-        pool.commit_incoming(vm, 1)
+        assert pool.incoming == {1: 1}
+        pool.check_invariants()
+        assert pool.commit_incoming(vm) == 1
+        assert not pool.incoming
         assert pool.hosts[0].used == ResourceVec(0, 0)
         assert pool.hosts[0].is_empty()
         assert pool.hosts[1].used == ResourceVec(4000, 4000)
@@ -142,8 +145,50 @@ class TestMigrationBookkeeping:
         with pytest.raises(CapacityExceeded):
             pool.reserve(1, ResourceVec(1000, 1001))
         assert pool.hosts[1].used == ResourceVec(2000, 2000)
-        assert not pool.hosts[1].incoming
+        assert not pool.incoming
         pool.index.check()
+
+    def test_second_reservation_refused(self):
+        """A VM reserves one target at a time: a second reservation would
+        overwrite the first target and orphan its ``used``."""
+        pool = PoolState()
+        for _ in range(3):
+            pool.add_host(ResourceVec(10_000, 10_000))
+        vm = make_vm(1, 4000, 4000)
+        pool.place(vm, 0)
+        pool.reserve_incoming(vm, 1)
+        with pytest.raises(CapacityExceeded, match="already migrates to host 1"):
+            pool.reserve_incoming(vm, 2)
+        assert pool.incoming == {1: 1}
+        assert pool.hosts[2].is_empty()
+        pool.check_invariants()
+
+    def test_commit_without_reservation(self):
+        pool = PoolState()
+        pool.add_host(ResourceVec(10_000, 10_000))
+        vm = make_vm(1, 4000, 4000)
+        pool.place(vm, 0)
+        with pytest.raises(UnknownVm, match="not migrating"):
+            pool.commit_incoming(vm)
+        assert vm.host == 0 and pool.hosts[0].used == ResourceVec(4000, 4000)
+
+    def test_invariants_check_the_in_flight_map(self):
+        pool = PoolState()
+        pool.add_host(ResourceVec(10_000, 10_000))
+        pool.add_host(ResourceVec(10_000, 10_000))
+        vm = make_vm(1, 4000, 4000)
+        pool.place(vm, 0)
+        pool.reserve(1, vm.shape)
+        with pytest.raises(AssertionError, match="used"):
+            pool.check_invariants()  # a reservation no migration accounts for
+        pool.incoming[1] = 0
+        with pytest.raises(AssertionError, match="from no other host"):
+            pool.check_invariants()  # migrating to its own host
+        pool.incoming = {2: 1}
+        with pytest.raises(AssertionError, match="from no other host"):
+            pool.check_invariants()
+        pool.incoming = {1: 1}
+        pool.check_invariants()
 
 
 @given(st.lists(st.tuples(st.integers(1, 8000), st.integers(1, 32768)),

@@ -1,4 +1,4 @@
-"""Two syntax-tree guards on the ``lavasim`` sources.
+"""Three syntax-tree guards on the ``lavasim`` sources.
 
 Every module-level import of a ``lavasim`` module is used by that module.
 No linter ships with the test dependencies, so this walks each module's
@@ -13,6 +13,12 @@ outside its own definition, in ``perfbench/*.py`` or as a
 ``pyproject.toml`` script.  A re-export in ``__init__.py`` does not count.
 The guard reads names only, so a function that shares its name with an
 attribute in use (``workload.split`` and ``str.split``) passes unseen.
+
+Every non-dunder method of a top-level class is reached the same way: its
+name appears in the sources outside the method's own body, or in
+``perfbench/*.py``.  This guard matches by name too, so a method named like
+a method in use elsewhere, a builtin's (``PredictionCache.clear`` and
+``dict.clear``) or another class's, stays invisible.
 """
 
 import ast
@@ -60,10 +66,14 @@ KEPT_FOR_TESTS = {
 }
 
 
+def named(root):
+    """The names of the ``Name`` and ``Attribute`` nodes under ``root``, repeats kept."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(root) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
 def appearing_names(statements):
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for statement in statements for node in ast.walk(statement)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    return {name for statement in statements for name in named(statement)}
 
 
 def unreached(modules, outside):
@@ -91,6 +101,26 @@ def reached_from_outside():
     return names | set(scripts)
 
 
+# methods that only the tests reach, and why the library keeps each
+KEPT_METHODS = {
+    "Scheduler.score": "the reference scorer: the full score tuple of one host, which the "
+                       "tests compare the placement walk's choice against",
+}
+
+
+def unreached_methods(modules, outside):
+    """The sorted ``Class.method`` names of the non-dunder methods of the
+    top-level classes of ``modules`` whose name appears nowhere in
+    ``modules`` outside the method's own body and is not in ``outside``."""
+    trees = [ast.parse(source) for source in modules.values()]
+    everywhere = collections.Counter(name for tree in trees for name in named(tree))
+    return sorted(f"{cls.name}.{method.name}"
+                  for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for method in cls.body if isinstance(method, ast.FunctionDef)
+                  and not method.name.startswith("__") and method.name not in outside
+                  and everywhere[method.name] == named(method).count(method.name))
+
+
 def source_modules():
     return {path.name: path.read_text() for path in MODULES}
 
@@ -98,6 +128,18 @@ def source_modules():
 def test_only_kept_names_are_reached_by_tests_alone():
     """Flags new code only tests reach, and any kept name that is now used."""
     assert unreached(source_modules(), reached_from_outside()) == sorted(KEPT_FOR_TESTS)
+
+
+def test_only_kept_methods_are_reached_by_tests_alone():
+    assert unreached_methods(source_modules(), reached_from_outside()) == sorted(KEPT_METHODS)
+
+
+def test_detects_an_unreached_method():
+    modules = source_modules()
+    modules["core.py"] += ("\n\nclass Planted:\n    def planted(self, n):\n"
+                           "        return self.planted(n - 1) if n else 0\n")
+    assert unreached_methods(modules, reached_from_outside()) == sorted(
+        ["Planted.planted", *KEPT_METHODS])
 
 
 def test_detects_an_unreached_function():

@@ -204,25 +204,21 @@ class TestLaBinary:
     def test_one_shot_prediction(self):
         sched = LaBinaryScheduler(OracleModel())
         vm = make_vm(1, exit_=50_000.0)
-        sched.on_arrival(vm, 0.0)
-        first = vm.initial_predicted_exit
-        sched.on_arrival(vm, 1000.0)
-        assert vm.initial_predicted_exit == first
+        assert sched.one_shot(vm, 0.0) == vm.initial_predicted_exit == 50_000.0
+        assert sched.one_shot(vm, 1000.0) == 50_000.0
 
     def test_matches_vm_to_host_class(self):
         pool = make_pool(3)
         sched = LaBinaryScheduler(OracleModel())
         long_res = make_vm(1, exit_=100 * H)
         short_res = make_vm(2, exit_=600.0)
-        sched.on_arrival(long_res, 0.0)
-        sched.on_arrival(short_res, 0.0)
+        sched.one_shot(long_res, 0.0)
+        sched.one_shot(short_res, 0.0)
         pool.place(long_res, 0)
         pool.place(short_res, 1)
         incoming_long = make_vm(3, exit_=50 * H)
-        sched.on_arrival(incoming_long, 0.0)
         assert sched.select_host(incoming_long, pool, 0.0) == 0
         incoming_short = make_vm(4, exit_=300.0)
-        sched.on_arrival(incoming_short, 0.0)
         assert sched.select_host(incoming_short, pool, 0.0) == 1
 
     def test_host_class_not_refreshed(self):
@@ -231,7 +227,7 @@ class TestLaBinary:
         pool = make_pool(2)
         sched = LaBinaryScheduler(OracleModel())
         res = make_vm(1, exit_=3 * H)
-        sched.on_arrival(res, 0.0)
+        sched.one_shot(res, 0.0)
         pool.place(res, 0)
         assert sched.host_is_long(pool.hosts[0], pool, 0.0)
         # two hours later less than 2h remain; the one-shot class flips only
@@ -245,7 +241,6 @@ class TestLavaStateMachine:
         self.sched = LavaScheduler(OracleModel())
 
     def place(self, vm, host_id, now=0.0):
-        self.sched.on_arrival(vm, now)
         self.pool.place(vm, host_id)
         self.sched.after_place(self.pool, vm, self.pool.hosts[host_id], now)
 
@@ -290,9 +285,9 @@ class TestLavaStateMachine:
         self.place(second, 1)
         self.pool.reserve_incoming(second, 0)
         self.exit(1, 60.0)
-        assert self.pool.hosts[0].incoming and 0 in self.sched.state  # reserved, so kept
+        assert self.pool.incoming == {2: 0} and 0 in self.sched.state  # reserved, so kept
         self.sched.check_invariants(self.pool)
-        self.pool.commit_incoming(second, 0)
+        assert self.pool.commit_incoming(second) == 0
         self.sched.on_exit(self.pool, second, self.pool.hosts[1], 120.0)
         self.sched.after_place(self.pool, second, self.pool.hosts[0], 120.0)
         assert set(self.sched.state) == {0}
@@ -429,7 +424,6 @@ class TestLavaTiers:
 
     def seed_host(self, pool, sched, host_id, recycling, klass, exit_=50 * H):
         vm = make_vm(100 + host_id, 500, 500, exit_=exit_)
-        sched.on_arrival(vm, 0.0)
         pool.place(vm, host_id)
         sched.state[host_id] = LavaHost(klass, 0.0, recycling)
         return pool.hosts[host_id]
@@ -439,7 +433,6 @@ class TestLavaTiers:
         self.seed_host(pool, sched, 0, True, LifetimeClass.LC2)
         self.seed_host(pool, sched, 1, True, LifetimeClass.LC4)
         vm = make_vm(1, exit_=600.0)  # LC1
-        sched.on_arrival(vm, 0.0)
         assert sched.select_host(vm, pool, 0.0) == 0
 
     def test_open_same_class_when_no_recycling(self):
@@ -447,14 +440,12 @@ class TestLavaTiers:
         self.seed_host(pool, sched, 0, False, LifetimeClass.LC1)
         self.seed_host(pool, sched, 1, False, LifetimeClass.LC3)
         vm = make_vm(1, exit_=50 * H)  # LC3
-        sched.on_arrival(vm, 0.0)
         assert sched.select_host(vm, pool, 0.0) == 1
 
     def test_nonempty_before_empty(self):
         pool, sched = self.make()
         self.seed_host(pool, sched, 0, False, LifetimeClass.LC1)
         vm = make_vm(1, exit_=5 * H)  # LC2: no matching tier 0/1 host
-        sched.on_arrival(vm, 0.0)
         assert sched.select_host(vm, pool, 0.0) == 0
 
     def test_tier_discipline_property(self):
@@ -469,7 +460,6 @@ class TestLavaTiers:
                 klass = LifetimeClass(rng.randint(1, 4))
                 self.seed_host(pool, sched, hid, recycling, klass)
             vm = make_vm(1, exit_=rng.choice([600.0, 5 * H, 50 * H]))
-            sched.on_arrival(vm, 0.0)
             chosen = sched.select_host(vm, pool, 0.0)
             tier0 = [hid for hid, lava in sched.state.items()
                      if lava.recycling and lava.host_class > vm.lifetime_class
@@ -484,7 +474,6 @@ class TestLavaTiers:
         fired = []
         sched.deadline_armed = lambda hid, deadline: fired.append((hid, deadline))
         vm = make_vm(1, exit_=0.9 * H)  # LC1, exits before the 1.1h deadline
-        sched.on_arrival(vm, 0.0)
         pool.place(vm, 0)
         sched.after_place(pool, vm, pool.hosts[0], 0.0)
         pool.now = vm.true_exit_time

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lavasim.core import ZERO, LifetimeClass, PoolState, ResourceVec, VmRecord
-from lavasim.predict import FeatureVec, OracleModel, PredictionCache, classify_binary
+from lavasim.predict import (
+    FeatureVec,
+    OracleModel,
+    PredictionCache,
+    classify_binary,
+    lifetime_class,
+)
 from lavasim.sched import (
     BestFitScheduler,
     LaBinaryScheduler,
@@ -48,19 +54,23 @@ def ref_score(sched, host, vm, pool, now):
         if not host.vms:
             tier = 2
         else:
-            vm_long = classify_binary(vm.initial_predicted_exit - now) == "Long"
+            vm_exit = vm.initial_predicted_exit  # None until a decision predicts it
+            if vm_exit is None:
+                vm_exit = now + sched.model.remaining(vm, now)
+            vm_long = classify_binary(vm_exit - now) == "Long"
             latest = max(pool.vms[vid].initial_predicted_exit for vid in host.vms)
             host_long = classify_binary(latest - now) == "Long"
             tier = 0 if host_long == vm_long else 1
         return (tier, ref_best_fit(host, vm.shape), host.id)
     if isinstance(sched, LavaScheduler):
         lava = sched.state.get(host.id)
+        vm_class = lifetime_class(sched.model.remaining(vm, now))
         if not host.vms:
             tier, distance = 3, 0
-        elif lava is not None and lava.recycling and lava.host_class > vm.lifetime_class:
-            tier, distance = 0, lava.host_class - vm.lifetime_class
+        elif lava is not None and lava.recycling and lava.host_class > vm_class:
+            tier, distance = 0, lava.host_class - vm_class
         elif (lava is not None and not lava.recycling
-              and lava.host_class == vm.lifetime_class):
+              and lava.host_class == vm_class):
             tier, distance = 1, 0
         else:
             tier, distance = 2, 0
@@ -151,7 +161,6 @@ def random_pool(seed, sched, now):
         for _ in range(rng.choice((1, 2, 4)) if rng.random() < occupancy else 0):
             vm = make_vm(vm_id, rng.choice(SHAPES), rng.uniform(1.0, 400_000.0))
             vm_id += 1
-            sched.on_arrival(vm, 0.0)
             if pool.fits(vm.shape, host):
                 pool.place(vm, host.id)
                 sched.after_place(pool, vm, host, 0.0)
@@ -167,12 +176,11 @@ def random_pool(seed, sched, now):
             if target.id != vm.host and pool.fits(vm.shape, target):
                 pool.reserve_incoming(vm, target.id)
     for host in hosts:
-        if not host.vms and not host.incoming and rng.random() < 0.2:
+        if host.is_empty() and rng.random() < 0.2:
             pool.reserve(host.id, ResourceVec(*rng.choice(SHAPES)))
         if rng.random() < 0.15:
             host.unavailable_for_scheduling = True
     probe = make_vm(10_000, rng.choice(SHAPES), now + rng.uniform(1.0, 400_000.0))
-    sched.on_arrival(probe, now)
     return pool, probe
 
 
@@ -241,9 +249,7 @@ class Counting(BestFitScheduler):
 
 def select_both(algo, pool, probe, expected):
     sched = SCHEDULERS[algo](OracleModel())
-    sched.on_arrival(probe, 0.0)
-    for vm in pool.vms.values():
-        sched.on_arrival(vm, 0.0)
+    sched.on_adopt(pool, 0.0, None)
     assert ref_select(sched, probe, pool, 0.0) == expected
     assert sched.select_host(probe, pool, 0.0) == expected
 
@@ -315,12 +321,12 @@ def ladder_asks(algo, model, classes=None):
     cache = CountingCache()
     sched = NilasScheduler(model, cache) if algo == "nilas" else LavaScheduler(model, cache)
     probe = make_vm(1, (1000, 1024), 1000.0)
-    sched.on_arrival(probe, 0.0)
     if algo == "lava":
+        probe_class = lifetime_class(model.remaining(probe, 0.0))
         for host in pool.hosts.values():
             if host.vms:
                 offset, recycling = (classes or {}).get(host.id, (1, True))
-                sched.state[host.id] = LavaHost(LifetimeClass(probe.lifetime_class + offset),
+                sched.state[host.id] = LavaHost(LifetimeClass(probe_class + offset),
                                                 0.0, recycling=recycling)
     chosen = sched.select_host(probe, pool, 0.0)
     asked = dict(cache.asked)
@@ -421,9 +427,9 @@ def check_candidates(pool):
 
 
 def snapshot(pool):
-    hosts = [(h.id, h.used, set(h.vms), set(h.incoming), h.unavailable_for_scheduling)
+    hosts = [(h.id, h.used, set(h.vms), h.unavailable_for_scheduling)
              for h in pool.hosts.values()]
-    return hosts, set(pool.vms), check_candidates(pool)
+    return hosts, set(pool.vms), dict(pool.incoming), check_candidates(pool)
 
 
 OPS = ("place", "remove", "reserve", "commit", "write", "toggle", "clone")
@@ -461,8 +467,7 @@ def test_index_matches_naive_filter(seed, ops):
                 reservations[vm.id] = host.id
         elif op == "commit" and reservations:
             vid = sorted(reservations)[k % len(reservations)]
-            target = pool.hosts[reservations.pop(vid)]
-            pool.commit_incoming(pool.vms[vid], target.id)
+            assert pool.commit_incoming(pool.vms[vid]) == reservations.pop(vid)
         elif op == "write" and pool.fits(shape, host):
             pool.reserve(host.id, shape)
         elif op == "toggle":
@@ -471,5 +476,10 @@ def test_index_matches_naive_filter(seed, ops):
             originals.append((pool, snapshot(pool)))
             pool = clone_pool(pool)
         check_candidates(pool)
+        assert pool.incoming == reservations
+        # the two tests for "empty": a host is empty exactly when it is filed
+        # among the hosts with zero ``used``, reserved shapes included
+        for h in pool.hosts.values():
+            assert h.is_empty() == (pool.index.filed[h.id] is None), h.id
     for original, before in originals:
         assert snapshot(original) == before

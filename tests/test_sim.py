@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import heapq
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.defrag import EvacuationOutcome, compare_orderings, simulate_evacuation
-from lavasim.predict import OracleModel, make_predictor
+from lavasim.predict import OracleModel, lifetime_class, make_predictor
 from lavasim.sched import LavaConfig, Scheduler
 from lavasim.sim import (
     EV_ARRIVAL,
@@ -100,7 +101,7 @@ class TestClonePool:
 
     def test_every_field_survives(self):
         """Every field of every host and VM record is copied, and the
-        containers a host owns are copied rather than shared."""
+        containers a host or the pool owns are copied rather than shared."""
         pool = PoolState(now=42.0)
         pool.add_host(CAP)
         pool.add_host(CAP)
@@ -123,8 +124,9 @@ class TestClonePool:
                                else f.default)
                     assert getattr(src, f.name) != default, f"set {f.name} in this test"
                 assert getattr(dst, f.name) == getattr(src, f.name), f.name
-        for name in ("vms", "incoming"):
-            assert getattr(clone.hosts[0], name) is not getattr(host, name)
+        assert clone.hosts[0].vms is not host.vms
+        assert clone.incoming == pool.incoming == {1: 0}
+        assert clone.incoming is not pool.incoming
 
 
 class TestTraceShapeMix:
@@ -166,13 +168,16 @@ class TestSimulatorBasics:
 
 
 class Recording(OracleModel):
-    """The oracle, recording each VM it is asked about."""
+    """The oracle, recording each VM it is asked about and counting its
+    predictions per ``(vm id, now)``."""
 
     def __init__(self):
         self.seen = {}
+        self.calls = Counter()
 
     def remaining(self, vm, now):
         self.seen[vm.id] = (vm.features, vm.shape)
+        self.calls[vm.id, now] += 1
         return super().remaining(vm, now)
 
 
@@ -219,6 +224,44 @@ class TestWarmup:
         result = Simulator(trace, 2, CAP, "baseline", OracleModel(),
                            cfg=SimConfig(warmup=False)).run()
         assert result.series[0][0] == 0.0
+
+    @pytest.mark.parametrize("algo", ["lava", "la-binary"])
+    def test_warmup_placements_are_predicted_at_creation(self, algo):
+        """A VM Best Fit places in warm-up gets the LAVA class or LA-Binary
+        one-shot exit of its prediction at creation, as if the active
+        scheduler had placed it."""
+        trace = generate(GeneratorConfig(num_vms=600, seed=3))
+        model = make_predictor("noisy:0.5", seed=3)
+        sim = Simulator(trace, 8, ResourceVec(16000, 65536), algo, model,
+                        cfg=SimConfig(warmup_s=7200.0))
+        after_place, placed = sim.active.after_place, []
+
+        def recording(pool, vm, host, now):
+            after_place(pool, vm, host, now)
+            if now < sim._measure_start:
+                placed.append((vm, vm.lifetime_class, vm.initial_predicted_exit))
+        sim.active.after_place = recording
+        sim.run()
+        assert len(placed) > 100
+        for vm, klass, one_shot in placed:
+            remaining = model.remaining(vm, vm.create_time)
+            if algo == "lava":
+                assert klass == lifetime_class(remaining), vm.id
+            else:
+                assert one_shot == vm.create_time + remaining, vm.id
+
+
+def test_lava_predicts_each_arrival_once():
+    """LAVA's class and its temporal cost come from one ``remaining`` call
+    per placement decision.  The arrival times are distinct, so no cache
+    refresh at a VM's arrival second can ask about that VM."""
+    generated = generate(GeneratorConfig(num_vms=600, seed=3))
+    trace = [r for prev, r in zip([None] + generated, generated)
+             if prev is None or r.create_time_s != prev.create_time_s]
+    model = Recording()
+    Simulator(trace, 8, ResourceVec(16000, 65536), "lava", model,
+              cfg=SimConfig(warmup=False)).run()
+    assert [r.vm_id for r in trace if model.calls[r.vm_id, r.create_time_s] != 1] == []
 
 
 class TestDeterminismAndInvariants:
