@@ -161,6 +161,25 @@ class NoisyOracleModel:
         return max(total - max(now - vm.create_time, 0.0), 0.0)
 
 
+class OneShotModel:
+    """One-shot prediction over ``model``: its answer at a VM's creation,
+    counted down and never repredicted.  The creation-time exit is computed
+    on first use and kept in ``vm.initial_predicted_exit``, so pool clones
+    carry it."""
+
+    time_invariant = True
+
+    def __init__(self, model):
+        self.model = model
+
+    def remaining(self, vm: VmRecord, now: float) -> float:
+        exit_time = vm.initial_predicted_exit
+        if exit_time is None:
+            create = vm.create_time
+            exit_time = vm.initial_predicted_exit = create + self.model.remaining(vm, create)
+        return max(exit_time - now, 0.0)
+
+
 class _SurvivalCurve:
     """Empirical survival step function over a multiset of (capped) lifetimes."""
 
@@ -422,9 +441,6 @@ class PredictionCache:
 
     def invalidate(self, host_id: int) -> None:
         self._entries.pop(host_id, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def host_exit_time(self, host: HostRecord, pool: PoolState, model, now: float) -> float:
         resident = host.vms

@@ -54,23 +54,26 @@ one might tie and win on a lower id.  The walk returns at once, skipping the
 lists too, because every ``key_floor`` starts with the tier of a host with
 VMs and ranks strictly below the key of any host without them.
 
-Best Fit and LA-Binary declare ``(0,)``.  NILAS (``(0, 0)``: has VMs,
-temporal cost 0) and LAVA (``(0, 1, 0)``: a recycling host one class above
-the VM, temporal cost 0) declare a floor only under a ``time_invariant``
-model (``oracle``, ``noisy``), and LAVA's key is then lazy too: a host whose
+Best Fit declares ``(0,)``.  NILAS (``(0, 0)``: has VMs, temporal cost
+0) and LAVA (``(0, 1, 0)``: a recycling host one class above the VM,
+temporal cost 0) declare a floor only under a ``time_invariant`` model
+(``oracle``, ``noisy``), and LAVA's key is then lazy too: a host whose
 ``(tier, distance)`` is worse than the least pair the key has scored in full
 cannot win, and gets that bare pair without a temporal cost.  The bare pair
 is greater than the prefix of the best host so far, which starts with that
-least pair, so ``best_host`` skips it.  Both skips leave
-``PredictionCache`` entries unfilled.  Under a time-invariant model an entry
-answers ``max(now, latest predicted exit)`` whenever it was filled, so this
-changes no output.  Under the empirical model an entry refreshes on a
-timer and its answer depends on when it was filled, so NILAS and LAVA score
-every candidate there, filling the same entries at the same times as a full
-scan.  ``NilasScheduler`` reads ``time_invariant``, for LAVA too, and sets
-from it both the floor and the refresh interval of the ``PredictionCache`` it
-builds when given none: entries of a time-invariant model never expire by
-age, entries of any other model after the cache's 60 s default.
+least pair, so ``best_host`` skips it.  LA-Binary is NILAS over
+``OneShotModel``, which is time-invariant whatever it wraps, so it declares
+``(0,)`` (a host of the VM's binary class) under every predictor.  The
+skips leave ``PredictionCache`` entries unfilled.  Under a time-invariant
+model an entry answers ``max(now, latest predicted exit)`` whenever it was
+filled, so this changes no output.  Under the empirical model an entry
+refreshes on a timer and its answer depends on when it was filled, so NILAS
+and LAVA score every candidate there, filling the same entries at the same
+times as a full scan.  ``NilasScheduler`` reads ``time_invariant``, for
+LA-Binary and LAVA too, and sets from it both the floor and the refresh
+interval of the ``PredictionCache`` it builds: entries of a time-invariant
+model never expire by age, entries of any other model after the cache's
+60 s default.
 
 LAVA's host lifecycle lives in ``LavaScheduler.state``, not in ``core``.  A
 host without an entry there is empty or holds only VMs placed under another
@@ -89,6 +92,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 from .core import FreeIndex, HostRecord, LifetimeClass, PoolState, ResourceVec, VmRecord
 from .predict import (
     CLASS_UPPER_BOUND_S,
+    OneShotModel,
     PredictionCache,
     classify_binary,
     lifetime_class,
@@ -254,14 +258,11 @@ class NilasScheduler(Scheduler):
 
     name = "nilas"
 
-    def __init__(self, model, cache: Optional[PredictionCache] = None,
-                 cfg: NilasConfig = NilasConfig()):
+    def __init__(self, model, cfg: NilasConfig = NilasConfig()):
         self.model = model
         self.cfg = cfg
         invariant = getattr(model, "time_invariant", False)
-        if cache is None:
-            cache = PredictionCache(math.inf) if invariant else PredictionCache()
-        self.cache = cache
+        self.cache = PredictionCache(math.inf) if invariant else PredictionCache()
         if invariant:
             self.key_floor = (0, 0)
 
@@ -292,44 +293,27 @@ class NilasScheduler(Scheduler):
         self.cache.invalidate(host.id)
 
 
-class LaBinaryScheduler(Scheduler):
-    """One-shot binary lifetime alignment: a VM's class is fixed at creation
-    and the host class derives from initial predictions only."""
+class LaBinaryScheduler(NilasScheduler):
+    """One-shot binary lifetime alignment (Barbalho et al., MLSys 2023):
+    NILAS's host exits over ``OneShotModel(model)``, so the VM's class and
+    each host's come from predictions made at VM creation only.  Hosts of
+    the VM's class first, then hosts of the other class, then empty hosts."""
 
     name = "la-binary"
-    key_floor = (0,)
 
     def __init__(self, model):
-        self.model = model
-
-    def one_shot(self, vm: VmRecord, now: float) -> float:
-        """``vm``'s one-shot predicted exit, made at ``now`` the first time."""
-        if vm.initial_predicted_exit is None:
-            vm.initial_predicted_exit = now + self.model.remaining(vm, now)
-        return vm.initial_predicted_exit
-
-    def after_place(self, pool, vm, host, now):
-        self.one_shot(vm, now)  # a warm-up placement: Best Fit chose the host
-
-    def on_adopt(self, pool, now, state):
-        # VMs placed under another algorithm carry no one-shot prediction yet
-        for vm in pool.vms.values():
-            self.one_shot(vm, now)
-
-    def host_is_long(self, host: HostRecord, pool: PoolState, now: float) -> bool:
-        vms = pool.vms
-        latest = max([vms[vid].initial_predicted_exit for vid in host.vms])
-        return classify_binary(latest - now) == "Long"
+        super().__init__(OneShotModel(model))
+        self.key_floor = (0,)
 
     def host_key(self, vm, pool, now):
-        vm_long = classify_binary(self.one_shot(vm, now) - now) == "Long"
+        model, host_exit_time = self.model, self.cache.host_exit_time
+        vm_long = classify_binary(model.remaining(vm, now)) == "Long"
 
         def key(host):
             if not host.vms:
-                tier = 2
-            else:
-                tier = 0 if self.host_is_long(host, pool, now) == vm_long else 1
-            return (tier,)
+                return (2,)
+            host_long = classify_binary(host_exit_time(host, pool, model, now) - now) == "Long"
+            return (0 if host_long == vm_long else 1,)
         return key
 
 
@@ -364,9 +348,9 @@ class LavaScheduler(NilasScheduler):
 
     name = "lava"
 
-    def __init__(self, model, cache: Optional[PredictionCache] = None,
-                 lava_cfg: LavaConfig = LavaConfig(), nilas_cfg: NilasConfig = NilasConfig()):
-        super().__init__(model, cache, nilas_cfg)
+    def __init__(self, model, lava_cfg: LavaConfig = LavaConfig(),
+                 nilas_cfg: NilasConfig = NilasConfig()):
+        super().__init__(model, nilas_cfg)
         self.lava_cfg = lava_cfg
         self.state: Dict[int, LavaHost] = {}
         if self.key_floor is not None:

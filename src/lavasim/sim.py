@@ -192,8 +192,7 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
     smallest = min(shapes, key=lambda s: (s.cpu_m, s.mem_mib))
 
     def place_best_fit(shape: ResourceVec) -> bool:
-        best = best_host(snap.index, shape,
-                         lambda h: (0 if h.vms or h.used_cpu_m else 1,), (0,))
+        best = best_host(snap.index, shape, lambda h: (1 if h.is_empty() else 0,), (0,))
         if best is None:
             return False
         snap.reserve(best.id, shape)
@@ -470,7 +469,7 @@ class Simulator:
                 self.migrations_saved += 1  # exited before its migration started
                 continue
             # migration placement uses the current reprediction, not the
-            # arrival-time one (LA-Binary keeps its one-shot class)
+            # arrival-time one (LA-Binary's OneShotModel never repredicts)
             target = self.active.select_host(vm, self.pool, now)
             if target is None:
                 self._mig_queue.append(vm_id)

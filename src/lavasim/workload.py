@@ -27,7 +27,7 @@ class ParseError(Exception):
     pass
 
 
-class DuplicateId(Exception):
+class DuplicateId(ParseError):
     pass
 
 

@@ -473,3 +473,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "zero shape" in err
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_duplicate_vm_id_exits_2(self, tmp_path, capsys, command):
+        trace = tmp_path / "dup.tsv"
+        write_trace([TraceRecord(vm_id=1, create_time_s=t, lifetime_s=600,
+                                 cpu_m=1000, mem_mib=4096) for t in (0, 60)], trace)
+        args = ["--algo", "nilas"] if command == "run" else []
+        out = tmp_path / "x"
+        rc = main([command, "--trace", str(trace), "--out", str(out)] + args)
+        _expect_one_line_exit_2(rc, capsys, out, "error: line 3: duplicate vm id 1\n")

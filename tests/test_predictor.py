@@ -18,6 +18,7 @@ from lavasim.predict import (
     NoisyOracleConfig,
     NoisyOracleModel,
     NonPositiveInput,
+    OneShotModel,
     OracleModel,
     PredictionCache,
     classify_binary,
@@ -77,6 +78,43 @@ class TestOracle:
         vm = make_vm(exit_=10_000.0)
         assert OracleModel().remaining(vm, 10_000.0) == 0.0
         assert OracleModel().remaining(vm, 20_000.0) == 0.0
+
+
+class TestOneShotModel:
+    class Repredicting:
+        """Answers 3 h at a VM's creation and 100 h at any later uptime, and
+        records each question."""
+
+        def __init__(self):
+            self.asked = []
+
+        def remaining(self, vm, now):
+            self.asked.append((vm.id, now))
+            return 3 * H if now == vm.create_time else 100 * H
+
+    def test_creation_prediction_counted_down(self):
+        inner = self.Repredicting()
+        model, vm = OneShotModel(inner), make_vm(create=100.0)
+        assert model.remaining(vm, 100.0) == 3 * H
+        assert model.remaining(vm, 100.0 + H) == 2 * H
+        assert vm.initial_predicted_exit == 100.0 + 3 * H
+        assert inner.asked == [(1, 100.0)]
+
+    def test_asks_at_creation_once_even_when_first_asked_late(self):
+        inner = self.Repredicting()
+        model, vm = OneShotModel(inner), make_vm(create=100.0)
+        assert model.remaining(vm, 100.0 + 2 * H) == H
+        assert model.remaining(vm, 100.0 + 2.5 * H) == 0.5 * H
+        assert inner.asked == [(1, 100.0)]
+
+    def test_never_negative(self):
+        model, vm = OneShotModel(self.Repredicting()), make_vm(create=100.0)
+        assert model.remaining(vm, 100.0 + 3 * H) == 0.0
+        assert model.remaining(vm, 100.0 + 50 * H) == 0.0
+
+    def test_time_invariant_whatever_it_wraps(self):
+        assert OneShotModel.time_invariant is True
+        assert OneShotModel(self.Repredicting()).time_invariant is True
 
 
 class TestNoisyOracle:

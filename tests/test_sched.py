@@ -12,7 +12,13 @@ from lavasim.core import (
     ResourceVec,
     VmRecord,
 )
-from lavasim.predict import EmpiricalLifetimeModel, FeatureVec, OracleModel, make_predictor
+from lavasim.predict import (
+    EmpiricalLifetimeModel,
+    FeatureVec,
+    OneShotModel,
+    OracleModel,
+    make_predictor,
+)
 from lavasim.sched import (
     ALGORITHMS,
     BestFitScheduler,
@@ -196,43 +202,52 @@ class TestNilas:
                 continue
             expected = min(feasible,
                            key=lambda h: sched.score(h, probe, pool, 0.0)).id
-            sched.cache.clear()
+            for host in pool.hosts.values():
+                sched.cache.invalidate(host.id)
             assert sched.select_host(probe, pool, 0.0) == expected
 
 
 class TestLaBinary:
     def test_one_shot_prediction(self):
+        """LA-Binary predicts through ``OneShotModel``: a VM's exit is fixed
+        at its first prediction, made at creation."""
         sched = LaBinaryScheduler(OracleModel())
+        assert isinstance(sched.model, OneShotModel)
         vm = make_vm(1, exit_=50_000.0)
-        assert sched.one_shot(vm, 0.0) == vm.initial_predicted_exit == 50_000.0
-        assert sched.one_shot(vm, 1000.0) == 50_000.0
+        assert sched.model.remaining(vm, 0.0) == 50_000.0 == vm.initial_predicted_exit
+        assert sched.model.remaining(vm, 1000.0) == 50_000.0 - 1000.0
 
     def test_matches_vm_to_host_class(self):
         pool = make_pool(3)
         sched = LaBinaryScheduler(OracleModel())
-        long_res = make_vm(1, exit_=100 * H)
-        short_res = make_vm(2, exit_=600.0)
-        sched.one_shot(long_res, 0.0)
-        sched.one_shot(short_res, 0.0)
-        pool.place(long_res, 0)
-        pool.place(short_res, 1)
+        pool.place(make_vm(1, exit_=100 * H), 0)
+        pool.place(make_vm(2, exit_=600.0), 1)
         incoming_long = make_vm(3, exit_=50 * H)
         assert sched.select_host(incoming_long, pool, 0.0) == 0
         incoming_short = make_vm(4, exit_=300.0)
         assert sched.select_host(incoming_short, pool, 0.0) == 1
 
     def test_host_class_not_refreshed(self):
-        """A 'Long' host stays Long by its initial predictions even after
-        enough time has passed that a repredicting scheduler would demote it."""
-        pool = make_pool(2)
-        sched = LaBinaryScheduler(OracleModel())
-        res = make_vm(1, exit_=3 * H)
-        sched.one_shot(res, 0.0)
-        pool.place(res, 0)
-        assert sched.host_is_long(pool.hosts[0], pool, 0.0)
-        # two hours later less than 2h remain; the one-shot class flips only
-        # because "remaining" is measured against the fixed initial exit
-        assert not sched.host_is_long(pool.hosts[0], pool, 2.5 * H)
+        """A host's class comes from its residents' predictions at creation,
+        counted down: a repredicting model that later says 100 h does not
+        keep a host Long once less than 2 h of its one-shot exit remain."""
+        class Repredicting(OracleModel):
+            def remaining(self, vm, now):
+                return super().remaining(vm, now) if now == vm.create_time else 100 * H
+
+        pool = make_pool(3)
+        sched = LaBinaryScheduler(Repredicting())
+        pool.place(make_vm(1, cpu_m=2000, exit_=3 * H), 0)  # Long at 0, Short after 1 h
+        pool.place(make_vm(2, exit_=100 * H), 1)  # Long throughout
+        # at 0 both hosts are Long; host 0 fits the long probe tighter
+        probe = make_vm(3, create=0.0, exit_=50 * H)
+        assert sched.select_host(probe, pool, 0.0) == 0
+        # at 2.5 h host 0 is Short by its fixed initial exit, so the long probe
+        # goes to host 1, and a short one to host 0
+        probe = make_vm(4, create=2.5 * H, exit_=52.5 * H)
+        assert sched.select_host(probe, pool, 2.5 * H) == 1
+        probe = make_vm(5, create=2.5 * H, exit_=2.5 * H + 600.0)
+        assert sched.select_host(probe, pool, 2.5 * H) == 0
 
 
 class TestLavaStateMachine:

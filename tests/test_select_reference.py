@@ -16,6 +16,7 @@ from lavasim.predict import (
     PredictionCache,
     classify_binary,
     lifetime_class,
+    make_predictor,
 )
 from lavasim.sched import (
     BestFitScheduler,
@@ -54,11 +55,12 @@ def ref_score(sched, host, vm, pool, now):
         if not host.vms:
             tier = 2
         else:
-            vm_exit = vm.initial_predicted_exit  # None until a decision predicts it
-            if vm_exit is None:
-                vm_exit = now + sched.model.remaining(vm, now)
-            vm_long = classify_binary(vm_exit - now) == "Long"
-            latest = max(pool.vms[vid].initial_predicted_exit for vid in host.vms)
+            inner = sched.model.model  # the model OneShotModel asks at creation
+
+            def one_shot_exit(v):
+                return v.create_time + inner.remaining(v, v.create_time)
+            vm_long = classify_binary(one_shot_exit(vm) - now) == "Long"
+            latest = max(one_shot_exit(pool.vms[vid]) for vid in host.vms)
             host_long = classify_binary(latest - now) == "Long"
             tier = 0 if host_long == vm_long else 1
         return (tier, ref_best_fit(host, vm.shape), host.id)
@@ -103,7 +105,7 @@ def ref_stranding(pool, vm_mix, rng, consecutive_failures=200):
         best, best_score = None, None
         for host in snap.hosts.values():
             if (host.used + shape).fits_within(host.capacity):
-                score = (0 if host.vms or host.used.cpu_m else 1, ref_best_fit(host, shape), host.id)
+                score = (1 if host.is_empty() else 0, ref_best_fit(host, shape), host.id)
                 if best_score is None or score < best_score:
                     best, best_score = host, score
         if best is None:
@@ -147,7 +149,8 @@ def random_pool(seed, sched, now):
     """Mixed capacities (shared and separate capacity objects), VMs placed
     through the scheduler's hooks, random LAVA entries and hosts with VMs but
     no entry, incoming reservations on hosts with and without VMs, closed
-    hosts, and hosts with a reserved shape and no VMs."""
+    hosts, and hosts with a reserved shape and no VMs, some of them holding
+    memory only."""
     rng = random.Random(seed)
     pool = PoolState()
     shared = [ResourceVec(*c) for c in CAPACITIES]
@@ -176,33 +179,36 @@ def random_pool(seed, sched, now):
             if target.id != vm.host and pool.fits(vm.shape, target):
                 pool.reserve_incoming(vm, target.id)
     for host in hosts:
-        if host.is_empty() and rng.random() < 0.2:
-            pool.reserve(host.id, ResourceVec(*rng.choice(SHAPES)))
+        if host.is_empty() and rng.random() < 0.3:
+            cpu_m, mem_mib = rng.choice(SHAPES)
+            pool.reserve(host.id, ResourceVec(0 if rng.random() < 0.5 else cpu_m, mem_mib))
         if rng.random() < 0.15:
             host.unavailable_for_scheduling = True
     probe = make_vm(10_000, rng.choice(SHAPES), now + rng.uniform(1.0, 400_000.0))
     return pool, probe
 
 
-def clear_cache(sched):
+def clear_cache(sched, pool):
     """Drop the host exits the reference cached, so the scan computes its own."""
     cache = getattr(sched, "cache", None)
     if cache is not None:
-        cache.clear()
+        for hid in pool.hosts:
+            cache.invalidate(hid)
 
 
 @settings(deadline=None, max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1), algo=st.sampled_from(sorted(SCHEDULERS)),
-       now=st.sampled_from((0.0, 600.0, 30_000.0)))
-def test_select_host_matches_reference(seed, algo, now):
-    sched = SCHEDULERS[algo](OracleModel())
+       now=st.sampled_from((0.0, 600.0, 30_000.0)),
+       spec=st.sampled_from(("oracle", "noisy:0.5")))
+def test_select_host_matches_reference(seed, algo, now, spec):
+    sched = SCHEDULERS[algo](make_predictor(spec, seed=seed))
     pool, probe = random_pool(seed, sched, now)
     expected = ref_select(sched, probe, pool, now)
-    clear_cache(sched)
+    clear_cache(sched, pool)
     for host in pool.hosts.values():
         if pool.fits(probe.shape, host):
             assert sched.score(host, probe, pool, now) == ref_score(sched, host, probe, pool, now)
-    clear_cache(sched)
+    clear_cache(sched, pool)
     assert sched.select_host(probe, pool, now) == expected
 
 
@@ -312,15 +318,15 @@ class TimedOracle(OracleModel):
     time_invariant = False
 
 
-def ladder_asks(algo, model, classes=None):
-    """Place a short-lived probe on the ladder with NILAS or LAVA; return the
+def ladder_asks(algo, model, classes=None, probe_exit=1000.0):
+    """Place a probe, short-lived by default, on the ladder; return the
     chosen host and the ``PredictionCache`` calls per host.  ``classes``
     gives LAVA each host with VMs as (class offset from the probe's,
     recycling); by default each is recycling one class above the probe."""
     pool = ladder()
-    cache = CountingCache()
-    sched = NilasScheduler(model, cache) if algo == "nilas" else LavaScheduler(model, cache)
-    probe = make_vm(1, (1000, 1024), 1000.0)
+    sched = SCHEDULERS[algo](model)
+    sched.cache = cache = CountingCache()
+    probe = make_vm(1, (1000, 1024), probe_exit)
     if algo == "lava":
         probe_class = lifetime_class(model.remaining(probe, 0.0))
         for host in pool.hosts.values():
@@ -367,6 +373,17 @@ def test_lava_skips_the_cache_below_its_best_tier():
     classes[1] = (0, False)
     assert ladder_asks("lava", OracleModel(), classes) == (1, {0: 1, 1: 1})
     assert ladder_asks("lava", TimedOracle(), classes) == (1, {hid: 1 for hid in range(6)})
+
+
+@pytest.mark.parametrize("model", [OracleModel(), TimedOracle()], ids=["oracle", "timed"])
+def test_la_binary_stops_under_every_model(model):
+    """LA-Binary's model is ``OneShotModel``, time-invariant whatever it
+    wraps.  Every ladder host with VMs is Long.  A long-lived probe finds
+    its class on host 0, the tightest, so the walk stops there and asks the
+    cache about that host alone; a short-lived one matches no host, so the
+    walk scores, and asks about, all six."""
+    assert ladder_asks("la-binary", model, probe_exit=400_000.0) == (0, {0: 1})
+    assert ladder_asks("la-binary", model) == (0, {hid: 1 for hid in range(6)})
 
 
 @settings(deadline=None, max_examples=150)

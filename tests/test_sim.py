@@ -227,9 +227,11 @@ class TestWarmup:
 
     @pytest.mark.parametrize("algo", ["lava", "la-binary"])
     def test_warmup_placements_are_predicted_at_creation(self, algo):
-        """A VM Best Fit places in warm-up gets the LAVA class or LA-Binary
-        one-shot exit of its prediction at creation, as if the active
-        scheduler had placed it."""
+        """A VM Best Fit places in warm-up gets the LAVA class of its
+        prediction at creation, as if LAVA had placed it.  LA-Binary fills
+        no field at placement: its one-shot exit is computed when a host's
+        exit is first asked for, and after the run each one filled is the
+        prediction at creation."""
         trace = generate(GeneratorConfig(num_vms=600, seed=3))
         model = make_predictor("noisy:0.5", seed=3)
         sim = Simulator(trace, 8, ResourceVec(16000, 65536), algo, model,
@@ -243,12 +245,16 @@ class TestWarmup:
         sim.active.after_place = recording
         sim.run()
         assert len(placed) > 100
-        for vm, klass, one_shot in placed:
+        for vm, klass, exit_at_placement in placed:
             remaining = model.remaining(vm, vm.create_time)
             if algo == "lava":
                 assert klass == lifetime_class(remaining), vm.id
             else:
-                assert one_shot == vm.create_time + remaining, vm.id
+                assert exit_at_placement is None, vm.id
+                if vm.initial_predicted_exit is not None:
+                    assert vm.initial_predicted_exit == vm.create_time + remaining, vm.id
+        if algo == "la-binary":  # 41 of the 313 on this trace
+            assert sum(vm.initial_predicted_exit is not None for vm, _, _ in placed) > 20
 
 
 def test_lava_predicts_each_arrival_once():
