@@ -34,6 +34,6 @@ from .sim import (
     inflation_stranding,
     metrics_snapshot,
 )
-from .workload import GeneratorConfig, TraceRecord, generate, parse_trace, split
+from .workload import GeneratorConfig, TraceRecord, generate, parse_trace, split, vm_terms
 
 __version__ = "0.1.0"

@@ -175,19 +175,31 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _map(worker, payloads: list, jobs: int) -> list:
-    """``[worker(p) for p in payloads]``, in ``jobs`` processes if ``jobs > 1``."""
+# the trace of a ``_replay_all`` worker process, set when the process starts
+_worker_trace: Sequence = ()
+
+
+def _set_worker_trace(trace: Sequence) -> None:
+    global _worker_trace
+    _worker_trace = trace
+
+
+def _replay(run: tuple, trace: Optional[Sequence] = None) -> Dict:
+    """The summary of replaying ``trace``, by default the worker's, under
+    ``(algorithm, predictor spec, configs, seed)``."""
+    algo, predictor, configs, seed = run
+    return run_one(_worker_trace if trace is None else trace, algo, predictor, *configs,
+                   seed=seed).summary
+
+
+def _replay_all(trace_path: str, runs: list, jobs: int) -> list:
+    """``_replay`` of each run on the trace at ``trace_path``, parsed once,
+    in ``jobs`` processes if ``jobs > 1``."""
+    trace = parse_trace(trace_path)
     if jobs <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-        return list(pool_exec.map(worker, payloads))
-
-
-def _replay_worker(payload):
-    """Replay ``(trace path, algorithm, predictor spec, configs, seed)``; the
-    summary."""
-    trace_path, algo, predictor, configs, seed = payload
-    return run_one(parse_trace(trace_path), algo, predictor, *configs, seed=seed).summary
+        return [_replay(run, trace) for run in runs]
+    with ProcessPoolExecutor(jobs, initializer=_set_worker_trace, initargs=(trace,)) as pool_exec:
+        return list(pool_exec.map(_replay, runs))
 
 
 def cmd_compare(args) -> int:
@@ -197,8 +209,8 @@ def cmd_compare(args) -> int:
     for algo in args.algos:
         check_algorithm(algo)
     configs = resolve_configs(load_config(args.config), args)
-    payloads = [(args.trace, algo, args.predictor, configs, args.seed) for algo in args.algos]
-    results = dict(zip(args.algos, _map(_replay_worker, payloads, args.jobs)))
+    runs = [(algo, args.predictor, configs, args.seed) for algo in args.algos]
+    results = dict(zip(args.algos, _replay_all(args.trace, runs, args.jobs)))
     base = results[args.algos[0]]["avg_empty_hosts_pct"]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "comparison.csv")
@@ -235,9 +247,9 @@ def cmd_sweep_accuracy(args) -> int:
     configs = resolve_configs(load_config(args.config), args)
     cells = [(algo, acc, seed) for algo in args.algos for acc in grid
              for seed in range(args.seed, args.seed + args.num_seeds)]
-    payloads = [(args.trace, algo, f"noisy:{acc}", configs, seed) for algo, acc, seed in cells]
-    payloads.append((args.trace, "baseline", "oracle", configs, args.seed))
-    summaries = _map(_replay_worker, payloads, args.jobs)
+    runs = [(algo, f"noisy:{acc}", configs, seed) for algo, acc, seed in cells]
+    runs.append(("baseline", "oracle", configs, args.seed))
+    summaries = _replay_all(args.trace, runs, args.jobs)
     baseline_pct = summaries.pop()["avg_empty_hosts_pct"]
     rows = sorted(cell + (s["avg_empty_hosts_pct"],) for cell, s in zip(cells, summaries))
     os.makedirs(args.out, exist_ok=True)

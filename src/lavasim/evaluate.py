@@ -38,7 +38,7 @@ def uptime_quantile_f1(model, records: Sequence[TraceRecord],
         pairs = []
         for rec in records:
             uptime = q / quantiles * rec.lifetime_s
-            remaining = model.predict_remaining(rec.feature_vec(), uptime)
+            remaining = model.predict_remaining(rec.features, uptime)
             pairs.append((rec.lifetime_s >= threshold_s,
                           uptime + remaining >= threshold_s))
         scores.append(binary_metrics(pairs)["f1"])
@@ -59,7 +59,7 @@ def model_report(model, records: Sequence[TraceRecord],
     pairs = []
     errors = []
     for rec in records:
-        pred_total = model.predict_remaining(rec.feature_vec(), 0.0)
+        pred_total = model.predict_remaining(rec.features, 0.0)
         pairs.append((rec.lifetime_s >= threshold_s, pred_total >= threshold_s))
         if pred_total > 0 and rec.lifetime_s > 0:
             errors.append(log_error(pred_total, rec.lifetime_s))

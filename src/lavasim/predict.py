@@ -297,16 +297,16 @@ class EmpiricalLifetimeModel:
 
     def remaining(self, vm: VmRecord, now: float) -> float:
         """``predict_remaining(vm.features, vm.uptime(now))``, with the curve
-        resolved once per ``FeatureVec`` object rather than per call: the
-        simulator hands every VM of one record key the same vector
-        (``workload.shared_terms``), so a reprediction is one dict hit and
-        one bisect."""
+        resolved once per ``FeatureVec`` object rather than per call: every
+        VM of one record key gets its record's vector, one per key and trace
+        (``workload.vm_terms``), so a reprediction is one dict hit and one
+        bisect."""
         features = vm.features
         entry = self._curves.get(id(features))
         if entry is None:
             curve = self._curve(features)
             if len(self._curves) >= self.CURVE_MEMO_MAX:
-                # each new simulator shares new vectors, so a model replayed
+                # each new trace brings new vectors, so a model replayed
                 # over many traces would otherwise hold every one of them
                 self._curves.clear()
             entry = self._curves[id(features)] = (

@@ -47,9 +47,8 @@ from operator import attrgetter, itemgetter
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
-from .predict import FeatureVec
 from .sched import BestFitScheduler, LavaConfig, NilasConfig, Scheduler, best_host, make_scheduler
-from .workload import TraceRecord, shared_terms
+from .workload import TraceRecord
 
 
 class TraceNotSorted(Exception):
@@ -254,8 +253,6 @@ class Simulator:
         t0 = trace[0].create_time_s if trace else 0.0
         self._measure_start = t0 + cfg.warmup_s if cfg.warmup else t0
         self._stranded: Optional[Tuple[float, float]] = None
-        # the (shape, features) the VMs of one record key share (shared_terms)
-        self._arrival_terms: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
         self._series: List[Tuple[float, float, float, float, int, float, float]] = []
         # the VMs queued for migration; those in flight are ``pool.incoming``
         self._mig_queue: Deque[int] = deque()
@@ -389,9 +386,8 @@ class Simulator:
         return used_c / cap_c, used_m / cap_m
 
     def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
-        shape, features = shared_terms(rec, self._arrival_terms)
         create = rec.create_time_s
-        vm = VmRecord(rec.vm_id, shape, features, create, create + rec.lifetime_s)
+        vm = VmRecord(rec.vm_id, rec.shape, rec.features, create, create + rec.lifetime_s)
         active, pool = self.active, self.pool
         selector = self.warmup_sched if now < self._measure_start else active
         host_id = selector.select_host(vm, pool, now)
@@ -525,7 +521,9 @@ class Simulator:
 
 def trace_shape_mix(trace: Sequence[TraceRecord]) -> List[Tuple[ResourceVec, float]]:
     """Each distinct shape of ``trace`` with its number of VMs, by (CPU, memory)."""
-    counts = Counter(zip(map(attrgetter("cpu_m"), trace), map(attrgetter("mem_mib"), trace)))
+    # pairs of ints: hashing a ResourceVec would call Python once per record
+    counts = Counter(zip(map(attrgetter("shape.cpu_m"), trace),
+                         map(attrgetter("shape.mem_mib"), trace)))
     return [(ResourceVec(cpu_m, mem_mib), n) for (cpu_m, mem_mib), n in sorted(counts.items())]
 
 

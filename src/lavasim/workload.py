@@ -12,8 +12,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import attrgetter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Iterable, List, Sequence, Tuple
 
 from .core import ResourceVec
 from .predict import FeatureVec
@@ -33,78 +33,71 @@ class DuplicateId(ParseError):
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
+    """One VM of a trace.  The parser and the generator give the records of
+    one resources-and-features key one shared pair from ``vm_terms``."""
+
     vm_id: int
     create_time_s: int
     lifetime_s: int
-    cpu_m: int
-    mem_mib: int
-    zone: str = "z0"
-    vm_family: str = "default"
-    vm_category: str = ""
-    has_ssd: bool = False
-    priority: str = "standard"
-    provisioning_model: bool = False
-
-    def shape(self) -> ResourceVec:
-        return ResourceVec(self.cpu_m, self.mem_mib)
+    shape: ResourceVec
+    features: FeatureVec
 
     @property
-    def vm_shape_key(self) -> str:
-        return f"{self.cpu_m}x{self.mem_mib}"
-
-    def feature_vec(self) -> FeatureVec:
-        return FeatureVec(zone=self.zone, vm_family=self.vm_family,
-                          vm_shape_key=self.vm_shape_key, vm_category=self.vm_category,
-                          has_ssd=self.has_ssd, priority=self.priority,
-                          provisioning_model=self.provisioning_model)
+    def cpu_m(self) -> int:
+        return self.shape.cpu_m
 
 
-# (name, default, slot setter) per field of TraceRecord, in field order.  The
-# setter is the slot's descriptor ``__set__``: it skips the frozen
-# ``__setattr__``, which ``__init__`` pays through ``object.__setattr__``
-# once per field.
-_SLOTS = tuple((f.name, f.default, getattr(TraceRecord, f.name).__set__)
-               for f in dataclasses.fields(TraceRecord))
+def vm_terms(cpu_m: int, mem_mib: int, **features) -> Tuple[ResourceVec, FeatureVec]:
+    """The ``(shape, features)`` of a VM of ``cpu_m`` milli-cores and ``mem_mib``
+    MiB; ``features`` are ``FeatureVec`` fields, all but the shape key."""
+    return (ResourceVec(cpu_m, mem_mib),
+            FeatureVec(vm_shape_key=f"{cpu_m}x{mem_mib}", **features))
 
 
-def _build_records(n: int, columns: Dict[str, Iterable]) -> List[TraceRecord]:
-    """``n`` records whose field ``name`` in record ``i`` is the ``i``-th value
-    of ``columns[name]``, which holds ``n`` values, or the field's default
-    where ``columns`` has no ``name``.  Equal to ``TraceRecord(**fields)`` for
-    each row, but filled one slot column at a time, with no Python-level
-    step per value."""
+# the slot setter of each TraceRecord field, in field order: the slot's
+# descriptor ``__set__`` skips the frozen ``__setattr__``, which ``__init__``
+# pays through ``object.__setattr__`` once per field
+_SETTERS = tuple(getattr(TraceRecord, f.name).__set__ for f in dataclasses.fields(TraceRecord))
+
+
+def _build_records(n: int, *columns: Iterable) -> List[TraceRecord]:
+    """``n`` records whose ``j``-th field in record ``i`` is the ``i``-th value
+    of ``columns[j]``.  Equal to ``TraceRecord(*fields)`` for each row, but
+    filled one slot column at a time, with no Python-level step per value."""
     records = list(map(object.__new__, repeat(TraceRecord, n)))
-    for name, default, set_slot in _SLOTS:
-        column = columns.get(name)
-        if column is None:
-            if default is dataclasses.MISSING:
-                raise TypeError(f"no column for TraceRecord field {name!r}")
-            column = repeat(default)
+    for set_slot, column in zip(_SETTERS, columns, strict=True):
         deque(map(set_slot, records, column), maxlen=0)
     return records
 
 
-def shared_terms(rec: TraceRecord, table: Dict[tuple, Tuple[ResourceVec, FeatureVec]]
-                 ) -> Tuple[ResourceVec, FeatureVec]:
-    """``rec``'s ``(shape(), feature_vec())``, one pair per distinct resources
-    and features in ``table``, which the caller owns.  Both classes are
-    frozen, so every record of one key shares them."""
-    key = (rec.cpu_m, rec.mem_mib, rec.zone, rec.vm_family, rec.vm_category,
-           rec.has_ssd, rec.priority, rec.provisioning_model)
-    terms = table.get(key)
-    if terms is None:
-        terms = table[key] = (rec.shape(), rec.feature_vec())
-    return terms
-
-
 def serialize_trace(records: Sequence[TraceRecord]) -> str:
     lines = ["\t".join(TRACE_COLUMNS)]
+    tails = {}  # (id(shape), id(features)) -> the last nine columns of their rows
     for r in records:
-        lines.append("\t".join((
-            str(r.vm_id), str(r.create_time_s), str(r.lifetime_s), str(r.cpu_m),
-            str(r.mem_mib), r.zone, r.vm_family, r.vm_shape_key, r.vm_category,
-            "1" if r.has_ssd else "0", r.priority, "1" if r.provisioning_model else "0")))
+        s, f = r.shape, r.features
+        tail = tails.get((id(s), id(f)))
+        if tail is None:
+            tail = tails[id(s), id(f)] = "\t".join((
+                str(s.cpu_m), str(s.mem_mib), f.zone, f.vm_family, f"{s.cpu_m}x{s.mem_mib}",
+                f.vm_category, "1" if f.has_ssd else "0", f.priority,
+                "1" if f.provisioning_model else "0"))
+        lines.append(f"{r.vm_id}\t{r.create_time_s}\t{r.lifetime_s}\t{tail}")
     return "\n".join(lines) + "\n"
+
+
+def _key_terms(lineno: int, tail: str, cpu_m: int, mem_mib: int) -> Tuple[ResourceVec, FeatureVec]:
+    """The ``(shape, features)`` of a row whose last nine columns are
+    ``tail``, once its shape key and boolean columns are checked."""
+    _, _, zone, family, shape_key, category, has_ssd, priority, provisioning = tail.split("\t")
+    expected_key = f"{cpu_m}x{mem_mib}"
+    if shape_key != expected_key:
+        raise ParseError(f"line {lineno}: shape key {shape_key!r} != {expected_key!r}")
+    for name, text in (("has_ssd", has_ssd), ("provisioning_model", provisioning)):
+        if text != "0" and text != "1":
+            raise ParseError(f"line {lineno}: {name} must be 0 or 1, got {text!r}")
+    return vm_terms(cpu_m, mem_mib, zone=zone, vm_family=family, vm_category=category,
+                    has_ssd=has_ssd == "1", priority=priority,
+                    provisioning_model=provisioning == "1")
 
 
 def parse_trace_text(text: str) -> List[TraceRecord]:
@@ -113,48 +106,46 @@ def parse_trace_text(text: str) -> List[TraceRecord]:
         raise ParseError("line 1: bad or missing trace header")
     values = []  # every row's fields in TraceRecord field order, row after row
     seen = set()
-    # Repeated values share one object: ``share`` returns the first copy of
-    # each string, and rows take their ints from ``shapes``, so each shape
-    # key is checked once (and again for a row whose ints differ from it).
-    share = {}.setdefault
-    shapes = {}  # vm_shape_key -> (cpu_m, mem_mib)
+    # The raw text of a row's last nine columns -> its (shape, features).  A
+    # key is checked on its first row only: a row that repeats a known key
+    # can fail only in its first three columns or as a duplicate id.  A row
+    # with several faults reports the one a check of every row would.
+    terms_by_key = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != len(TRACE_COLUMNS):
-            raise ParseError(f"line {lineno}: expected {len(TRACE_COLUMNS)} columns, got {len(cols)}")
+        columns = line.count("\t") + 1
+        if columns != len(TRACE_COLUMNS):
+            if not line.strip():
+                continue
+            raise ParseError(f"line {lineno}: expected {len(TRACE_COLUMNS)} columns, got {columns}")
+        id_text, create_text, lifetime_text, tail = line.split("\t", 3)
+        terms = terms_by_key.get(tail)
         try:
-            vm_id = int(cols[0])
-            create = int(cols[1])
-            lifetime = int(cols[2])
-            cpu_m = int(cols[3])
-            mem_mib = int(cols[4])
+            vm_id, create, lifetime = int(id_text), int(create_text), int(lifetime_text)
+            if terms is None:
+                cpu_text, mem_text, _ = tail.split("\t", 2)
+                cpu_m, mem_mib = int(cpu_text), int(mem_text)
         except ValueError as exc:
+            if not line.strip():  # whitespace and eleven tabs
+                continue
             raise ParseError(f"line {lineno}: {exc}") from None
         if lifetime <= 0:
             raise ParseError(f"line {lineno}: lifetime must be positive, got {lifetime}")
-        if cpu_m < 0 or mem_mib < 0:
-            raise ParseError(f"line {lineno}: negative resources")
-        if not cpu_m and not mem_mib:
-            raise ParseError(f"line {lineno}: zero shape (no CPU and no memory)")
+        if terms is None:
+            if cpu_m < 0 or mem_mib < 0:
+                raise ParseError(f"line {lineno}: negative resources")
+            if not cpu_m and not mem_mib:
+                raise ParseError(f"line {lineno}: zero shape (no CPU and no memory)")
         if vm_id in seen:
             raise DuplicateId(f"line {lineno}: duplicate vm id {vm_id}")
         seen.add(vm_id)
-        shape = shapes.get(cols[7])
-        if shape != (cpu_m, mem_mib):
-            expected_key = f"{cpu_m}x{mem_mib}"
-            if cols[7] != expected_key:
-                raise ParseError(f"line {lineno}: shape key {cols[7]!r} != {expected_key!r}")
-            shape = shapes[cols[7]] = (cpu_m, mem_mib)
-        cpu_m, mem_mib = shape
-        values += (vm_id, create, lifetime, cpu_m, mem_mib, share(cols[5], cols[5]),
-                   share(cols[6], cols[6]), share(cols[8], cols[8]), cols[9] == "1",
-                   share(cols[10], cols[10]), cols[11] == "1")
+        if terms is None:
+            terms = terms_by_key[tail] = _key_terms(lineno, tail, cpu_m, mem_mib)
+        values += (vm_id, create, lifetime)
+        values += terms
     del lines  # freed before the records are built, to lower peak memory
-    width = len(_SLOTS)
-    records = _build_records(len(values) // width, {
-        name: islice(values, i, None, width) for i, (name, _, _) in enumerate(_SLOTS)})
+    width = len(_SETTERS)
+    records = _build_records(len(values) // width,
+                             *(islice(values, i, None, width) for i in range(width)))
     # by (create time, vm id): both sorts are stable, and their int keys
     # allocate nothing the garbage collector tracks
     records.sort(key=attrgetter("vm_id"))
@@ -220,26 +211,26 @@ def generate(cfg: GeneratorConfig) -> List[TraceRecord]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_vms
     gaps = rng.exponential(3600.0 / cfg.arrival_rate_per_h, size=n)
-    # the draws as Python lists: indexing numpy scalars one at a time is slow
+    # a Python list: indexing numpy scalars one at a time is slow
     arrivals = np.floor(np.cumsum(gaps)).astype(np.int64).tolist()
-    stratum_idx = rng.choice(len(cfg.strata), size=n,
-                             p=[s.weight for s in cfg.strata]).tolist()
-    normals = rng.standard_normal(n).tolist()
+    stratum_idx = rng.choice(len(cfg.strata), size=n, p=[s.weight for s in cfg.strata])
+    normals = rng.standard_normal(n)
     shape_idx = rng.choice(len(cfg.shape_catalog), size=n,
-                           p=[w for _, _, w in cfg.shape_catalog]).tolist()
-    strata = [(s.mu_log10_h, s.sigma_log10_h) for s in cfg.strata]
-    lifetimes = []
-    for k, z in zip(stratum_idx, normals):
-        mu, sigma = strata[k]
-        lifetime_h = 10.0 ** (mu + sigma * z)
-        lifetimes.append(max(int(round(lifetime_h * 3600.0)), 1))
-    cpus = [cpu_m for cpu_m, _, _ in cfg.shape_catalog]
-    mems = [mem_mib for _, mem_mib, _ in cfg.shape_catalog]
-    families = [s.family for s in cfg.strata]
-    return _build_records(n, {
-        "vm_id": range(n), "create_time_s": arrivals, "lifetime_s": lifetimes,
-        "cpu_m": map(cpus.__getitem__, shape_idx), "mem_mib": map(mems.__getitem__, shape_idx),
-        "zone": repeat(cfg.zone), "vm_family": map(families.__getitem__, stratum_idx)})
+                           p=[w for _, _, w in cfg.shape_catalog])
+    mu, sigma = np.array([(s.mu_log10_h, s.sigma_log10_h) for s in cfg.strata])[stratum_idx].T
+    # Python's float pow, not numpy's vector pow, whose last bit may depend
+    # on the CPU; rint rounds half to even, as round does
+    hours = np.fromiter(map(pow, repeat(10.0), (mu + sigma * normals).tolist()), float, n)
+    lifetimes = np.maximum(np.rint(hours * 3600.0), 1.0).astype(np.int64).tolist()
+    # one (shape, features) per distinct shape and family, at index
+    # shape * len(strata) + stratum
+    terms = {}
+    table = [terms.setdefault((cpu_m, mem_mib, s.family),
+                              vm_terms(cpu_m, mem_mib, zone=cfg.zone, vm_family=s.family))
+             for cpu_m, mem_mib, _ in cfg.shape_catalog for s in cfg.strata]
+    rows = list(map(table.__getitem__, (shape_idx * len(cfg.strata) + stratum_idx).tolist()))
+    return _build_records(n, range(n), arrivals, lifetimes,
+                          map(itemgetter(0), rows), map(itemgetter(1), rows))
 
 
 def bimodal_config(num_vms: int = 20_000, seed: int = 0,
@@ -267,7 +258,5 @@ def split(records: Sequence[TraceRecord], train_frac: float
 
 
 def training_examples(records: Sequence[TraceRecord]) -> List[Tuple[FeatureVec, float]]:
-    """``(features, lifetime)`` per record; records of one key share one
-    ``FeatureVec`` (``shared_terms``)."""
-    table: Dict[tuple, Tuple[ResourceVec, FeatureVec]] = {}
-    return [(shared_terms(r, table)[1], float(r.lifetime_s)) for r in records]
+    """``(features, lifetime)`` per record."""
+    return [(r.features, float(r.lifetime_s)) for r in records]

@@ -116,8 +116,8 @@ def time_averaged_bound_pct(trace):
     over whole-host capacities, averaged over the sampling grid."""
     events = []
     for r in trace:
-        events.append((r.create_time_s, r.cpu_m, r.mem_mib))
-        events.append((r.create_time_s + r.lifetime_s, -r.cpu_m, -r.mem_mib))
+        events.append((r.create_time_s, r.cpu_m, r.shape.mem_mib))
+        events.append((r.create_time_s + r.lifetime_s, -r.cpu_m, -r.shape.mem_mib))
     events.sort()
     total_cpu, total_mem = HOSTS * CAPACITY.cpu_m, HOSTS * CAPACITY.mem_mib
     t = trace[0].create_time_s
@@ -284,9 +284,9 @@ class TestConditionalExpectationOracle:
         records = generate(GeneratorConfig(num_vms=4000, seed=6))
         model = EmpiricalLifetimeModel(min_count=1).fit(training_examples(records))
         rec = records[0]
-        fv = rec.feature_vec()
+        fv = rec.features
         key = model._collapse(fv)
-        stratum = [r for r in records if model._collapse(r.feature_vec()) == key]
+        stratum = [r for r in records if model._collapse(r.features) == key]
         for uptime_h in (0.0, 0.5, 2.0, 20.0):
             uptime = uptime_h * 3600.0
             # apply the model's own rounding/cap to the raw lifetimes

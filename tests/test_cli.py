@@ -14,7 +14,7 @@ from lavasim import cli
 from lavasim.cli import CONFIG_KEYS, PoolConfig, main
 from lavasim.sched import LavaConfig, NilasConfig
 from lavasim.sim import DefragConfig, SimConfig
-from lavasim.workload import TraceRecord, write_trace
+from lavasim.workload import TraceRecord, parse_trace, vm_terms, write_trace
 
 CONFIG_INI = """\
 [pool]
@@ -169,7 +169,6 @@ class TestRun:
               "--algo", "nilas", "--cold-start", "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["sim"]["warmup"] is False
-        from lavasim.workload import parse_trace
         assert summary["measure_start_s"] == parse_trace(trace_path)[0].create_time_s
 
 
@@ -195,6 +194,27 @@ class TestCompare:
             assert rc == 0
             outs[jobs] = (out / "comparison.csv").read_bytes()
         assert outs["1"] == outs["2"]
+
+    def test_parses_the_trace_once(self, trace_path, config_path, tmp_path, monkeypatch):
+        """Three replays on one parse, each equal to the replay run alone."""
+        parses = []
+
+        def counting_parse(path):
+            parses.append(path)
+            return parse_trace(path)
+        monkeypatch.setattr(cli, "parse_trace", counting_parse)
+        algos = ["baseline", "nilas", "lava"]
+        out = tmp_path / "cmp"
+        assert main(["compare", "--trace", trace_path, "--config", config_path,
+                     "--algos"] + algos + ["--out", str(out)]) == 0
+        assert parses == [trace_path]
+        rows = (out / "comparison.csv").read_text().splitlines()[2:]
+        for algo, row in zip(algos, rows):
+            alone = tmp_path / algo
+            assert main(["run", "--trace", trace_path, "--config", config_path,
+                         "--algo", algo, "--out", str(alone)]) == 0
+            summary = json.loads((alone / "summary.json").read_text())
+            assert row.split(",")[:2] == [algo, f"{summary['avg_empty_hosts_pct']:.6f}"]
 
     def test_needs_two_algorithms(self, trace_path, tmp_path):
         rc = main(["compare", "--trace", trace_path, "--algos", "nilas",
@@ -465,8 +485,7 @@ class TestConfigFile:
 
     def test_zero_shape_trace_exits_2(self, tmp_path, capsys):
         trace = tmp_path / "zero.tsv"
-        write_trace([TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600,
-                                 cpu_m=0, mem_mib=0)], trace)
+        write_trace([TraceRecord(0, 0, 600, *vm_terms(0, 0))], trace)
         rc = main(["run", "--trace", str(trace), "--algo", "nilas",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -477,9 +496,25 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_duplicate_vm_id_exits_2(self, tmp_path, capsys, command):
         trace = tmp_path / "dup.tsv"
-        write_trace([TraceRecord(vm_id=1, create_time_s=t, lifetime_s=600,
-                                 cpu_m=1000, mem_mib=4096) for t in (0, 60)], trace)
+        write_trace([TraceRecord(1, t, 600, *vm_terms(1000, 4096)) for t in (0, 60)], trace)
         args = ["--algo", "nilas"] if command == "run" else []
         out = tmp_path / "x"
         rc = main([command, "--trace", str(trace), "--out", str(out)] + args)
         _expect_one_line_exit_2(rc, capsys, out, "error: line 3: duplicate vm id 1\n")
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize("column, text", [("has_ssd", "yes"), ("provisioning_model", "true")])
+    def test_boolean_column_not_0_or_1_exits_2(self, tmp_path, capsys, command, column, text):
+        """Any text but 0 or 1 would silently read as false and move the VM
+        to another stratum of the empirical model."""
+        trace = tmp_path / "bool.tsv"
+        write_trace([TraceRecord(0, 0, 600, *vm_terms(1000, 4096))], trace)
+        header, row = trace.read_text().splitlines()
+        cols = row.split("\t")
+        cols[header.split("\t").index(column)] = text
+        trace.write_text("\n".join((header, "\t".join(cols))) + "\n")
+        args = ["--algo", "nilas"] if command == "run" else []
+        out = tmp_path / "x"
+        rc = main([command, "--trace", str(trace), "--out", str(out)] + args)
+        _expect_one_line_exit_2(rc, capsys, out,
+                                f"error: line 2: {column} must be 0 or 1, got {text!r}\n")

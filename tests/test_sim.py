@@ -29,7 +29,7 @@ from lavasim.sim import (
     order_evacuation,
     trace_shape_mix,
 )
-from lavasim.workload import GeneratorConfig, TraceRecord, generate
+from lavasim.workload import GeneratorConfig, TraceRecord, generate, vm_terms
 
 CAP = ResourceVec(1000, 4096)
 
@@ -40,8 +40,7 @@ def make_vm(vm_id, shape, create=0.0, exit_time=100.0):
 
 
 def rec(vm_id, create_s, life_s, cpu=1000, mem=4096):
-    return TraceRecord(vm_id=vm_id, create_time_s=create_s, lifetime_s=life_s,
-                       cpu_m=cpu, mem_mib=mem)
+    return TraceRecord(vm_id, create_s, life_s, *vm_terms(cpu, mem))
 
 
 class TestMetricsSnapshot:
@@ -181,26 +180,6 @@ class Recording(OracleModel):
         return super().remaining(vm, now)
 
 
-class TestSharedArrivalTerms:
-    def test_each_key_field_separates(self):
-        """Each record differs from the first in one of the fields that
-        decide a VM's shape and features; every VM still gets its own."""
-        base = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=5000, cpu_m=1000,
-                           mem_mib=2048)
-        changes = [("cpu_m", 2000), ("mem_mib", 4096), ("zone", "z1"), ("vm_family", "f1"),
-                   ("vm_category", "c1"), ("has_ssd", True), ("priority", "spot"),
-                   ("provisioning_model", True)]
-        trace = [base] + [dataclasses.replace(base, vm_id=i, create_time_s=10 * i, **{f: v})
-                          for i, (f, v) in enumerate(changes, 1)]
-        trace.append(dataclasses.replace(base, vm_id=len(trace), create_time_s=100))
-        model = Recording()
-        Simulator(trace, 4, ResourceVec(8000, 32_768), "lava", model,
-                  cfg=SimConfig(warmup=False)).run()
-        assert sorted(model.seen) == [r.vm_id for r in trace]
-        for r in trace:
-            assert model.seen[r.vm_id] == (r.feature_vec(), r.shape())
-
-
 class TestWarmup:
     def test_warmup_placements_use_baseline(self):
         trace = [rec(0, 0, 7200), rec(1, 4000, 7200)]
@@ -259,8 +238,9 @@ class TestWarmup:
 
 def test_lava_predicts_each_arrival_once():
     """LAVA's class and its temporal cost come from one ``remaining`` call
-    per placement decision.  The arrival times are distinct, so no cache
-    refresh at a VM's arrival second can ask about that VM."""
+    per placement decision, on a VM that carries its record's shape and
+    features.  The arrival times are distinct, so no cache refresh at a VM's
+    arrival second can ask about that VM."""
     generated = generate(GeneratorConfig(num_vms=600, seed=3))
     trace = [r for prev, r in zip([None] + generated, generated)
              if prev is None or r.create_time_s != prev.create_time_s]
@@ -268,6 +248,8 @@ def test_lava_predicts_each_arrival_once():
     Simulator(trace, 8, ResourceVec(16000, 65536), "lava", model,
               cfg=SimConfig(warmup=False)).run()
     assert [r.vm_id for r in trace if model.calls[r.vm_id, r.create_time_s] != 1] == []
+    assert all(model.seen[r.vm_id][0] is r.features and model.seen[r.vm_id][1] is r.shape
+               for r in trace)
 
 
 class TestDeterminismAndInvariants:
@@ -375,9 +357,8 @@ def tie_traces(draw):
     trace = []
     for i, t in enumerate(times):
         cpu, mem = draw(st.sampled_from(TIE_SHAPES))
-        trace.append(TraceRecord(vm_id=i, create_time_s=t * GRID_S,
-                                 lifetime_s=draw(st.sampled_from(LIFETIMES)),
-                                 cpu_m=cpu, mem_mib=mem))
+        trace.append(TraceRecord(i, t * GRID_S, draw(st.sampled_from(LIFETIMES)),
+                                 *vm_terms(cpu, mem)))
     return trace
 
 
@@ -576,8 +557,7 @@ def prune_traces(draw):
     for i, t in enumerate(times):
         cpu, mem = draw(st.sampled_from(PRUNE_SHAPES))
         life = draw(st.sampled_from((600.0, 3000.0, 7200.0, 40_000.0, 400_000.0)))
-        trace.append(TraceRecord(vm_id=i, create_time_s=t, lifetime_s=life * draw(
-            st.floats(0.5, 2.0)), cpu_m=cpu, mem_mib=mem))
+        trace.append(TraceRecord(i, t, life * draw(st.floats(0.5, 2.0)), *vm_terms(cpu, mem)))
     return trace
 
 

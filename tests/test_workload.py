@@ -1,6 +1,7 @@
 """Trace format, parser validation, and generator statistics."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lavasim.workload import (
+    TRACE_COLUMNS,
     DuplicateId,
     GeneratorConfig,
     ParseError,
@@ -21,16 +23,34 @@ from lavasim.workload import (
     serialize_trace,
     split,
     training_examples,
+    vm_terms,
     write_trace,
 )
 
 
 def sample_records():
     return [
-        TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600, cpu_m=1000, mem_mib=4096),
-        TraceRecord(vm_id=1, create_time_s=30, lifetime_s=7200, cpu_m=2000, mem_mib=8192,
-                    vm_family="svc", vm_category="web", has_ssd=True),
+        TraceRecord(0, 0, 600, *vm_terms(1000, 4096)),
+        TraceRecord(1, 30, 7200, *vm_terms(2000, 8192, vm_family="svc", vm_category="web",
+                                           has_ssd=True)),
     ]
+
+
+def trace_text(*rows):
+    """A trace file of the header and ``rows``, each a list of column texts."""
+    return "\n".join("\t".join(row) for row in (TRACE_COLUMNS,) + rows) + "\n"
+
+
+# the column texts of a valid row, as a list to edit
+ROW = ["0", "0", "600", "1000", "2048", "z0", "default", "1000x2048", "", "0", "standard", "0"]
+
+
+def edited(row, **columns):
+    """``row`` with the named columns replaced."""
+    out = list(row)
+    for name, text in columns.items():
+        out[TRACE_COLUMNS.index(name)] = text
+    return out
 
 
 class TestSerialization:
@@ -55,11 +75,14 @@ class TestSerialization:
 
     def test_wrong_column_count(self):
         text = serialize_trace(sample_records()) + "1\t2\t3\n"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 4: expected 12 columns, got 3"):
             parse_trace_text(text)
+        # whitespace-only lines are skipped, a line of eleven tabs too
+        blank = serialize_trace(sample_records()) + "\t" * 11 + "\n \t \n\n"
+        assert parse_trace_text(blank) == sample_records()
 
     def test_nonpositive_lifetime(self):
-        rec = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=1, cpu_m=1000, mem_mib=4096)
+        rec = TraceRecord(0, 0, 1, *vm_terms(1000, 4096))
         text = serialize_trace([rec]).replace("\t1\t1000", "\t0\t1000")
         with pytest.raises(ParseError):
             parse_trace_text(text)
@@ -67,8 +90,55 @@ class TestSerialization:
     def test_duplicate_id(self):
         rec = sample_records()[0]
         text = serialize_trace([rec]) + serialize_trace([rec]).splitlines()[1] + "\n"
-        with pytest.raises(DuplicateId):
+        # the second row repeats the first row's key
+        with pytest.raises(DuplicateId, match="line 3: duplicate vm id 0"):
             parse_trace_text(text)
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"lifetime_s": "0", "mem_mib": "lots"}, "invalid literal for int() with base 10: 'lots'"),
+        ({"lifetime_s": "0", "cpu_m": "-1000"}, "lifetime must be positive, got 0"),
+        ({"cpu_m": "-1000", "mem_mib": "0"}, "negative resources"),
+        ({"vm_id": "7", "cpu_m": "0", "mem_mib": "0"}, "zero shape (no CPU and no memory)"),
+        ({"vm_id": "7", "vm_shape_key": "1x1"}, "duplicate vm id 7"),
+        ({"vm_id": "7", "zone": "z9", "lifetime_s": "-5"}, "lifetime must be positive, got -5"),
+        ({"vm_shape_key": "1x1", "has_ssd": "yes"}, "shape key '1x1' != '1000x2048'"),
+    ])
+    def test_first_fault_in_column_order(self, columns, message):
+        """A row with several faults reports the first of: ints by column,
+        lifetime, negative resources, zero shape, duplicate id, shape key."""
+        text = trace_text(edited(ROW, vm_id="7", zone="z9"), edited(ROW, **columns))
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {message}")):
+            parse_trace_text(text)
+
+    @pytest.mark.parametrize("column", ["has_ssd", "provisioning_model"])
+    @pytest.mark.parametrize("value", ["yes", "true", "", "2", " 1"])
+    def test_boolean_columns_hold_0_or_1(self, column, value):
+        """Any other text would silently read as False."""
+        message = f"line 2: {column} must be 0 or 1, got {value!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_trace_text(trace_text(edited(ROW, **{column: value})))
+        assert getattr(parse_trace_text(trace_text(edited(ROW, **{column: "1"})))[0].features,
+                       column) is True
+
+    def test_each_key_column_separates(self):
+        """A row that repeats a known row in all but one of its last nine
+        columns is checked and given terms of its own: a changed resource or
+        shape key fails the shape-key check, any other column shows in the
+        features."""
+        changes = {"cpu_m": "2000", "mem_mib": "4096", "zone": "z1", "vm_family": "f1",
+                   "vm_shape_key": "2000x2048", "vm_category": "c1", "has_ssd": "1",
+                   "priority": "spot", "provisioning_model": "1"}
+        assert tuple(changes) == TRACE_COLUMNS[3:]
+        for name, text in changes.items():
+            trace = trace_text(ROW, edited(ROW, vm_id="1", **{name: text}))
+            if name in ("cpu_m", "mem_mib", "vm_shape_key"):
+                with pytest.raises(ParseError, match="line 3: shape key"):
+                    parse_trace_text(trace)
+                continue
+            first, second = parse_trace_text(trace)
+            value = text == "1" if name in ("has_ssd", "provisioning_model") else text
+            assert second == TraceRecord(1, 0, 600, *vm_terms(1000, 2048, **{name: value}))
+            assert second.features != first.features, name
 
     def test_inconsistent_shape_key(self):
         text = serialize_trace(sample_records()).replace("1000x4096", "1000x9999", 1)
@@ -83,21 +153,28 @@ class TestSerialization:
             parse_trace_text("\n".join((header, row, other)) + "\n")
 
     def test_repeated_values_share_one_object(self):
-        rec = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600, cpu_m=3000, mem_mib=12288,
-                          zone="eu-west-1", vm_family="svc", vm_category="web",
-                          priority="batch")
+        rec = TraceRecord(0, 0, 600, *vm_terms(3000, 12288, zone="eu-west-1", vm_family="svc",
+                                               vm_category="web", priority="batch"))
         a, b = parse_trace_text(serialize_trace([rec, dataclasses.replace(rec, vm_id=1)]))
-        for name in ("cpu_m", "mem_mib", "zone", "vm_family", "vm_category", "priority"):
-            assert getattr(a, name) is getattr(b, name), name
+        assert a.shape is b.shape and a.features is b.features
+        # another text of the same ints is another key, with equal terms
+        text = serialize_trace([rec, dataclasses.replace(rec, vm_id=1)])
+        c, d = parse_trace_text(text.replace("1\t0\t600\t3000\t", "1\t0\t600\t03000\t"))
+        assert (c, d) == (rec, dataclasses.replace(rec, vm_id=1))
+        assert c.shape is not d.shape and c.features is not d.features
 
     def test_zero_shape(self):
-        rec = TraceRecord(vm_id=0, create_time_s=0, lifetime_s=600, cpu_m=0, mem_mib=0)
+        rec = TraceRecord(0, 0, 600, *vm_terms(0, 0))
         with pytest.raises(ParseError, match="line 2: zero shape"):
             parse_trace_text(serialize_trace([rec]))
 
     def test_non_integer_field(self):
         text = serialize_trace(sample_records()).replace("\t600\t", "\tsoon\t")
         with pytest.raises(ParseError):
+            parse_trace_text(text)
+        # a row that repeats a known key is still checked in its first columns
+        text = trace_text(ROW, edited(ROW, vm_id="1", create_time_s="later"))
+        with pytest.raises(ParseError, match="line 3: invalid literal .* 'later'"):
             parse_trace_text(text)
 
 
@@ -133,8 +210,25 @@ class TestGenerator:
 
     def test_families_label_strata(self):
         records = generate(GeneratorConfig(num_vms=5000, seed=1))
-        families = {r.vm_family for r in records}
+        families = {r.features.vm_family for r in records}
         assert "batch-short" in families and "service-verylong" in families
+
+    @pytest.mark.parametrize("cfg, sha256", [
+        (GeneratorConfig(num_vms=5000, seed=0),
+         "8c4659bfcb4f25050793ba35b4e3f0810516a8b4c2217bbad9a3d89b66118a59"),
+        (GeneratorConfig(num_vms=5000, seed=7),
+         "fffda0dfbbd0b4bfc4f6e8a26c2649b428d9bdbfed8f0f48539aaea05de4caf8"),
+        # the large-pool-lava benchmark's shape catalog and rate
+        (GeneratorConfig(num_vms=3000, arrival_rate_per_h=3600.0, seed=0,
+                         shape_catalog=((4000, 16384, 0.3), (8000, 32768, 0.4),
+                                        (16000, 65536, 0.3))),
+         "5f39f75dff8e2aec9ef45db92a9db9fccd88c116b946c6b0f6dc39b1be2c756b"),
+        (bimodal_config(num_vms=3000, seed=11),
+         "236d2a7d36ca7fb4b944f9f696371d72a707a43f9190f98f1741f72d3fdc6b25"),
+    ])
+    def test_trace_bytes_are_pinned(self, cfg, sha256):
+        """The trace files ``lavasim generate`` writes stay byte for byte."""
+        assert hashlib.sha256(serialize_trace(generate(cfg)).encode()).hexdigest() == sha256
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
@@ -146,7 +240,7 @@ class TestGenerator:
 
     def test_bimodal_single_family(self):
         records = generate(bimodal_config(num_vms=2000, seed=1))
-        assert {r.vm_family for r in records} == {"bimodal"}
+        assert {r.features.vm_family for r in records} == {"bimodal"}
         hours = sorted(r.lifetime_s / 3600.0 for r in records)
         # two tight modes around 1h and 200h
         assert hours[0] < 2.0 and hours[-1] > 100.0
@@ -179,8 +273,8 @@ class TestSplit:
         rows = training_examples(records)
         by_key = {}
         for r, (fv, life) in zip(records, rows):
-            assert fv == r.feature_vec() and life == float(r.lifetime_s)
-            assert by_key.setdefault(r.feature_vec(), fv) is fv
+            assert fv is r.features and life == float(r.lifetime_s)
+            assert by_key.setdefault(r.features, fv) is fv
         assert len(by_key) == len({id(fv) for fv, _ in rows}) < len(rows)
 
 
@@ -191,23 +285,26 @@ def test_serialize_parse_identity(n, seed):
     assert parse_trace_text(serialize_trace(records)) == records
 
 
-# -- records built column by column against TraceRecord(**fields) ---------
+# -- records built column by column against TraceRecord(...) ---------------
 
 FIELDS = [f.name for f in dataclasses.fields(TraceRecord)]
 
 
 def assert_built_like_init(records, expected):
     """``records`` behave like the records of ``TraceRecord.__init__`` in
-    ``expected``: equality, hash, repr, replace and the frozen check."""
+    ``expected``: equality, hash, repr, replace and the frozen check; and
+    the records of one resources-and-features key share one shape and one
+    features object."""
     assert len(records) == len(expected)
     for got, want in zip(records, expected):
         assert type(got) is TraceRecord and not hasattr(got, "__dict__")
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
         assert [getattr(got, name) for name in FIELDS] == [getattr(want, name) for name in FIELDS]
-        assert dataclasses.replace(got, lifetime_s=7, zone="zz") == \
-            dataclasses.replace(want, lifetime_s=7, zone="zz")
+        assert dataclasses.replace(got, lifetime_s=7) == dataclasses.replace(want, lifetime_s=7)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            got.zone = "elsewhere"
+            got.lifetime_s = 1
+    terms = {(r.shape, r.features) for r in records}
+    assert len({(id(r.shape), id(r.features)) for r in records}) == len(terms)
     assert serialize_trace(records) == serialize_trace(expected)
 
 
@@ -228,9 +325,8 @@ def reference_generate(cfg):
         lifetime_h = 10.0 ** (s.mu_log10_h + s.sigma_log10_h * float(normals[i]))
         cpu_m, mem_mib, _ = cfg.shape_catalog[int(shape_idx[i])]
         records.append(TraceRecord(
-            vm_id=i, create_time_s=int(arrivals[i]),
-            lifetime_s=max(int(round(lifetime_h * 3600.0)), 1),
-            cpu_m=cpu_m, mem_mib=mem_mib, zone=cfg.zone, vm_family=s.family))
+            i, int(arrivals[i]), max(int(round(lifetime_h * 3600.0)), 1),
+            *vm_terms(cpu_m, mem_mib, zone=cfg.zone, vm_family=s.family)))
     return records
 
 
@@ -247,25 +343,26 @@ LABELS = st.text(alphabet="abz0-_. ", max_size=4)
 
 
 @st.composite
-def record_fields(draw):
-    """Field dicts of records with unique ids, some sharing a create time."""
+def record_args(draw):
+    """``TraceRecord`` arguments with unique ids, some sharing a create time
+    or a resources-and-features key."""
     ids = draw(st.lists(st.integers(-50, 10**9), max_size=25, unique=True))
     rows = []
     for vm_id in ids:
-        cpu_m = draw(st.integers(0, 64_000))
-        rows.append({
-            "vm_id": vm_id, "create_time_s": draw(st.integers(0, 40)),
-            "lifetime_s": draw(st.integers(1, 10**7)), "cpu_m": cpu_m,
-            "mem_mib": draw(st.integers(0 if cpu_m else 1, 262_144)),
-            "zone": draw(LABELS), "vm_family": draw(LABELS), "vm_category": draw(LABELS),
-            "has_ssd": draw(st.booleans()), "priority": draw(LABELS),
-            "provisioning_model": draw(st.booleans())})
+        cpu_m = draw(st.sampled_from([0, 1000, 64_000]) | st.integers(0, 64_000))
+        features = {"zone": draw(LABELS), "vm_family": draw(LABELS),
+                    "vm_category": draw(LABELS), "has_ssd": draw(st.booleans()),
+                    "priority": draw(LABELS), "provisioning_model": draw(st.booleans())}
+        rows.append((vm_id, draw(st.integers(0, 40)), draw(st.integers(1, 10**7)), cpu_m,
+                     draw(st.sampled_from([4096]) | st.integers(0 if cpu_m else 1, 262_144)),
+                     features))
     return rows
 
 
 @settings(max_examples=200, deadline=None)
-@given(record_fields())
+@given(record_args())
 def test_parse_matches_per_record_construction(rows):
-    built = [TraceRecord(**fields) for fields in rows]
+    built = [TraceRecord(vm_id, create, lifetime, *vm_terms(cpu_m, mem_mib, **features))
+             for vm_id, create, lifetime, cpu_m, mem_mib, features in rows]
     expected = sorted(built, key=lambda r: (r.create_time_s, r.vm_id))
     assert_built_like_init(parse_trace_text(serialize_trace(built)), expected)
