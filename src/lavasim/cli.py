@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .core import ResourceVec
 from .defrag import compare_orderings
 from .evaluate import model_report
-from .predict import EmpiricalLifetimeModel, make_predictor
+from .predict import PREDICTOR_SPECS, EmpiricalLifetimeModel, make_predictor
 from .sched import LavaConfig, NilasConfig, check_algorithm
 from .sim import DefragConfig, RunResult, SimConfig, Simulator
 from .theorem import TheoremConfig, gap_regression, gap_vs_m, misprediction_probability
@@ -326,8 +326,9 @@ def cmd_eval_model(args) -> int:
     model = EmpiricalLifetimeModel.load(args.model)
     test = parse_trace(args.trace)
     if args.train_trace:
-        train_ids = {r.vm_id for r in parse_trace(args.train_trace)}
-        overlap = sum(1 for r in test if r.vm_id in train_ids)
+        # whole rows: generated traces all number their VMs from 0
+        train = set(parse_trace(args.train_trace))
+        overlap = sum(1 for r in test if r in train)
         if overlap:
             print(f"warning: {overlap} test VMs also appear in the training trace",
                   file=sys.stderr)
@@ -355,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--cold-start", action="store_true")
         if predictor:
-            sp.add_argument("--predictor", default="oracle",
-                            help="oracle | noisy:<acc> | empirical:<model-file>")
+            sp.add_argument("--predictor", default="oracle", help=PREDICTOR_SPECS)
 
     sp = sub.add_parser("generate", help="generate a synthetic trace")
     sp.add_argument("--num-vms", type=int, default=20_000)

@@ -86,8 +86,8 @@ def lifetime_class(remaining_s: float) -> LifetimeClass:
 class OracleModel:
     """Perfect predictor; reads the ground-truth exit time."""
 
-    # a VM's predicted exit never moves, so host scores only change on
-    # membership changes and the cache can skip interval-based refreshes
+    # a VM's predicted exit never moves, so ``PredictionCache`` needs no
+    # time grid for it
     time_invariant = True
 
     def remaining(self, vm: VmRecord, now: float) -> float:
@@ -430,13 +430,18 @@ class EmpiricalLifetimeModel:
 
 @dataclass
 class PredictionCache:
-    """Caches each host's exit-time score between membership changes.
+    """Caches each host's latest predicted exit on a fixed time grid.
 
-    A cached score is dropped when a VM is placed on or removed from the
-    host, when the cached exit time passes, or after the refresh interval.
+    An entry is a pure function of the host's residents and the grid cell
+    ``now // grid_s``: a fill predicts each resident at the later of the
+    cell's start and its creation, ``t``, and stores the latest
+    ``t + model.remaining(vm, t)``, which lookups in the same cell reuse.
+    A lookup answers ``max(now, stored)``.  Placements and exits invalidate
+    the host's entry; an infinite ``grid_s`` has one cell, so ``t`` is the
+    VM's creation.
     """
 
-    refresh_interval_s: float = 60.0
+    grid_s: float = 60.0
     _entries: Dict[int, Tuple[float, float]] = field(default_factory=dict)
 
     def invalidate(self, host_id: int) -> None:
@@ -446,30 +451,43 @@ class PredictionCache:
         resident = host.vms
         if not resident:
             raise EmptyHost(f"host {host.id} has no resident VMs")
+        grid = self.grid_s
+        start = now - now % grid if grid < math.inf else -math.inf
         entry = self._entries.get(host.id)
         if entry is not None:
-            cached_exit, refreshed_at = entry
-            if cached_exit > now and now - refreshed_at < self.refresh_interval_s:
-                return cached_exit
-        # max(now + remaining) over the residents, one remaining() call each;
-        # a plain loop, as a comprehension costs a function call per refresh
+            latest, cell_start = entry
+            if cell_start == start:
+                return latest if latest > now else now
+        # one remaining() call per resident; a plain loop, as a
+        # comprehension costs a function call per fill
         vms = pool.vms
-        exit_time = None
+        latest = -math.inf
         for vid in resident:
-            t = now + model.remaining(vms[vid], now)
-            if exit_time is None or t > exit_time:
-                exit_time = t
-        self._entries[host.id] = (exit_time, now)
-        return exit_time
+            vm = vms[vid]
+            t = vm.create_time
+            if t < start:
+                t = start
+            t += model.remaining(vm, t)
+            if t > latest:
+                latest = t
+        self._entries[host.id] = (latest, start)
+        return latest if latest > now else now
+
+
+PREDICTOR_SPECS = "oracle, noisy:<accuracy in [0,1]> or empirical:<model file>"
 
 
 def make_predictor(spec: str, seed: int = 0):
-    """Build a predictor from a CLI spec: oracle | noisy:<acc> | empirical:<path>."""
+    """Build a predictor from a CLI spec, one of ``PREDICTOR_SPECS``; any
+    other spec raises ``ValueError`` naming it and the accepted forms."""
+    kind, _, arg = spec.partition(":")
     if spec == "oracle":
         return OracleModel()
-    if spec.startswith("noisy:"):
-        acc = float(spec.split(":", 1)[1])
-        return NoisyOracleModel(NoisyOracleConfig(accuracy=acc, seed=seed))
-    if spec.startswith("empirical:"):
-        return EmpiricalLifetimeModel.load(spec.split(":", 1)[1])
-    raise ValueError(f"unknown predictor spec {spec!r}")
+    if kind == "empirical" and arg:
+        return EmpiricalLifetimeModel.load(arg)
+    if kind == "noisy":
+        try:
+            return NoisyOracleModel(NoisyOracleConfig(accuracy=float(arg), seed=seed))
+        except ValueError:
+            pass
+    raise ValueError(f"bad predictor spec {spec!r}: expected {PREDICTOR_SPECS}")

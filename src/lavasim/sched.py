@@ -54,26 +54,16 @@ one might tie and win on a lower id.  The walk returns at once, skipping the
 lists too, because every ``key_floor`` starts with the tier of a host with
 VMs and ranks strictly below the key of any host without them.
 
-Best Fit declares ``(0,)``.  NILAS (``(0, 0)``: has VMs, temporal cost
-0) and LAVA (``(0, 1, 0)``: a recycling host one class above the VM,
-temporal cost 0) declare a floor only under a ``time_invariant`` model
-(``oracle``, ``noisy``), and LAVA's key is then lazy too: a host whose
-``(tier, distance)`` is worse than the least pair the key has scored in full
-cannot win, and gets that bare pair without a temporal cost.  The bare pair
-is greater than the prefix of the best host so far, which starts with that
-least pair, so ``best_host`` skips it.  LA-Binary is NILAS over
-``OneShotModel``, which is time-invariant whatever it wraps, so it declares
-``(0,)`` (a host of the VM's binary class) under every predictor.  The
-skips leave ``PredictionCache`` entries unfilled.  Under a time-invariant
-model an entry answers ``max(now, latest predicted exit)`` whenever it was
-filled, so this changes no output.  Under the empirical model an entry
-refreshes on a timer and its answer depends on when it was filled, so NILAS
-and LAVA score every candidate there, filling the same entries at the same
-times as a full scan.  ``NilasScheduler`` reads ``time_invariant``, for
-LA-Binary and LAVA too, and sets from it both the floor and the refresh
-interval of the ``PredictionCache`` it builds: entries of a time-invariant
-model never expire by age, entries of any other model after the cache's
-60 s default.
+Best Fit declares ``(0,)``, NILAS ``(0, 0)`` (has VMs, temporal cost 0),
+LAVA ``(0, 1, 0)`` (a recycling host one class above the VM, temporal cost
+0) and LA-Binary ``(0,)`` (a host of the VM's binary class).  LAVA's key is
+also lazy: a host whose ``(tier, distance)`` is worse than the least pair
+the key has scored in full cannot win, and gets that bare pair without a
+temporal cost.  The bare pair is greater than the prefix of the best host
+so far, which starts with that least pair, so ``best_host`` skips it.  The
+skips leave ``PredictionCache`` entries unfilled, which changes no output
+under any predictor: an entry is a pure function of the host's residents
+and the grid cell of the lookup, not of whether an earlier walk filled it.
 
 LAVA's host lifecycle lives in ``LavaScheduler.state``, not in ``core``.  A
 host without an entry there is empty or holds only VMs placed under another
@@ -257,14 +247,14 @@ class NilasScheduler(Scheduler):
     VMs first, then the least temporal cost, then the tightest fit."""
 
     name = "nilas"
+    key_floor = (0, 0)
 
     def __init__(self, model, cfg: NilasConfig = NilasConfig()):
         self.model = model
         self.cfg = cfg
+        # a time-invariant model's predictions never move, so its cache needs no grid
         invariant = getattr(model, "time_invariant", False)
         self.cache = PredictionCache(math.inf) if invariant else PredictionCache()
-        if invariant:
-            self.key_floor = (0, 0)
 
     def temporal_key(self, vm_exit: float, pool, now) -> Callable[[HostRecord], int]:
         """Temporal cost of a VM exiting at ``vm_exit`` on a host with VMs, host -> bucket."""
@@ -300,10 +290,10 @@ class LaBinaryScheduler(NilasScheduler):
     the VM's class first, then hosts of the other class, then empty hosts."""
 
     name = "la-binary"
+    key_floor = (0,)
 
     def __init__(self, model):
         super().__init__(OneShotModel(model))
-        self.key_floor = (0,)
 
     def host_key(self, vm, pool, now):
         model, host_exit_time = self.model, self.cache.host_exit_time
@@ -347,14 +337,13 @@ class LavaScheduler(NilasScheduler):
     """
 
     name = "lava"
+    key_floor = (0, 1, 0)
 
     def __init__(self, model, lava_cfg: LavaConfig = LavaConfig(),
                  nilas_cfg: NilasConfig = NilasConfig()):
         super().__init__(model, nilas_cfg)
         self.lava_cfg = lava_cfg
         self.state: Dict[int, LavaHost] = {}
-        if self.key_floor is not None:
-            self.key_floor = (0, 1, 0)
 
     def on_adopt(self, pool, now, state):
         self.state = {} if state is None else state
@@ -381,9 +370,7 @@ class LavaScheduler(NilasScheduler):
         remaining = self.model.remaining(vm, now)
         vm.lifetime_class = lifetime_class(remaining)
         temporal = self.temporal_key(now + remaining, pool, now)
-        lazy = self.key_floor is not None
-        # the least (tier, distance) scored in full; it starts above every
-        # pair and moves only when the key is lazy
+        # the least (tier, distance) scored in full; it starts above every pair
         least = (4, 0)
 
         def key(host):
@@ -392,8 +379,7 @@ class LavaScheduler(NilasScheduler):
             if pair > least:
                 # a host scored in full has a better pair, so this one cannot win
                 return pair
-            if lazy:
-                least = pair
+            least = pair
             tier, distance = pair
             cost = 0 if not host.vms else temporal(host)
             return (tier, distance, cost)

@@ -145,6 +145,15 @@ class TestRun:
         rc = main([command, "--trace", str(trace), "--out", str(out)] + args)
         _expect_one_line_exit_2(rc, capsys, out, "error: the trace has no VMs to replay")
 
+    @pytest.mark.parametrize("spec", ["noisy:abc", "noisy:", "noisy:0.5:1", "noisy:1.5",
+                                      "empirical:", "gbdt"])
+    def test_bad_predictor_spec_one_line(self, trace_path, tmp_path, capsys, spec):
+        out = tmp_path / "x"
+        rc = main(["run", "--trace", trace_path, "--algo", "nilas", "--predictor", spec,
+                   "--out", str(out)])
+        _expect_one_line_exit_2(rc, capsys, out, f"error: bad predictor spec {spec!r}: expected "
+                                "oracle, noisy:<accuracy in [0,1]> or empirical:<model file>")
+
     def test_missing_trace(self, tmp_path):
         rc = main(["run", "--trace", str(tmp_path / "nope.tsv"),
                    "--algo", "nilas", "--out", str(tmp_path / "x")])
@@ -312,6 +321,27 @@ class TestTrainEval:
         assert rc == 0
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["f1"] <= 1.0
+
+    @pytest.mark.parametrize("train_seed, warning", [
+        (1_000_007, ""),
+        (7, "warning: 600 test VMs also appear in the training trace\n"),
+    ])
+    def test_overlap_counts_shared_rows(self, tmp_path, capsys, train_seed, warning):
+        """Generated traces number their VMs from 0, so only whole rows tell
+        whether a test VM was trained on: a disjoint trace gives no warning,
+        the test trace itself all 600 rows."""
+        paths = {}
+        for seed in (7, train_seed):
+            paths[seed] = str(tmp_path / f"t{seed}.tsv")
+            assert main(["generate", "--num-vms", "600", "--seed", str(seed),
+                         "--out", paths[seed]]) == 0
+        model = str(tmp_path / "m.txt")
+        assert main(["train", "--trace", paths[train_seed], "--out", model]) == 0
+        capsys.readouterr()
+        assert main(["eval-model", "--model", model, "--trace", paths[7],
+                     "--train-trace", paths[train_seed],
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert capsys.readouterr().err == warning
 
 
 class TestBadModelInput:

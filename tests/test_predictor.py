@@ -471,12 +471,12 @@ class TestPredictionCache:
         assert cache.host_exit_time(host, pool, OracleModel(), 0.0) == 500.0
 
     def test_stale_value_within_interval(self):
-        """A drifting model's update is hidden until refresh, expiry, or
+        """A drifting model's update is hidden until the next grid cell or a
         membership change."""
         pool = PoolState()
         host = pool.add_host(ResourceVec(96_000, 393_216))
         pool.place(make_vm(1, exit_=10_000.0), 0)
-        cache = PredictionCache(refresh_interval_s=60.0)
+        cache = PredictionCache(grid_s=60.0)
 
         class Drifting:
             offset = 0.0
@@ -486,32 +486,38 @@ class TestPredictionCache:
         model = Drifting()
         assert cache.host_exit_time(host, pool, model, 0.0) == 10_000.0
         model.offset = 5000.0
-        assert cache.host_exit_time(host, pool, model, 30.0) == 10_000.0
-        assert cache.host_exit_time(host, pool, model, 90.0) == 15_000.0
+        assert cache.host_exit_time(host, pool, model, 59.5) == 10_000.0
+        assert cache.host_exit_time(host, pool, model, 60.0) == 15_000.0
+        model.offset = 7000.0
+        assert cache.host_exit_time(host, pool, model, 70.0) == 15_000.0
+        pool.place(make_vm(2, create=70.0, exit_=100.0), 0)
+        cache.invalidate(0)
+        assert cache.host_exit_time(host, pool, model, 70.0) == 17_000.0
 
     def test_refresh_calls_remaining_once_per_resident(self):
-        """Under a model that is not time-invariant a refresh predicts every
-        resident once, and a hit predicts none."""
+        """A fill predicts every resident once, at the later of the cell's
+        start and the VM's creation, and a lookup in the same cell predicts
+        none."""
         pool = PoolState()
         host = pool.add_host(ResourceVec(96_000, 393_216))
-        for vid in range(3):
-            pool.place(make_vm(vid, exit_=1000.0 * (vid + 1)), 0)
+        for vid, create in enumerate((0.0, 70.0, 100.0)):
+            pool.place(make_vm(vid, create=create, exit_=1000.0 * (vid + 1)), 0)
         calls = []
 
         class Counting:
             def remaining(self, vm, now):
-                calls.append(vm.id)
+                calls.append((vm.id, now))
                 return max(vm.true_exit_time - now, 0.0)
 
-        model, cache = Counting(), PredictionCache(refresh_interval_s=60.0)
+        model, cache = Counting(), PredictionCache(grid_s=60.0)
         assert not getattr(model, "time_invariant", False)
-        assert cache.host_exit_time(host, pool, model, 0.0) == 3000.0
-        assert sorted(calls) == [0, 1, 2]
+        assert cache.host_exit_time(host, pool, model, 110.0) == 3000.0
+        assert sorted(calls) == [(0, 60.0), (1, 70.0), (2, 100.0)]
         calls.clear()
-        assert cache.host_exit_time(host, pool, model, 30.0) == 3000.0
+        assert cache.host_exit_time(host, pool, model, 119.0) == 3000.0
         assert calls == []
-        assert cache.host_exit_time(host, pool, model, 90.0) == 3000.0
-        assert sorted(calls) == [0, 1, 2]
+        assert cache.host_exit_time(host, pool, model, 130.0) == 3000.0
+        assert sorted(calls) == [(0, 120.0), (1, 120.0), (2, 120.0)]
 
     def test_invalidate_on_membership_change(self):
         pool = PoolState()
@@ -523,18 +529,96 @@ class TestPredictionCache:
         cache.invalidate(0)
         assert cache.host_exit_time(host, pool, OracleModel(), 0.0) == 900.0
 
-    def test_expired_cached_exit_recomputed(self):
+    @pytest.mark.parametrize("grid_s", [60.0, math.inf])
+    def test_passed_entry_answers_now(self, grid_s):
+        """Past the stored exit a lookup in the same cell answers ``now``
+        without predicting anything."""
         pool = PoolState()
         host = pool.add_host(ResourceVec(96_000, 393_216))
         pool.place(make_vm(1, exit_=100.0), 0)
         pool.place(make_vm(2, exit_=5000.0), 0)
-        cache = PredictionCache(refresh_interval_s=1e12)
-        assert cache.host_exit_time(host, pool, OracleModel(), 0.0) == 5000.0
+        calls = []
+
+        class Counting(OracleModel):
+            def remaining(self, vm, now):
+                calls.append(vm.id)
+                return super().remaining(vm, now)
+
+        model, cache = Counting(), PredictionCache(grid_s=grid_s)
+        assert cache.host_exit_time(host, pool, model, 0.0) == 5000.0
         pool.remove(2)
         cache.invalidate(0)
-        assert cache.host_exit_time(host, pool, OracleModel(), 50.0) == 100.0
-        # past the cached exit the entry expires even without invalidation
-        assert cache.host_exit_time(host, pool, OracleModel(), 150.0) == 150.0
+        assert cache.host_exit_time(host, pool, model, 50.0) == 100.0
+        calls.clear()
+        assert cache.host_exit_time(host, pool, model, 59.0) == 100.0
+        if grid_s == math.inf:
+            assert cache.host_exit_time(host, pool, model, 150.0) == 150.0
+        assert calls == []
+
+
+def fitted_empirical():
+    """Lifetimes dense enough that a resident's predicted exit often moves
+    within one 60 s cell."""
+    rng = random.Random(5)
+    return fit_model([(FeatureVec(), rng.uniform(1.0, 20_000.0)) for _ in range(1000)])
+
+
+# the predictors the cache serves, built fresh per example: the noisy
+# oracle keeps each VM id's first draw
+CACHE_MODELS = {
+    "oracle": OracleModel,
+    "noisy:0.5": lambda: make_predictor("noisy:0.5", seed=3),
+    "empirical": fitted_empirical,
+    "oneshot:empirical": lambda: OneShotModel(fitted_empirical()),
+}
+# lookups weighted up: each one is a check
+CACHE_OPS = ("place", "remove", "invalidate", "lookup", "lookup", "lookup")
+
+
+def reference_host_exit(host, pool, model, now, grid_s):
+    """``max(now, latest t + remaining(vm, t))`` over the residents, with
+    ``t`` the later of the grid cell's start and the VM's creation."""
+    start = now // grid_s * grid_s if grid_s < math.inf else -math.inf
+    exits = []
+    for vid in host.vms:
+        vm = pool.vms[vid]
+        t = max(start, vm.create_time)
+        exits.append(t + model.remaining(vm, t))
+    return max([now] + exits)
+
+
+@settings(deadline=None, max_examples=300)
+@given(spec=st.sampled_from(sorted(CACHE_MODELS)),
+       ops=st.lists(st.tuples(st.sampled_from(CACHE_OPS), st.integers(0, 2**16),
+                              st.sampled_from((0.0, 0.5, 1.0, 30.0, 59.5, 60.0, 600.0, 7200.0))),
+                    max_size=60))
+def test_cache_matches_recomputing_every_lookup(spec, ops):
+    """Random placements, removals (each invalidating its host, as the
+    schedulers do), stray invalidations and lookups, with time moving
+    forward: every lookup answers what a recomputation from the host's
+    residents at that moment gives."""
+    model = CACHE_MODELS[spec]()
+    grid_s = math.inf if getattr(model, "time_invariant", False) else 60.0
+    cache, pool = PredictionCache(grid_s), PoolState()
+    for _ in range(3):
+        pool.add_host(ResourceVec(96_000, 393_216))
+    now = 0.0
+    for vm_id, (op, k, dt) in enumerate(ops):
+        now += dt
+        host = pool.hosts[k % 3]
+        if op == "place":
+            create = max(now - (k % 5) * 45.0, 0.0)  # a migrated VM was created earlier
+            life = (600.0, 3000.0, 7200.0, 40_000.0)[k % 4] * (1 + k % 7 / 7)
+            pool.place(make_vm(vm_id, create=create, exit_=create + life), host.id)
+            cache.invalidate(host.id)
+        elif op == "remove" and host.vms:
+            pool.remove(sorted(host.vms)[k % len(host.vms)])
+            cache.invalidate(host.id)
+        elif op == "invalidate":
+            cache.invalidate(host.id)
+        elif op == "lookup" and host.vms:
+            assert cache.host_exit_time(host, pool, model, now) == reference_host_exit(
+                host, pool, model, now, grid_s)
 
 
 class TestMakePredictor:

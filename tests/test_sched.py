@@ -524,10 +524,12 @@ class TestFactory:
                                           lambda model: LavaScheduler(model).cache],
                              ids=["nilas", "lava"])
     def test_cache_refresh_follows_time_invariance(self, cache_of):
-        """A scheduler built without a cache never refreshes an entry under a
-        time-invariant model, and after the 60 s default under a model that
-        makes no such promise."""
-        assert cache_of(OracleModel()).refresh_interval_s == math.inf
-        assert cache_of(make_predictor("noisy:0.5")).refresh_interval_s == math.inf
+        """The cache a scheduler builds has an infinite time grid under a
+        time-invariant model, so its entries refresh only on membership
+        changes, and the 60 s default grid under a model that makes no such
+        promise."""
+        assert cache_of(OracleModel()).grid_s == math.inf
+        assert cache_of(make_predictor("noisy:0.5")).grid_s == math.inf
+        assert cache_of(OneShotModel(EmpiricalLifetimeModel())).grid_s == math.inf
         assert not hasattr(EmpiricalLifetimeModel(), "time_invariant")
-        assert cache_of(EmpiricalLifetimeModel()).refresh_interval_s == 60.0
+        assert cache_of(EmpiricalLifetimeModel()).grid_s == 60.0

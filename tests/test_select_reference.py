@@ -312,8 +312,8 @@ class CountingCache(PredictionCache):
 
 
 class TimedOracle(OracleModel):
-    """The oracle without its ``time_invariant`` promise, like the empirical
-    model, whose cached host exits depend on when they were filled."""
+    """The oracle without its ``time_invariant`` promise, so the cache fills
+    it on the 60 s grid, as it does the empirical model."""
 
     time_invariant = False
 
@@ -341,24 +341,24 @@ def ladder_asks(algo, model, classes=None, probe_exit=1000.0):
 
 
 @pytest.mark.parametrize("algo", ["nilas", "lava"])
-def test_cached_scorers_score_every_host_with_vms(algo):
-    """Under a model that is not ``time_invariant``, NILAS and LAVA fill
-    ``PredictionCache`` entries while they score, so they visit every
-    feasible host with VMs, also where Best Fit stops early (on this pool
-    Best Fit scores one host).  On the ladder every host with VMs would
-    otherwise lose only on best fit: the probe is a short-lived VM, so the
-    temporal cost is 0, and for LAVA each host is recycling one class above
-    it."""
+def test_cached_scorers_stop_under_timed_model(algo):
+    """Under a model that is not ``time_invariant`` a cached host exit is a
+    function of the host's residents and the grid cell, not of when a walk
+    filled it, so NILAS and LAVA stop like Best Fit (on this pool Best Fit
+    scores one host) and pick what scoring every candidate picks.  On the
+    ladder every host with VMs would lose only on best fit: the probe is a
+    short-lived VM, so the temporal cost is 0, and for LAVA each host is
+    recycling one class above it."""
     chosen, asked = ladder_asks(algo, TimedOracle())
     assert chosen == 0
-    assert asked == {hid: 1 for hid in range(6)}
+    assert asked == {0: 1}
 
 
 @pytest.mark.parametrize("algo", ["nilas", "lava"])
 def test_cached_scorers_stop_under_time_invariant_model(algo):
-    """Under the oracle a cached host exit does not depend on when it was
-    filled, so NILAS and LAVA stop like Best Fit: host 0 scores the least
-    prefix their keys can have, and no later bucket can beat its fit."""
+    """Under the oracle NILAS and LAVA stop like Best Fit: host 0 scores the
+    least prefix their keys can have, and no later bucket can beat its
+    fit."""
     chosen, asked = ladder_asks(algo, OracleModel())
     assert chosen == 0
     assert asked == {0: 1}
@@ -366,13 +366,13 @@ def test_cached_scorers_stop_under_time_invariant_model(algo):
 
 def test_lava_skips_the_cache_below_its_best_tier():
     """Hosts 0 and 2-5 are open hosts of another class (tier 2) and host 1
-    an open host of the probe's class (tier 1).  Under the oracle, no host
-    reaches LAVA's floor, so the walk visits all six, but after host 1 the
-    key answers the tier-2 hosts without their temporal cost."""
+    an open host of the probe's class (tier 1).  No host reaches LAVA's
+    floor, so the walk visits all six, but after host 1 the key answers the
+    tier-2 hosts without their temporal cost, under every model."""
     classes = {hid: (1, False) for hid in range(6)}
     classes[1] = (0, False)
-    assert ladder_asks("lava", OracleModel(), classes) == (1, {0: 1, 1: 1})
-    assert ladder_asks("lava", TimedOracle(), classes) == (1, {hid: 1 for hid in range(6)})
+    for model in (OracleModel(), TimedOracle()):
+        assert ladder_asks("lava", model, classes) == (1, {0: 1, 1: 1})
 
 
 @pytest.mark.parametrize("model", [OracleModel(), TimedOracle()], ids=["oracle", "timed"])
@@ -388,13 +388,14 @@ def test_la_binary_stops_under_every_model(model):
 
 @settings(deadline=None, max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), algo=st.sampled_from(sorted(SCHEDULERS)),
-       now=st.sampled_from((0.0, 600.0, 30_000.0)))
-def test_key_floor_ranks_below_hosts_without_vms(seed, algo, now):
-    """Under a time-invariant model every scheduler has a ``key_floor``: no
-    key starts below it, and every host without VMs (also one holding
-    incoming reservations or a reserved shape) starts strictly above it,
-    so a walk that stops need not score those hosts."""
-    sched = SCHEDULERS[algo](OracleModel())
+       now=st.sampled_from((0.0, 600.0, 30_000.0)),
+       model=st.sampled_from((OracleModel, TimedOracle)))
+def test_key_floor_ranks_below_hosts_without_vms(seed, algo, now, model):
+    """Under every model every scheduler has a ``key_floor``: no key starts
+    below it, and every host without VMs (also one holding incoming
+    reservations or a reserved shape) starts strictly above it, so a walk
+    that stops need not score those hosts."""
+    sched = SCHEDULERS[algo](model())
     floor = sched.key_floor
     assert floor is not None
     pool, probe = random_pool(seed, sched, now)

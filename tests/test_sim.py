@@ -12,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.defrag import EvacuationOutcome, compare_orderings, simulate_evacuation
-from lavasim.predict import OracleModel, lifetime_class, make_predictor
+from lavasim.predict import (
+    EmpiricalLifetimeModel,
+    OneShotModel,
+    OracleModel,
+    PredictionCache,
+    lifetime_class,
+    make_predictor,
+)
 from lavasim.sched import LavaConfig, Scheduler
 from lavasim.sim import (
     EV_ARRIVAL,
@@ -29,7 +36,14 @@ from lavasim.sim import (
     order_evacuation,
     trace_shape_mix,
 )
-from lavasim.workload import GeneratorConfig, TraceRecord, generate, vm_terms
+from lavasim.workload import (
+    GeneratorConfig,
+    TraceRecord,
+    bimodal_config,
+    generate,
+    training_examples,
+    vm_terms,
+)
 
 CAP = ResourceVec(1000, 4096)
 
@@ -236,17 +250,24 @@ class TestWarmup:
             assert sum(vm.initial_predicted_exit is not None for vm, _, _ in placed) > 20
 
 
+class UnrecordedCache(PredictionCache):
+    """A cache whose fills ask a plain oracle, so they leave no record."""
+
+    def host_exit_time(self, host, pool, model, now):
+        return super().host_exit_time(host, pool, OracleModel(), now)
+
+
 def test_lava_predicts_each_arrival_once():
     """LAVA's class and its temporal cost come from one ``remaining`` call
     per placement decision, on a VM that carries its record's shape and
-    features.  The arrival times are distinct, so no cache refresh at a VM's
-    arrival second can ask about that VM."""
-    generated = generate(GeneratorConfig(num_vms=600, seed=3))
-    trace = [r for prev, r in zip([None] + generated, generated)
-             if prev is None or r.create_time_s != prev.create_time_s]
+    features.  The cache's fills, which predict each resident at its
+    creation under the oracle, are left out."""
+    trace = generate(GeneratorConfig(num_vms=600, seed=3))
     model = Recording()
-    Simulator(trace, 8, ResourceVec(16000, 65536), "lava", model,
-              cfg=SimConfig(warmup=False)).run()
+    sim = Simulator(trace, 8, ResourceVec(16000, 65536), "lava", model,
+                    cfg=SimConfig(warmup=False))
+    sim.active.cache = UnrecordedCache(sim.active.cache.grid_s)
+    sim.run()
     assert [r.vm_id for r in trace if model.calls[r.vm_id, r.create_time_s] != 1] == []
     assert all(model.seen[r.vm_id][0] is r.features and model.seen[r.vm_id][1] is r.shape
                for r in trace)
@@ -547,6 +568,24 @@ def score_every_candidate(self, vm, pool, now):
 
 PRUNE_CAP = ResourceVec(8000, 32_768)
 PRUNE_SHAPES = ((500, 2048), (1000, 4096), (1500, 2048), (2000, 8192), (4000, 16_384))
+PRUNE_LIVES = (600.0, 3000.0, 7200.0, 40_000.0, 400_000.0)
+
+
+def prune_empirical():
+    """An empirical model fitted on VMs like those of ``prune_traces``."""
+    rng = random.Random(7)
+    return EmpiricalLifetimeModel(min_count=5).fit(
+        (vm_terms(*rng.choice(PRUNE_SHAPES))[1], rng.choice(PRUNE_LIVES) * rng.uniform(0.5, 2.0))
+        for _ in range(300))
+
+
+# each replay builds its predictor afresh
+PRUNE_PREDICTORS = {
+    "oracle": lambda: make_predictor("oracle", seed=3),
+    "noisy:0.5": lambda: make_predictor("noisy:0.5", seed=3),
+    "empirical": prune_empirical,
+    "oneshot:empirical": lambda: OneShotModel(prune_empirical()),
+}
 
 
 @st.composite
@@ -556,20 +595,20 @@ def prune_traces(draw):
     trace = []
     for i, t in enumerate(times):
         cpu, mem = draw(st.sampled_from(PRUNE_SHAPES))
-        life = draw(st.sampled_from((600.0, 3000.0, 7200.0, 40_000.0, 400_000.0)))
+        life = draw(st.sampled_from(PRUNE_LIVES))
         trace.append(TraceRecord(i, t, life * draw(st.floats(0.5, 2.0)), *vm_terms(cpu, mem)))
     return trace
 
 
 @settings(deadline=None, max_examples=150)
 @given(trace=prune_traces(), algo=st.sampled_from(["baseline", "la-binary", "nilas", "lava"]),
-       predictor=st.sampled_from(["oracle", "noisy:0.5"]), hosts=st.integers(2, 6),
+       predictor=st.sampled_from(sorted(PRUNE_PREDICTORS)), hosts=st.integers(2, 6),
        ordering=st.sampled_from(["trace", "lars"]))
 def test_pruned_scan_matches_scoring_every_candidate(trace, algo, predictor, hosts, ordering):
-    """Under time-invariant predictors NILAS and LAVA stop at their key
-    floors and LAVA skips the temporal cost of hosts below its best tier;
-    with defrag on, a whole run and its evacuation replays must match a run
-    that scores every candidate."""
+    """Under every predictor NILAS and LAVA stop at their key floors and
+    LAVA skips the temporal cost of hosts below its best tier; with defrag
+    on, a whole run and its evacuation replays must match a run that scores
+    every candidate."""
     cfg = SimConfig(warmup=False, sample_interval_s=1800.0, check_invariants=True,
                     record_placements=True, record_defrag_instances=True,
                     defrag=DefragConfig(enabled=True, empty_host_trigger=1.0,
@@ -577,8 +616,7 @@ def test_pruned_scan_matches_scoring_every_candidate(trace, algo, predictor, hos
                                         ordering=ordering, migration_s=600.0))
 
     def run():
-        sim = Simulator(trace, hosts, PRUNE_CAP, algo, make_predictor(predictor, seed=3),
-                        cfg=cfg)
+        sim = Simulator(trace, hosts, PRUNE_CAP, algo, PRUNE_PREDICTORS[predictor](), cfg=cfg)
         result = sim.run()
         return result, compare_orderings(result.defrag_instances, algorithm=algo)
 
@@ -589,3 +627,35 @@ def test_pruned_scan_matches_scoring_every_candidate(trace, algo, predictor, hos
     assert got.summary == want.summary
     assert got.placements == want.placements
     assert got_report == want_report
+
+
+def bimodal_recipe(seed):
+    """``bimodal_config`` with one 4-core shape: 8k VMs at 16 per hour."""
+    return dataclasses.replace(bimodal_config(8000, seed), arrival_rate_per_h=16.0,
+                               shape_catalog=((4000, 16384, 1.0),))
+
+
+@pytest.mark.parametrize("algo, empty_pct, lookups", [
+    ("nilas", 39.331356560415124, 14_974),
+    ("lava", 38.0763528539659, 25_086),
+])
+def test_empirical_replay_pinned(algo, empty_pct, lookups):
+    """NILAS and LAVA under a fitted empirical model, a path no benchmark
+    digest covers: on 50 hosts of 40 cores and 160 GiB, the bimodal recipe
+    of seed 11 with a model fitted on seed 11 + 10**6 of the same size.
+    Pins the empty-host percentage and the host-exit lookups, so a change
+    to the cache or the walk that moves either shows here."""
+    trace = generate(bimodal_recipe(11))
+    model = EmpiricalLifetimeModel().fit(training_examples(generate(bimodal_recipe(1_000_011))))
+    calls = Counter()
+    host_exit_time = PredictionCache.host_exit_time
+
+    def counted(self, *args):
+        calls["host_exit_time"] += 1
+        return host_exit_time(self, *args)
+
+    with mock.patch.object(PredictionCache, "host_exit_time", counted):
+        summary = Simulator(trace, 50, ResourceVec(40_000, 163_840), algo, model,
+                            cfg=SimConfig()).run().summary
+    assert summary["avg_empty_hosts_pct"] == pytest.approx(empty_pct, abs=1e-9)
+    assert calls["host_exit_time"] == lookups
