@@ -69,9 +69,6 @@ class VmRecord:
         if not self.shape.cpu_m and not self.shape.mem_mib:
             raise ValueError(f"vm {self.id}: zero shape")
 
-    def uptime(self, now: float) -> float:
-        return max(now - self.create_time, 0.0)
-
 
 @dataclass(slots=True)
 class HostRecord:

@@ -71,12 +71,9 @@ def classify_binary(remaining_s: float, threshold_s: float = BINARY_THRESHOLD_S)
 def lifetime_class(remaining_s: float) -> LifetimeClass:
     if remaining_s < 0:
         raise ValueError(f"negative remaining lifetime {remaining_s}")
-    if remaining_s < 1 * HOUR:
-        return LifetimeClass.LC1
-    if remaining_s < 10 * HOUR:
-        return LifetimeClass.LC2
-    if remaining_s < 100 * HOUR:
-        return LifetimeClass.LC3
+    for klass, bound in CLASS_UPPER_BOUND_S.items():
+        if remaining_s < bound:
+            return klass
     return LifetimeClass.LC4
 
 
@@ -157,7 +154,6 @@ class NoisyOracleModel:
         total = self._totals.get(vm.id)
         if total is None:
             total = self._draw(vm)
-        # vm.uptime(now), inlined
         return max(total - max(now - vm.create_time, 0.0), 0.0)
 
 
@@ -195,14 +191,6 @@ class _SurvivalCurve:
             self.suffix_count[i] = self.suffix_count[i + 1] + self.counts[i]
             self.suffix_sum[i] = self.suffix_sum[i + 1] + self.counts[i] * self.lifetimes[i]
 
-    def conditional_remaining(self, uptime_s: float) -> Optional[float]:
-        """E(remaining | survived to uptime_s), or None if nothing survives."""
-        i = bisect_right(self.lifetimes, uptime_s)
-        n_surv = self.suffix_count[i]
-        if n_surv == 0:
-            return None
-        return self.suffix_sum[i] / n_surv - uptime_s
-
     def items(self) -> List[Tuple[int, int]]:
         return list(zip(self.lifetimes, self.counts))
 
@@ -228,9 +216,9 @@ class EmpiricalLifetimeModel:
         self.strata: Dict[str, _SurvivalCurve] = {}
         self.global_curve: Optional[_SurvivalCurve] = None
         self._kept_values: Dict[str, set] = {}
-        self._stratum_keys: Dict[FeatureVec, str] = {}  # _collapse's answers
-        # remaining()'s curve per FeatureVec object: id -> (the vector, which
-        # keeps its id from being reused, lifetimes, suffix_count, suffix_sum)
+        # predict_remaining()'s curve per FeatureVec object: id -> (the vector,
+        # which keeps its id from being reused, lifetimes, suffix_count,
+        # suffix_sum)
         self._curves: Dict[int, tuple] = {}
 
     @property
@@ -238,17 +226,14 @@ class EmpiricalLifetimeModel:
         return self.global_curve is not None
 
     def _collapse(self, fv: FeatureVec) -> str:
-        key = self._stratum_keys.get(fv)
-        if key is None:
-            parts = []
-            for name in FeatureVec._CATEGORICAL:
-                value = getattr(fv, name)
-                kept = self._kept_values.get(name, ())
-                parts.append(value if value in kept else "Other")
-            parts.append("1" if fv.has_ssd else "0")
-            parts.append("1" if fv.provisioning_model else "0")
-            key = self._stratum_keys[fv] = self.KEY_SEP.join(parts)
-        return key
+        parts = []
+        for name in FeatureVec._CATEGORICAL:
+            value = getattr(fv, name)
+            kept = self._kept_values.get(name, ())
+            parts.append(value if value in kept else "Other")
+        parts.append("1" if fv.has_ssd else "0")
+        parts.append("1" if fv.provisioning_model else "0")
+        return self.KEY_SEP.join(parts)
 
     def fit(self, examples: Iterable[Tuple[FeatureVec, float]]) -> "EmpiricalLifetimeModel":
         # the capped lifetimes of each distinct feature vector: the work per
@@ -262,7 +247,6 @@ class EmpiricalLifetimeModel:
             rows.append(min(int(round(life)), cap_s))
         if not lives:
             raise EmptyTrainingSet("no training examples")
-        self._stratum_keys.clear()
         self._curves.clear()
         for name in FeatureVec._CATEGORICAL:
             counts: Counter = Counter()
@@ -282,29 +266,17 @@ class EmpiricalLifetimeModel:
         self.global_curve = _SurvivalCurve(pooled)
         return self
 
-    def _curve(self, features: FeatureVec) -> _SurvivalCurve:
-        if not self.is_fitted:
-            raise EmptyTrainingSet("model is not fitted")
-        return self.strata.get(self._collapse(features), self.global_curve)
-
     def predict_remaining(self, features: FeatureVec, uptime_s: float) -> float:
-        value = self._curve(features).conditional_remaining(uptime_s)
-        if value is None:
-            # uptime beyond every training lifetime: return the floor rather
-            # than 0 so mispredicted long-lived VMs don't look instantly dead
-            return self.floor_s
-        return value
-
-    def remaining(self, vm: VmRecord, now: float) -> float:
-        """``predict_remaining(vm.features, vm.uptime(now))``, with the curve
-        resolved once per ``FeatureVec`` object rather than per call: every
-        VM of one record key gets its record's vector, one per key and trace
-        (``workload.vm_terms``), so a reprediction is one dict hit and one
-        bisect."""
-        features = vm.features
+        """E(remaining | survived to ``uptime_s``) on the survival curve of
+        ``features``' stratum.  The curve is resolved once per ``FeatureVec``
+        object rather than per call: every VM and record of one record key
+        shares its vector, one per key and trace (``workload.vm_terms``), so
+        a prediction is one dict hit and one bisect."""
         entry = self._curves.get(id(features))
         if entry is None:
-            curve = self._curve(features)
+            if not self.is_fitted:
+                raise EmptyTrainingSet("model is not fitted")
+            curve = self.strata.get(self._collapse(features), self.global_curve)
             if len(self._curves) >= self.CURVE_MEMO_MAX:
                 # each new trace brings new vectors, so a model replayed
                 # over many traces would otherwise hold every one of them
@@ -312,14 +284,19 @@ class EmpiricalLifetimeModel:
             entry = self._curves[id(features)] = (
                 features, curve.lifetimes, curve.suffix_count, curve.suffix_sum)
         _, lifetimes, suffix_count, suffix_sum = entry
-        uptime = now - vm.create_time
-        if uptime < 0.0:
-            uptime = 0.0
-        i = bisect_right(lifetimes, uptime)
+        i = bisect_right(lifetimes, uptime_s)
         n_surv = suffix_count[i]
         if n_surv == 0:
+            # uptime beyond every training lifetime: return the floor rather
+            # than 0 so mispredicted long-lived VMs don't look instantly dead
             return self.floor_s
-        return suffix_sum[i] / n_surv - uptime
+        return suffix_sum[i] / n_surv - uptime_s
+
+    def remaining(self, vm: VmRecord, now: float) -> float:
+        # a conditional, not max(): the builtin call would add about a
+        # quarter to the cost of each reprediction
+        uptime = now - vm.create_time
+        return self.predict_remaining(vm.features, uptime if uptime > 0.0 else 0.0)
 
     # -- serialization ---------------------------------------------------
 

@@ -15,10 +15,12 @@ The guard reads names only, so a function that shares its name with an
 attribute in use (``workload.split`` and ``str.split``) passes unseen.
 
 Every non-dunder method of a top-level class is reached the same way: its
-name appears in the sources outside the method's own body, or in
-``perfbench/*.py``.  This guard matches by name too, so a method named like
-a method in use elsewhere, a builtin's (``PredictionCache.clear`` and
-``dict.clear``) or another class's, stays invisible.
+name appears as an attribute (``x.name``) in the sources outside the
+method's own body, or as a name or attribute in ``perfbench/*.py``.  A local
+variable of the same name does not count.  This guard still matches by
+name, so a method named like a method in use elsewhere, a builtin's
+(``PredictionCache.clear`` and ``dict.clear``) or another class's, stays
+invisible.
 """
 
 import ast
@@ -108,17 +110,22 @@ KEPT_METHODS = {
 }
 
 
+def attributes(root):
+    """The names of the ``Attribute`` nodes under ``root``, repeats kept."""
+    return [node.attr for node in ast.walk(root) if isinstance(node, ast.Attribute)]
+
+
 def unreached_methods(modules, outside):
     """The sorted ``Class.method`` names of the non-dunder methods of the
-    top-level classes of ``modules`` whose name appears nowhere in
+    top-level classes of ``modules`` whose name appears as no attribute in
     ``modules`` outside the method's own body and is not in ``outside``."""
     trees = [ast.parse(source) for source in modules.values()]
-    everywhere = collections.Counter(name for tree in trees for name in named(tree))
+    everywhere = collections.Counter(name for tree in trees for name in attributes(tree))
     return sorted(f"{cls.name}.{method.name}"
                   for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
                   for method in cls.body if isinstance(method, ast.FunctionDef)
                   and not method.name.startswith("__") and method.name not in outside
-                  and everywhere[method.name] == named(method).count(method.name))
+                  and everywhere[method.name] == attributes(method).count(method.name))
 
 
 def source_modules():
@@ -138,6 +145,15 @@ def test_detects_an_unreached_method():
     modules = source_modules()
     modules["core.py"] += ("\n\nclass Planted:\n    def planted(self, n):\n"
                            "        return self.planted(n - 1) if n else 0\n")
+    assert unreached_methods(modules, reached_from_outside()) == sorted(
+        ["Planted.planted", *KEPT_METHODS])
+
+
+def test_detects_a_method_shadowed_by_a_local():
+    """A local variable named like a method does not reach it."""
+    modules = source_modules()
+    modules["core.py"] += "\n\nclass Planted:\n    def planted(self):\n        return 0\n"
+    modules["sim.py"] += "\n\ndef shadow(n):\n    planted = n\n    return planted\n"
     assert unreached_methods(modules, reached_from_outside()) == sorted(
         ["Planted.planted", *KEPT_METHODS])
 

@@ -431,8 +431,9 @@ def test_fit_matches_per_row_reference(case):
 @settings(max_examples=100, deadline=None)
 @given(training_sets(), training_sets(), st.sampled_from([0, 2, 7.5]))
 def test_remaining_matches_predict_remaining(case, other, create):
-    """``remaining``'s curve memo answers exactly what ``predict_remaining``
-    answers for the VM's uptime, before and after a refit on other data."""
+    """``remaining`` and ``predict_remaining`` share one curve memo; both
+    answer exactly what a copy of the model with an empty memo answers for
+    the VM's uptime, before and after a refit on other data."""
     min_count, examples = case
     model = EmpiricalLifetimeModel(min_count=min_count, cap_s=20).fit(examples)
     trained = list({id(fv): fv for fv, _ in examples}.values())
@@ -444,11 +445,14 @@ def test_remaining_matches_predict_remaining(case, other, create):
     vms = [make_vm(i, create=create, exit_=create + 1e9, fv=fv) for i, fv in enumerate(vectors)]
 
     def check():
+        reference = EmpiricalLifetimeModel.loads(model.dumps())
         for vm in vms:
             for uptime in uptimes:
                 now = create + uptime
-                assert model.remaining(vm, now) == model.predict_remaining(
-                    vm.features, vm.uptime(now))
+                clamped = max(now - vm.create_time, 0.0)
+                expected = reference.predict_remaining(vm.features, clamped)
+                assert model.remaining(vm, now) == expected
+                assert model.predict_remaining(vm.features, clamped) == expected
 
     check()
     model.fit([(fv, 30 - life) for fv, life in other[1]])
