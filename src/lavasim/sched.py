@@ -188,7 +188,7 @@ class Scheduler:
     """Common surface: select a host for a VM, plus LAVA-style state hooks."""
 
     name = "base"
-    # set by the simulator; LAVA calls it with (host id, deadline) per armed or adopted deadline
+    # set by the simulator; called with (host id, deadline) per deadline armed or adopted
     deadline_armed: Optional[Callable[[int, float], None]] = None
     # per-host state an evacuation replay carries over: LAVA's table
     state: Optional[Dict[int, LavaHost]] = None

@@ -44,7 +44,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
 from .sched import BestFitScheduler, LavaConfig, NilasConfig, Scheduler, best_host, make_scheduler
@@ -216,10 +216,11 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
 
 
 class Simulator:
-    """Replays one trace against one (algorithm, predictor) configuration."""
+    """Replays one trace against one (algorithm, predictor) configuration;
+    ``algorithm`` is a name in ``sched.ALGORITHMS`` or a ``Scheduler``."""
 
     def __init__(self, trace: Sequence[TraceRecord], num_hosts: int,
-                 host_capacity: ResourceVec, algorithm: str, model,
+                 host_capacity: ResourceVec, algorithm: Union[str, Scheduler], model,
                  nilas_cfg: NilasConfig = NilasConfig(),
                  lava_cfg: LavaConfig = LavaConfig(),
                  cfg: SimConfig = SimConfig()):
@@ -232,9 +233,10 @@ class Simulator:
         for _ in range(num_hosts):
             self.pool.add_host(host_capacity)
         self.model = model
-        self.active = make_scheduler(algorithm, model, nilas_cfg, lava_cfg)
+        self.active = (algorithm if isinstance(algorithm, Scheduler)
+                       else make_scheduler(algorithm, model, nilas_cfg, lava_cfg))
         self.warmup_sched: Scheduler = BestFitScheduler()
-        self.algorithm = algorithm
+        self.algorithm = self.active.name
         # event heap: (time, kind, seq, arg); kind is one of the EV_* codes
         # but EV_ARRIVAL and EV_EXIT, which are streamed
         self._heap: List[Tuple[float, int, int, object]] = []

@@ -5,12 +5,13 @@ out to hold a long job, plus the closed-form misprediction-window probability.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import PoolState, ResourceVec, VmRecord
-from .sched import best_host
+from .core import ResourceVec
+from .sched import Scheduler
+from .sim import SimConfig, Simulator
+from .workload import TraceRecord, vm_terms
 
 
 @dataclass(frozen=True)
@@ -76,61 +77,71 @@ def _sample_jobs(cfg: TheoremConfig, seed: int):
     return arrivals, durations, is_long, pred_long
 
 
-def _run_policy(cfg: TheoremConfig, seed: int, learning: bool) -> float:
-    """Time-averaged non-empty host count under one labeling policy.
+class _LabelPolicy(Scheduler):
+    """The experiment's label policy as a scheduler.  A job goes to a host
+    holding jobs of its predicted label, else to an empty host, else to a host
+    of the other label; the best fit then takes the fullest host, and the
+    lowest id among equals.  With ``reveal``, the jobs' true labels, a host is
+    relabeled long once a long job on it outlives ``short_s``.  Each arrival,
+    exit and relabeling first adds the non-empty host count times the time
+    since the previous one to ``area``."""
 
-    Each job is a unit shape on ``(k, k)`` hosts, placed by ``best_host``
-    with a key that prefers a host holding jobs of its predicted label, then
-    an empty host, then a host of the other label; the best fit then takes
-    the fullest host, and the lowest id among equals."""
-    arrivals, durations, is_long, pred_long = _sample_jobs(cfg, seed)
-    capacity, unit = ResourceVec(cfg.k, cfg.k), ResourceVec(1, 1)
-    pool = PoolState()
-    pool.add_host(capacity)
-    label: Dict[int, str] = {}  # host id -> "S" | "L", read only while the host holds jobs
-    nonempty = 0
-    # (time, priority, seq, kind, payload): exits before reveals before arrivals
-    events: List[Tuple[float, int, int, str, int]] = []
-    for i in range(len(arrivals)):
-        events.append((arrivals[i], 2, i, "arrive", i))
-    heapq.heapify(events)
-    seq = len(arrivals)
-    area = 0.0
-    last_t = 0.0
-    while events:
-        t, _, _, kind, i = heapq.heappop(events)
-        area += nonempty * (t - last_t)
-        last_t = t
-        if kind == "arrive":
-            want = "L" if pred_long[i] else "S"
-            host = best_host(pool.index, unit,
-                             lambda h: (1,) if not h.vms else (0,) if label[h.id] == want else (2,),
-                             (0,))
-            if not host.vms:
-                label[host.id] = want
-                nonempty += 1
-                if host.id == len(pool.hosts) - 1:  # keep an empty host to open
-                    pool.add_host(capacity)
-            pool.place(VmRecord(i, unit, None, t, t + durations[i]), host.id)
-            heapq.heappush(events, (t + durations[i], 0, seq, "exit", i))
-            seq += 1
-            if learning and is_long[i]:
-                heapq.heappush(events, (t + cfg.short_s, 1, seq, "reveal", i))
-                seq += 1
-        elif kind == "reveal":
-            label[pool.vms[i].host] = "L"
-        else:  # exit
-            host = pool.hosts[pool.vms[i].host]
-            pool.remove(i)
-            if not host.vms:
-                nonempty -= 1
-    return area / last_t if last_t > 0 else 0.0
+    name = "label-policy"
+    key_floor = (0,)
+
+    def __init__(self, pred_long: List[bool], reveal: Optional[List[bool]], short_s: float):
+        self.pred_long, self.reveal, self.short_s = pred_long, reveal, short_s
+        self.label: Dict[int, bool] = {}  # host id -> long, read only while the host holds jobs
+        self.nonempty = 0
+        self.area = self.last_t = 0.0
+
+    def _integrate(self, now: float) -> None:
+        self.area += self.nonempty * (now - self.last_t)
+        self.last_t = now
+
+    def host_key(self, vm, pool, now):
+        want, label = self.pred_long[vm.id], self.label
+        return lambda h: (1,) if not h.vms else (0,) if label[h.id] == want else (2,)
+
+    def after_place(self, pool, vm, host, now):
+        self._integrate(now)
+        if len(host.vms) == 1:  # the host has just opened
+            self.label[host.id] = self.pred_long[vm.id]
+            self.nonempty += 1
+        if self.reveal and self.reveal[vm.id]:
+            self.deadline_armed(host.id, now + self.short_s)
+
+    def on_deadline(self, pool, host, now, deadline):
+        self._integrate(now)
+        self.label[host.id] = True
+
+    def on_exit(self, pool, vm, host, now):
+        self._integrate(now)
+        if not host.vms:
+            self.nonempty -= 1
 
 
 def two_class_experiment(cfg: TheoremConfig, seed: int) -> Tuple[float, float]:
-    """(avg hosts without learning, avg hosts with learning) on one shared
-    arrival sequence."""
-    return _run_policy(cfg, seed, learning=False), _run_policy(cfg, seed, learning=True)
+    """(avg hosts without learning, avg hosts with learning): the time-averaged
+    non-empty host count of each policy, replayed by ``Simulator`` on one
+    shared trace of unit-shape jobs over ``(k, k)`` hosts."""
+    import numpy as np
+    arrivals, durations, is_long, pred_long = _sample_jobs(cfg, seed)
+    unit, features = vm_terms(1, 1)
+    trace = [TraceRecord(i, t, d, unit, features)
+             for i, (t, d) in enumerate(zip(arrivals.tolist(), durations.tolist()))]
+    # a host per job alive at the peak, plus an empty one; at one time, exits
+    # run before arrivals
+    exited = np.searchsorted(np.sort(arrivals + durations), arrivals, side="right")
+    hosts = int((np.arange(1, len(trace) + 1) - exited).max(initial=0)) + 1
+    capacity, pred = ResourceVec(cfg.k, cfg.k), pred_long.tolist()
+    sim_cfg = SimConfig(warmup=False, sample_interval_s=cfg.horizon_s)
+    averages = []
+    for reveal in (None, is_long.tolist()):
+        policy = _LabelPolicy(pred, reveal, cfg.short_s)
+        Simulator(trace, hosts, capacity, policy, None, cfg=sim_cfg).run()
+        averages.append(policy.area / policy.last_t if policy.last_t > 0 else 0.0)
+    return tuple(averages)
 
 
 def gap_vs_m(base: TheoremConfig, ms: Sequence[int], seeds: Sequence[int]

@@ -1,4 +1,4 @@
-"""Three syntax-tree guards on the ``lavasim`` sources.
+"""Four syntax-tree guards on the ``lavasim`` sources.
 
 Every module-level import of a ``lavasim`` module is used by that module.
 No linter ships with the test dependencies, so this walks each module's
@@ -16,11 +16,14 @@ attribute in use (``workload.split`` and ``str.split``) passes unseen.
 
 Every non-dunder method of a top-level class is reached the same way: its
 name appears as an attribute (``x.name``) in the sources outside the
-method's own body, or as a name or attribute in ``perfbench/*.py``.  A local
-variable of the same name does not count.  This guard still matches by
+method's own body, or in ``perfbench/*.py``.  A local variable of the same
+name does not count, in either place, and neither does a string
+(``perfbench/spans.py`` wraps methods by name).  This guard still matches by
 name, so a method named like a method in use elsewhere, a builtin's
 (``PredictionCache.clear`` and ``dict.clear``) or another class's, stays
 invisible.
+
+Only ``sim.py`` imports ``heapq``: every replay runs on its one event loop.
 """
 
 import ast
@@ -92,12 +95,14 @@ def unreached(modules, outside):
                   and spread[node.name] == (node.name in found))
 
 
+def perfbench_trees():
+    return [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+
 def reached_from_outside():
     """Names in ``perfbench/*.py``, and the functions ``pyproject.toml``'s
     scripts name."""
-    names = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        names |= appearing_names(ast.parse(path.read_text()).body)
+    names = appearing_names(perfbench_trees())
     scripts = re.findall(r'^\S+ = "[\w.]+:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
     assert scripts, "pyproject.toml names no script"
     return names | set(scripts)
@@ -105,6 +110,7 @@ def reached_from_outside():
 
 # methods that only the tests reach, and why the library keeps each
 KEPT_METHODS = {
+    "PoolState.fits": "the naive feasibility test the free-capacity index is checked against",
     "Scheduler.score": "the reference scorer: the full score tuple of one host, which the "
                        "tests compare the placement walk's choice against",
 }
@@ -137,15 +143,21 @@ def test_only_kept_names_are_reached_by_tests_alone():
     assert unreached(source_modules(), reached_from_outside()) == sorted(KEPT_FOR_TESTS)
 
 
+def reached_by_perfbench():
+    """The attribute names in ``perfbench/*.py``: a local variable there named
+    like a method does not reach it either."""
+    return {name for tree in perfbench_trees() for name in attributes(tree)}
+
+
 def test_only_kept_methods_are_reached_by_tests_alone():
-    assert unreached_methods(source_modules(), reached_from_outside()) == sorted(KEPT_METHODS)
+    assert unreached_methods(source_modules(), reached_by_perfbench()) == sorted(KEPT_METHODS)
 
 
 def test_detects_an_unreached_method():
     modules = source_modules()
     modules["core.py"] += ("\n\nclass Planted:\n    def planted(self, n):\n"
                            "        return self.planted(n - 1) if n else 0\n")
-    assert unreached_methods(modules, reached_from_outside()) == sorted(
+    assert unreached_methods(modules, reached_by_perfbench()) == sorted(
         ["Planted.planted", *KEPT_METHODS])
 
 
@@ -154,7 +166,7 @@ def test_detects_a_method_shadowed_by_a_local():
     modules = source_modules()
     modules["core.py"] += "\n\nclass Planted:\n    def planted(self):\n        return 0\n"
     modules["sim.py"] += "\n\ndef shadow(n):\n    planted = n\n    return planted\n"
-    assert unreached_methods(modules, reached_from_outside()) == sorted(
+    assert unreached_methods(modules, reached_by_perfbench()) == sorted(
         ["Planted.planted", *KEPT_METHODS])
 
 
@@ -162,3 +174,16 @@ def test_detects_an_unreached_function():
     modules = source_modules()
     modules["sim.py"] += "\n\ndef planted(pool):\n    return planted(pool)\n"
     assert "planted" in unreached(modules, reached_from_outside())
+
+
+def imports_heapq(source: str) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "heapq"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_one_event_loop():
+    """Only the simulator keeps an event heap: every replay, the two-lifetime
+    experiment's too, runs on its loop."""
+    assert [name for name, source in source_modules().items() if imports_heapq(source)] == [
+        "sim.py"]

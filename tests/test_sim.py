@@ -20,7 +20,7 @@ from lavasim.predict import (
     lifetime_class,
     make_predictor,
 )
-from lavasim.sched import LavaConfig, Scheduler
+from lavasim.sched import ALGORITHMS, LavaConfig, Scheduler, make_scheduler
 from lavasim.sim import (
     EV_ARRIVAL,
     EV_DEFRAG,
@@ -178,6 +178,23 @@ class TestSimulatorBasics:
                         "baseline", OracleModel(), cfg=SimConfig(warmup=False))
         sim.run()
         assert sim.scheduling_failures == 0
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_scheduler_instance_replays_like_its_name(self, algo):
+        """A ``Scheduler`` passed in place of an algorithm name replays the
+        same, LAVA's deadlines included, and reports the same name."""
+        trace = generate(GeneratorConfig(num_vms=600, seed=3))
+        cfg = SimConfig(warmup_s=3600.0, check_invariants=True, record_placements=True)
+
+        def run(algorithm):
+            return Simulator(trace, 8, ResourceVec(16000, 65536), algorithm,
+                             make_predictor("noisy:0.5", seed=3), cfg=cfg).run()
+        by_name = run(algo)
+        by_instance = run(make_scheduler(algo, make_predictor("noisy:0.5", seed=3)))
+        assert by_instance.series == by_name.series
+        assert by_instance.summary == by_name.summary
+        assert by_instance.placements == by_name.placements
+        assert by_name.summary["algorithm"] == algo
 
 
 class Recording(OracleModel):
