@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 
 class CapacityExceeded(Exception):
@@ -73,7 +73,6 @@ class VmRecord:
 @dataclass(slots=True)
 class HostRecord:
     id: int
-    capacity: ResourceVec
     # the ``used`` vector as plain ints; only ``PoolState`` changes them, and it
     # re-files the host in its index each time
     used_cpu_m: int = 0
@@ -90,56 +89,57 @@ class HostRecord:
         return not self.used_cpu_m and not self.used_mem_mib
 
 
-def has_room(host: HostRecord, shape: ResourceVec) -> bool:
-    """``host.used + shape`` fits within ``host.capacity``, on plain ints."""
-    cap = host.capacity
-    return (host.used_cpu_m + shape.cpu_m <= cap.cpu_m
-            and host.used_mem_mib + shape.mem_mib <= cap.mem_mib)
-
-
-def free_key(host: HostRecord) -> Optional[int]:
-    """Where ``FreeIndex`` files ``host``: its free CPU, or None if it is empty."""
-    return None if host.is_empty() else host.capacity.cpu_m - host.used_cpu_m
-
-
 class FreeIndex:
     """The hosts of one pool filed by free capacity, so that a placement
     visits only the hosts a shape fits on.
 
-    A host with non-zero ``used`` sits in the bucket of its free CPU, and
-    ``keys`` holds the bucket keys in ascending order.  A host with zero
-    ``used``, and so no VMs, sits in the id-ordered list of its capacity,
-    keyed by the capacity's ``(cpu_m, mem_mib)`` (a tuple hashes faster than
-    a ``ResourceVec``).  ``filed`` maps each host id to its ``free_key``, and
-    ``cap_max`` is the largest CPU capacity of a host added.  ``PoolState``
-    is the one writer of ``used`` and re-files the host after each write;
+    Every host of the pool has the pool's capacity, ``cap_cpu_m`` and
+    ``cap_mem_mib``.  A host with non-zero ``used`` sits in the bucket of its
+    free CPU, and ``keys`` holds the bucket keys in ascending order.  A host
+    with zero ``used``, and so no VMs, sits in the id-ordered list ``empty``.
+    ``filed`` maps each host id to its ``free_key``.  ``PoolState`` is the
+    one writer of ``used`` and re-files the host after each write;
     ``sched.best_host`` walks the index.
     """
 
-    __slots__ = ("hosts", "keys", "buckets", "unused", "filed", "cap_max")
+    __slots__ = ("hosts", "cap_cpu_m", "cap_mem_mib", "keys", "buckets", "empty", "filed")
 
-    def __init__(self, hosts: Dict[int, HostRecord]):
+    def __init__(self, hosts: Dict[int, HostRecord], capacity: ResourceVec):
         self.hosts = hosts
+        self.cap_cpu_m, self.cap_mem_mib = capacity.cpu_m, capacity.mem_mib
         self.keys: List[int] = []
         self.buckets: Dict[int, Set[int]] = {}
-        self.unused: Dict[Tuple[int, int], List[int]] = {}
+        self.empty: List[int] = []
         self.filed: Dict[int, Optional[int]] = {}
-        self.cap_max = 0
+
+    def has_room(self, host: HostRecord, shape: ResourceVec) -> bool:
+        """``host.used + shape`` fits within the capacity, on plain ints."""
+        return (host.used_cpu_m + shape.cpu_m <= self.cap_cpu_m
+                and host.used_mem_mib + shape.mem_mib <= self.cap_mem_mib)
+
+    def free_key(self, host: HostRecord) -> Optional[int]:
+        """Where ``host`` is filed: its free CPU, or None if it is empty."""
+        return None if host.is_empty() else self.cap_cpu_m - host.used_cpu_m
 
     def add(self, host: HostRecord) -> None:
-        self.cap_max = max(self.cap_max, host.capacity.cpu_m)
-        self._file(host.id, host.capacity, free_key(host))
+        key = self.filed[host.id] = self.free_key(host)
+        if key is None:
+            insort(self.empty, host.id)
+        elif key in self.buckets:
+            self.buckets[key].add(host.id)
+        else:
+            self.buckets[key] = {host.id}
+            insort(self.keys, key)
 
     def refile(self, host: HostRecord) -> None:
-        used_cpu_m = host.used_cpu_m  # free_key(host) and _file, inlined: this runs on every write
-        key = host.capacity.cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib else None
+        used_cpu_m = host.used_cpu_m  # free_key(host), inlined: this runs on every write
+        key = self.cap_cpu_m - used_cpu_m if used_cpu_m or host.used_mem_mib else None
         hid, filed = host.id, self.filed
         old = filed[hid]
         if key == old:
             return
         if old is None:
-            cap = host.capacity
-            ids = self.unused[cap.cpu_m, cap.mem_mib]
+            ids = self.empty
             del ids[bisect_left(ids, hid)]
         else:
             ids = self.buckets[old]
@@ -149,8 +149,7 @@ class FreeIndex:
                 del self.keys[bisect_left(self.keys, old)]
         filed[hid] = key
         if key is None:
-            cap = host.capacity
-            insort(self.unused.setdefault((cap.cpu_m, cap.mem_mib), []), hid)
+            insort(self.empty, hid)
         else:
             ids = self.buckets.get(key)
             if ids is None:
@@ -159,32 +158,22 @@ class FreeIndex:
             else:
                 ids.add(hid)
 
-    def _file(self, hid: int, capacity: ResourceVec, key: Optional[int]) -> None:
-        self.filed[hid] = key
-        if key is None:
-            insort(self.unused.setdefault((capacity.cpu_m, capacity.mem_mib), []), hid)
-        elif key in self.buckets:
-            self.buckets[key].add(hid)
-        else:
-            self.buckets[key] = {hid}
-            insort(self.keys, key)
-
     def check(self) -> None:
         """Every host of the pool is filed exactly once, under its current
         ``used``."""
-        fresh = FreeIndex(self.hosts)
+        fresh = FreeIndex(self.hosts, ResourceVec(self.cap_cpu_m, self.cap_mem_mib))
         for host in self.hosts.values():
-            fresh._file(host.id, host.capacity, free_key(host))
-        unused = {cap: ids for cap, ids in self.unused.items() if ids}
-        if (self.keys, self.buckets, unused, self.filed) != (
-                fresh.keys, fresh.buckets, fresh.unused, fresh.filed):
+            fresh.add(host)
+        if (self.keys, self.buckets, self.empty, self.filed) != (
+                fresh.keys, fresh.buckets, fresh.empty, fresh.filed):
             raise AssertionError("free-capacity index does not match the hosts' used")
-        if self.cap_max != max((h.capacity.cpu_m for h in self.hosts.values()), default=0):
-            raise AssertionError("cap_max is not the largest host CPU capacity")
 
 
 @dataclass
 class PoolState:
+    """Hosts of one shape, ``capacity``, and the VMs placed on them."""
+
+    capacity: ResourceVec
     hosts: Dict[int, HostRecord] = field(default_factory=dict)
     vms: Dict[int, VmRecord] = field(default_factory=dict)
     now: float = 0.0
@@ -195,25 +184,25 @@ class PoolState:
     index: FreeIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.index = FreeIndex(self.hosts)
+        self.index = FreeIndex(self.hosts, self.capacity)
         for host in self.hosts.values():
             self.index.add(host)
 
-    def add_host(self, capacity: ResourceVec) -> HostRecord:
+    def add_host(self) -> HostRecord:
         hid = len(self.hosts)
-        host = HostRecord(id=hid, capacity=capacity)
+        host = HostRecord(id=hid)
         self.hosts[hid] = host
         self.index.add(host)
         return host
 
     def fits(self, shape: ResourceVec, host: HostRecord) -> bool:
-        return not host.unavailable_for_scheduling and has_room(host, shape)
+        return not host.unavailable_for_scheduling and self.index.has_room(host, shape)
 
     def place(self, vm: VmRecord, host_id: int) -> None:
         host = self.hosts[host_id]
         if vm.host is not None:
             raise CapacityExceeded(f"vm {vm.id} already placed on host {vm.host}")
-        shape, cap = vm.shape, host.capacity
+        shape, cap = vm.shape, self.capacity
         used_cpu_m = host.used_cpu_m + shape.cpu_m
         used_mem_mib = host.used_mem_mib + shape.mem_mib
         # not self.fits(shape, host), inlined
@@ -245,7 +234,7 @@ class PoolState:
         """Add ``shape`` to the host's ``used`` without placing a VM, whether
         the host is available or not."""
         host = self.hosts[host_id]
-        if not has_room(host, shape):
+        if not self.index.has_room(host, shape):
             raise CapacityExceeded(f"reserving {shape} overflows host {host_id}")
         host.used_cpu_m += shape.cpu_m
         host.used_mem_mib += shape.mem_mib
@@ -288,8 +277,8 @@ class PoolState:
                 raise AssertionError(f"vm {vid} migrates to host {target} from no other host")
             reserved[target] = reserved.get(target, ZERO) + vm.shape
         for host in self.hosts.values():
-            if not host.used.fits_within(host.capacity):
-                raise AssertionError(f"host {host.id} over capacity: {host.used} > {host.capacity}")
+            if not host.used.fits_within(self.capacity):
+                raise AssertionError(f"host {host.id} over capacity: {host.used} > {self.capacity}")
             acc = reserved.get(host.id, ZERO)
             for vid in host.vms:
                 vm = self.vms[vid]

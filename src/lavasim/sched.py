@@ -19,39 +19,38 @@ migration targets alike.  It builds each algorithm's VM-side terms (the VM's
 predicted exit and LAVA class, both from one ``remaining`` call, and its
 LA-Binary class) once per call through ``host_key`` and hands the host ->
 prefix function to ``best_host``, one walk over the pool's free-capacity
-index (``core.FreeIndex``).  The index files every host with non-zero
-``used`` in a bucket keyed by its free CPU, and every host with zero
-``used`` in an id-ordered list per capacity.  A VM needing ``c`` milli-cores
-visits only the buckets with free CPU of at least ``c``; memory and
-``unavailable_for_scheduling`` are tested at the visit.  ``PoolState``
-re-files a host each time it changes the host's ``used``, so the walk scores
-exactly the hosts ``PoolState.fits`` accepts, except as below.  The buckets
-come in ascending free CPU and the lists after them; the order within a
-bucket does not matter, because the host id ends every score tuple.
+index (``core.FreeIndex``).  Every host of a pool has the pool's capacity.
+The index files every host with non-zero ``used`` in a bucket keyed by its
+free CPU, and every host with zero ``used`` in one id-ordered list.  A VM
+needing ``c`` milli-cores visits only the buckets with free CPU of at least
+``c``; memory and ``unavailable_for_scheduling`` are tested at the visit.
+``PoolState`` re-files a host each time it changes the host's ``used``, so
+the walk scores exactly the hosts ``PoolState.fits`` accepts, except as
+below.  The buckets come in ascending free CPU and the list after them; the
+order within a bucket does not matter, because the host id ends every score
+tuple.
 
-Of the hosts in the lists, only the lowest-id available one of each
-capacity is scored.  This is exact.  A host with zero ``used`` has no VMs,
-because ``VmRecord`` rejects zero shapes, and every algorithm scores a host
-with no VMs from its VM set, ``used``, ``capacity`` and ``id`` alone (tier
-"empty", temporal cost 0, best fit from ``used`` and ``capacity``), so such
-hosts of one capacity tie on every component but the final id, and the
-lowest id wins among them.  A host with no VMs but non-zero ``used``
+Of the hosts in the list, only the lowest-id available one is scored.  This
+is exact.  A host with zero ``used`` has no VMs, because ``VmRecord``
+rejects zero shapes, and every algorithm scores a host with no VMs from its
+VM set, ``used`` and ``id`` alone (tier "empty", temporal cost 0, best fit
+from ``used``), so such hosts tie on every component but the final id, and
+the lowest id wins among them.  A host with no VMs but non-zero ``used``
 (incoming migration reservations, or the stranding packer's shapes) sits in
 a bucket and scores as itself.
 
-The walk stops once no unseen host can win.  Before it visits the bucket of
-free CPU ``k`` it takes ``(k - c) / cap_max``, with ``cap_max`` the pool's
-largest host CPU capacity.  Every host in that bucket or a later one has
-free CPU ``k' >= k >= c`` and capacity ``cap <= cap_max``, so its CPU term
-of ``best_fit_score``, ``(k' - c) / cap``, is at least the bound: the
-numerators are exact integers and correctly rounded division is monotone,
-so this holds in floats too.  ``best_fit_score`` is the larger of the CPU
-and memory terms, so the bound holds for it as well.  A scheduler whose
-prefix has a known least value (``key_floor``) stops once the best host so
-far has that least prefix and the bound is strictly greater than its best
+The walk stops once no unseen host can win.  Every host in the bucket of
+free CPU ``k`` has the CPU term ``(k - c) / cap`` of ``best_fit_score``, with
+``cap`` the pool's CPU capacity, and a host in a later bucket has free CPU
+``k' > k``, so its CPU term is at least that: the numerators are exact
+integers and correctly rounded division is monotone, so this holds in floats
+too.  ``best_fit_score`` is the larger of the CPU and memory terms, so the
+bucket's CPU term bounds it as well.  A scheduler whose prefix has a known
+least value (``key_floor``) stops once the best host so far has that least
+prefix and the CPU term of the next bucket is strictly greater than its best
 fit: no host in a bucket still unseen can then beat it, while at equality
 one might tie and win on a lower id.  The walk returns at once, skipping the
-lists too, because every ``key_floor`` starts with the tier of a host with
+list too, because every ``key_floor`` starts with the tier of a host with
 VMs and ranks strictly below the key of any host without them.
 
 Best Fit declares ``(0,)``, NILAS ``(0, 0)`` (has VMs, temporal cost 0),
@@ -67,9 +66,9 @@ and the grid cell of the lookup, not of whether an earlier walk filled it.
 
 LAVA's host lifecycle lives in ``LavaScheduler.state``, not in ``core``.  A
 host without an entry there is empty or holds only VMs placed under another
-scheduler, and a deadline event acts only while the host's entry still holds
-the deadline the event carries.  LAVA hands each deadline it arms to
-``deadline_armed``, also those of a table it adopts.
+scheduler.  LAVA hands each deadline it arms to ``deadline_armed``, also
+those of a table it adopts, and a deadline event at time ``t`` acts only
+while the host's entry still holds the deadline ``t``.
 """
 
 from __future__ import annotations
@@ -123,64 +122,66 @@ def quantize_temporal_cost(delta_t_s: float, cfg: NilasConfig = NilasConfig()) -
     return min(bisect_right(b, delta_t_s) - 1, len(b) - 1)
 
 
-def best_fit_score(host: HostRecord, shape: ResourceVec) -> float:
+def best_fit_score(host: HostRecord, shape: ResourceVec, capacity: ResourceVec) -> float:
     """Normalized leftover after placement, max over dimensions; lower is tighter."""
-    cap = host.capacity
-    cpu = (cap.cpu_m - host.used_cpu_m - shape.cpu_m) / cap.cpu_m
-    mem = (cap.mem_mib - host.used_mem_mib - shape.mem_mib) / cap.mem_mib
+    cpu = (capacity.cpu_m - host.used_cpu_m - shape.cpu_m) / capacity.cpu_m
+    mem = (capacity.mem_mib - host.used_mem_mib - shape.mem_mib) / capacity.mem_mib
     return cpu if cpu >= mem else mem
 
 
 def best_host(index: FreeIndex, shape: ResourceVec, key: Callable[[HostRecord], tuple],
               floor: Optional[tuple]) -> Optional[HostRecord]:
     """The available host of ``index`` with room for ``shape`` and the least
-    ``key(host) + (best_fit_score(host, shape), host.id)``, or None if no
-    host has room.
+    ``key(host) + (best_fit_score(host, shape, capacity), host.id)``, or None
+    if no host has room.
 
     ``key`` returns the score's prefix; the best-fit term is computed here,
     only for hosts whose prefix is at most the best prefix so far.
     ``floor`` is the least prefix ``key`` can return, or None to score every
     candidate.  The walk ends once the best prefix so far is ``floor`` and
-    the bound of the next bucket (see the module docstring) is strictly
+    the CPU term of the next bucket (see the module docstring) is strictly
     greater than its best-fit term."""
     cpu_m, mem_mib = shape.cpu_m, shape.mem_mib
-    hosts, keys, buckets, cap_max = index.hosts, index.keys, index.buckets, index.cap_max
+    hosts, keys, buckets = index.hosts, index.keys, index.buckets
+    cap_cpu_m, cap_mem_mib = index.cap_cpu_m, index.cap_mem_mib
     best = best_prefix = None
     best_fit = best_id = 0
     limit = None  # the best-fit term of ``best`` once its prefix is ``floor``
     for i in range(bisect_left(keys, cpu_m), len(keys)):
         free = keys[i]
-        if limit is not None and (free - cpu_m) / cap_max > limit:
+        # the CPU term of best_fit_score for every host in this bucket
+        cpu = (free - cpu_m) / cap_cpu_m
+        if limit is not None and cpu > limit:
             return best
         for hid in buckets[free]:
             host = hosts[hid]
-            cap = host.capacity
             used_mem_mib = host.used_mem_mib
-            if used_mem_mib + mem_mib <= cap.mem_mib and not host.unavailable_for_scheduling:
+            if used_mem_mib + mem_mib <= cap_mem_mib and not host.unavailable_for_scheduling:
                 prefix = key(host)
                 if best is not None and prefix > best_prefix:
                     continue
-                # best_fit_score(host, shape), inlined
-                cpu = (cap.cpu_m - host.used_cpu_m - cpu_m) / cap.cpu_m
-                mem = (cap.mem_mib - used_mem_mib - mem_mib) / cap.mem_mib
+                # best_fit_score(host, shape, capacity), inlined
+                mem = (cap_mem_mib - used_mem_mib - mem_mib) / cap_mem_mib
                 fit = cpu if cpu >= mem else mem
                 if (best is None or prefix != best_prefix or fit < best_fit
                         or (fit == best_fit and hid < best_id)):
                     best, best_prefix, best_fit, best_id = host, prefix, fit, hid
                     if prefix == floor:
                         limit = fit
-    # hosts with zero used: the lowest-id available one per capacity
-    for (cap_cpu_m, cap_mem_mib), ids in index.unused.items():
-        if cpu_m <= cap_cpu_m and mem_mib <= cap_mem_mib:
-            for hid in ids:
-                host = hosts[hid]
-                if not host.unavailable_for_scheduling:
-                    prefix = key(host)
-                    if best is None or prefix <= best_prefix:
-                        fit = best_fit_score(host, shape)
-                        if best is None or (prefix, fit, hid) < (best_prefix, best_fit, best_id):
-                            best, best_prefix, best_fit, best_id = host, prefix, fit, hid
-                    break
+    # hosts with zero used: the lowest-id available one
+    if cpu_m <= cap_cpu_m and mem_mib <= cap_mem_mib:
+        for hid in index.empty:
+            host = hosts[hid]
+            if not host.unavailable_for_scheduling:
+                prefix = key(host)
+                if best is None or prefix <= best_prefix:
+                    # best_fit_score(host, shape, capacity) with zero used
+                    cpu = (cap_cpu_m - cpu_m) / cap_cpu_m
+                    mem = (cap_mem_mib - mem_mib) / cap_mem_mib
+                    fit = cpu if cpu >= mem else mem
+                    if best is None or (prefix, fit, hid) < (best_prefix, best_fit, best_id):
+                        best = host
+                break
     return best
 
 
@@ -188,7 +189,8 @@ class Scheduler:
     """Common surface: select a host for a VM, plus LAVA-style state hooks."""
 
     name = "base"
-    # set by the simulator; called with (host id, deadline) per deadline armed or adopted
+    # set by the simulator; called with (host id, deadline) per deadline armed or adopted,
+    # and the simulator calls ``on_deadline`` at that time
     deadline_armed: Optional[Callable[[int, float], None]] = None
     # per-host state an evacuation replay carries over: LAVA's table
     state: Optional[Dict[int, LavaHost]] = None
@@ -209,7 +211,8 @@ class Scheduler:
 
     def score(self, host, vm, pool, now):
         """The full score tuple of ``host``: prefix, best-fit term, host id."""
-        return self.host_key(vm, pool, now)(host) + (best_fit_score(host, vm.shape), host.id)
+        return (self.host_key(vm, pool, now)(host)
+                + (best_fit_score(host, vm.shape, pool.capacity), host.id))
 
     # state-machine hooks
     def after_place(self, pool: PoolState, vm: VmRecord, host: HostRecord, now: float) -> None:
@@ -218,7 +221,7 @@ class Scheduler:
     def on_exit(self, pool: PoolState, vm: VmRecord, host: HostRecord, now: float) -> None:
         pass
 
-    def on_deadline(self, pool: PoolState, host: HostRecord, now: float, deadline: float) -> None:
+    def on_deadline(self, pool: PoolState, host: HostRecord, now: float) -> None:
         pass
 
     def on_adopt(self, pool: PoolState, now: float, state: Optional[Dict[int, LavaHost]]) -> None:
@@ -328,7 +331,7 @@ class LavaScheduler(NilasScheduler):
     ``state`` holds a ``LavaHost`` per host LAVA has placed on, until the host
     empties; a non-empty host without one (VMs placed under another scheduler)
     scores like an open host of no class.  ``on_deadline`` acts only while the
-    entry still holds the deadline its event carries: a re-arm, or the host
+    entry still holds the deadline its event fires at: a re-arm, or the host
     emptying, makes the events of older deadlines stale.  ``host_key`` sets
     the VM's ``lifetime_class`` from the one prediction it makes, and
     ``after_place`` classifies a VM Best Fit placed in warm-up.  The temporal
@@ -409,14 +412,13 @@ class LavaScheduler(NilasScheduler):
             # last-resort placement onto a draining host: the VM extends the
             # drain and must be treated as residual, never silently absorbed
             lava.residual_vms.add(vm.id)
-        if not lava.recycling and self._over_threshold(host):
+        if not lava.recycling and self._over_threshold(host, pool.capacity):
             lava.recycling = True
             lava.residual_vms = set(host.vms)
 
-    def _over_threshold(self, host: HostRecord) -> bool:
+    def _over_threshold(self, host: HostRecord, capacity: ResourceVec) -> bool:
         t = self.lava_cfg.recycle_threshold
-        return (host.used_cpu_m > t * host.capacity.cpu_m
-                or host.used_mem_mib > t * host.capacity.mem_mib)
+        return host.used_cpu_m > t * capacity.cpu_m or host.used_mem_mib > t * capacity.mem_mib
 
     def on_exit(self, pool, vm, host, now):
         self.cache.invalidate(host.id)
@@ -429,9 +431,9 @@ class LavaScheduler(NilasScheduler):
                 # all residuals gone: everything left is from a lower class
                 self._reclass(host, lava, max(lava.host_class - 1, LifetimeClass.LC1), now)
 
-    def on_deadline(self, pool, host, now, deadline):
+    def on_deadline(self, pool, host, now):
         lava = self.state.get(host.id)
-        if lava is None or lava.deadline != deadline or not host.vms:
+        if lava is None or lava.deadline != now or not host.vms:
             return  # stale: the host was re-armed or emptied since
         # the host outlived its class: promote it and refresh the residual set
         self._reclass(host, lava, min(lava.host_class + 1, LifetimeClass.LC4), now)

@@ -133,22 +133,14 @@ class RunResult:
 
 def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float]:
     """(empty_hosts_pct, empty_to_free_ratio, packing_density) on CPU cores."""
-    n = len(pool.hosts)
-    empty_cpu = free_cpu = 0
-    nonempty_used = nonempty_cap = 0
-    n_empty = 0
-    for host in pool.hosts.values():
-        cap_cpu_m, used_cpu_m = host.capacity.cpu_m, host.used_cpu_m
-        free_cpu += cap_cpu_m - used_cpu_m
-        if host.is_empty():
-            n_empty += 1
-            empty_cpu += cap_cpu_m
-        else:
-            nonempty_used += used_cpu_m
-            nonempty_cap += cap_cpu_m
+    n, n_empty, cap_cpu_m = len(pool.hosts), len(pool.index.empty), pool.capacity.cpu_m
+    # an empty host uses nothing, so every used milli-core is on a non-empty host
+    used_cpu = sum(h.used_cpu_m for h in pool.hosts.values())
+    free_cpu = n * cap_cpu_m - used_cpu
+    nonempty_cap = (n - n_empty) * cap_cpu_m
     empty_pct = 100.0 * n_empty / n if n else 0.0
-    ratio = empty_cpu / free_cpu if free_cpu > 0 else 0.0
-    density = nonempty_used / nonempty_cap if nonempty_cap > 0 else 1.0
+    ratio = n_empty * cap_cpu_m / free_cpu if free_cpu > 0 else 0.0
+    density = used_cpu / nonempty_cap if nonempty_cap > 0 else 1.0
     return empty_pct, ratio, density
 
 
@@ -208,10 +200,10 @@ def inflation_stranding(pool: PoolState, vm_mix: Sequence[Tuple[ResourceVec, flo
         if best_host(snap.index, smallest, lambda h: (), None) is None:
             break
 
-    total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())
-    total_mem = sum(h.capacity.mem_mib for h in snap.hosts.values())
-    free_cpu = sum(h.capacity.cpu_m - h.used_cpu_m for h in snap.hosts.values())
-    free_mem = sum(h.capacity.mem_mib - h.used_mem_mib for h in snap.hosts.values())
+    n, cap = len(snap.hosts), snap.capacity
+    total_cpu, total_mem = n * cap.cpu_m, n * cap.mem_mib
+    free_cpu = total_cpu - sum(h.used_cpu_m for h in snap.hosts.values())
+    free_mem = total_mem - sum(h.used_mem_mib for h in snap.hosts.values())
     return free_cpu / total_cpu, free_mem / total_mem
 
 
@@ -229,9 +221,9 @@ class Simulator:
                 raise TraceNotSorted("trace records must be sorted by create time")
         self.trace = trace
         self.cfg = cfg
-        self.pool = PoolState()
+        self.pool = PoolState(host_capacity)
         for _ in range(num_hosts):
-            self.pool.add_host(host_capacity)
+            self.pool.add_host()
         self.model = model
         self.active = (algorithm if isinstance(algorithm, Scheduler)
                        else make_scheduler(algorithm, model, nilas_cfg, lava_cfg))
@@ -264,7 +256,7 @@ class Simulator:
         self.scheduling_failures = 0
         self.placements: List[str] = []
         self.defrag_instances: List[DefragInstance] = []
-        self.active.deadline_armed = lambda hid, t: self._push(t, EV_DEADLINE, (hid, t))
+        self.active.deadline_armed = lambda hid, t: self._push(t, EV_DEADLINE, hid)
 
     @classmethod
     def _over_pool(cls, pool: PoolState, algorithm: str, model, cfg: SimConfig,
@@ -381,11 +373,10 @@ class Simulator:
             self._series.append((now, e, r, d, len(self.pool.vms), util_c, util_m))
 
     def _utilization(self) -> Tuple[float, float]:
-        cap_c = sum(h.capacity.cpu_m for h in self.pool.hosts.values())
-        cap_m = sum(h.capacity.mem_mib for h in self.pool.hosts.values())
+        n, cap = len(self.pool.hosts), self.pool.capacity
         used_c = sum(h.used_cpu_m for h in self.pool.hosts.values())
         used_m = sum(h.used_mem_mib for h in self.pool.hosts.values())
-        return used_c / cap_c, used_m / cap_m
+        return used_c / (n * cap.cpu_m), used_m / (n * cap.mem_mib)
 
     def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
         create = rec.create_time_s
@@ -413,16 +404,15 @@ class Simulator:
         if self._mig_queue and len(pool.incoming) < self.cfg.defrag.max_concurrent:
             self._fill_migration_slots(now)
 
-    def _handle_deadline(self, event: Tuple[int, float], now: float) -> None:
-        host_id, deadline = event
-        self.active.on_deadline(self.pool, self.pool.hosts[host_id], now, deadline)
+    def _handle_deadline(self, host_id: int, now: float) -> None:
+        self.active.on_deadline(self.pool, self.pool.hosts[host_id], now)
 
     # -- defragmentation -------------------------------------------------
 
     def _handle_defrag_check(self, _, now: float) -> None:
         if self._mig_queue or self.pool.incoming:
             return  # previous round still draining; its candidates reopen as they empty
-        empty_frac = sum(1 for h in self.pool.hosts.values() if h.is_empty()) / len(self.pool.hosts)
+        empty_frac = len(self.pool.index.empty) / len(self.pool.hosts)
         if empty_frac >= self.cfg.defrag.empty_host_trigger:
             return
         candidates = select_candidates(self.pool, self.cfg.defrag.candidates_per_round)
@@ -531,12 +521,13 @@ def trace_shape_mix(trace: Sequence[TraceRecord]) -> List[Tuple[ResourceVec, flo
 
 def select_candidates(pool: PoolState, count: int) -> List[int]:
     """Evacuation candidates: fewest VMs first, then most free capacity."""
+    cap_cpu_m, cap_mem_mib = pool.capacity.cpu_m, pool.capacity.mem_mib
     ranked = sorted(
         (h for h in pool.hosts.values()
          if h.vms and not h.unavailable_for_scheduling),
         key=lambda h: (len(h.vms),
-                       -(h.capacity.cpu_m - h.used_cpu_m) / h.capacity.cpu_m
-                       - (h.capacity.mem_mib - h.used_mem_mib) / h.capacity.mem_mib,
+                       -(cap_cpu_m - h.used_cpu_m) / cap_cpu_m
+                       - (cap_mem_mib - h.used_mem_mib) / cap_mem_mib,
                        h.id))
     return [h.id for h in ranked[:count]]
 

@@ -111,7 +111,7 @@ class _LabelPolicy(Scheduler):
         if self.reveal and self.reveal[vm.id]:
             self.deadline_armed(host.id, now + self.short_s)
 
-    def on_deadline(self, pool, host, now, deadline):
+    def on_deadline(self, pool, host, now):
         self._integrate(now)
         self.label[host.id] = True
 

@@ -29,8 +29,8 @@ def scanned(pool, shape):
 
 
 def pool_with_host(cpu_m=96_000, mem_mib=393_216):
-    pool = PoolState()
-    pool.add_host(ResourceVec(cpu_m, mem_mib))
+    pool = PoolState(ResourceVec(cpu_m, mem_mib))
+    pool.add_host()
     return pool
 
 
@@ -113,9 +113,9 @@ class TestPlaceRemove:
 
 class TestMigrationBookkeeping:
     def test_reserve_then_commit(self):
-        pool = PoolState()
-        pool.add_host(ResourceVec(10_000, 10_000))
-        pool.add_host(ResourceVec(10_000, 10_000))
+        pool = PoolState(ResourceVec(10_000, 10_000))
+        pool.add_host()
+        pool.add_host()
         vm = make_vm(1, 4000, 4000)
         pool.place(vm, 0)
         pool.reserve_incoming(vm, 1)
@@ -134,9 +134,10 @@ class TestMigrationBookkeeping:
         pool.check_invariants()
 
     def test_reservation_overflow(self):
-        pool = PoolState()
-        pool.add_host(ResourceVec(10_000, 10_000))
-        pool.add_host(ResourceVec(3000, 3000))
+        pool = PoolState(ResourceVec(10_000, 10_000))
+        pool.add_host()
+        pool.add_host()
+        pool.reserve(1, ResourceVec(7000, 7000))  # 3000 of each left on host 1
         vm = make_vm(1, 4000, 4000)
         pool.place(vm, 0)
         with pytest.raises(CapacityExceeded, match="vm 1"):
@@ -144,16 +145,16 @@ class TestMigrationBookkeeping:
         pool.reserve(1, ResourceVec(2000, 2000))
         with pytest.raises(CapacityExceeded):
             pool.reserve(1, ResourceVec(1000, 1001))
-        assert pool.hosts[1].used == ResourceVec(2000, 2000)
+        assert pool.hosts[1].used == ResourceVec(9000, 9000)
         assert not pool.incoming
         pool.index.check()
 
     def test_second_reservation_refused(self):
         """A VM reserves one target at a time: a second reservation would
         overwrite the first target and orphan its ``used``."""
-        pool = PoolState()
+        pool = PoolState(ResourceVec(10_000, 10_000))
         for _ in range(3):
-            pool.add_host(ResourceVec(10_000, 10_000))
+            pool.add_host()
         vm = make_vm(1, 4000, 4000)
         pool.place(vm, 0)
         pool.reserve_incoming(vm, 1)
@@ -164,8 +165,8 @@ class TestMigrationBookkeeping:
         pool.check_invariants()
 
     def test_commit_without_reservation(self):
-        pool = PoolState()
-        pool.add_host(ResourceVec(10_000, 10_000))
+        pool = PoolState(ResourceVec(10_000, 10_000))
+        pool.add_host()
         vm = make_vm(1, 4000, 4000)
         pool.place(vm, 0)
         with pytest.raises(UnknownVm, match="not migrating"):
@@ -173,9 +174,9 @@ class TestMigrationBookkeeping:
         assert vm.host == 0 and pool.hosts[0].used == ResourceVec(4000, 4000)
 
     def test_invariants_check_the_in_flight_map(self):
-        pool = PoolState()
-        pool.add_host(ResourceVec(10_000, 10_000))
-        pool.add_host(ResourceVec(10_000, 10_000))
+        pool = PoolState(ResourceVec(10_000, 10_000))
+        pool.add_host()
+        pool.add_host()
         vm = make_vm(1, 4000, 4000)
         pool.place(vm, 0)
         pool.reserve(1, vm.shape)
@@ -195,9 +196,9 @@ class TestMigrationBookkeeping:
                 min_size=1, max_size=30))
 def test_conservation_place_remove(shapes):
     """Placing then removing every VM restores a zero used vector exactly."""
-    pool = PoolState()
+    pool = PoolState(ResourceVec(96_000, 393_216))
     for _ in range(4):
-        pool.add_host(ResourceVec(96_000, 393_216))
+        pool.add_host()
     placed = []
     for i, (cpu, mem) in enumerate(shapes):
         vm = make_vm(i, cpu, mem)
@@ -249,8 +250,7 @@ class TestIndexInvariant:
             pool.check_invariants()
 
     def test_hosts_passed_to_the_constructor_are_filed(self):
-        cap = ResourceVec(8000, 16_384)
-        pool = PoolState(hosts={0: HostRecord(0, cap, used_cpu_m=1000),
-                                1: HostRecord(1, cap)})
+        pool = PoolState(ResourceVec(8000, 16_384),
+                         hosts={0: HostRecord(0, used_cpu_m=1000), 1: HostRecord(1)})
         pool.index.check()
         assert sorted(h.id for h in scanned(pool, ResourceVec(500, 512))) == [0, 1]

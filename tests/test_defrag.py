@@ -35,9 +35,9 @@ def make_vm(vm_id, create, exit_time, shape=SHAPE):
 
 def hand_pool():
     """Host 0 holds one long VM and two short VMs; host 1 is empty."""
-    pool = PoolState()
-    pool.add_host(CAP)
-    pool.add_host(CAP)
+    pool = PoolState(CAP)
+    pool.add_host()
+    pool.add_host()
     pool.place(make_vm(0, 0.0, 600.0), 0)    # short, created first
     pool.place(make_vm(1, 10.0, 600.0), 0)   # short
     pool.place(make_vm(2, 20.0, 10_000.0), 0)  # long, created last
@@ -81,9 +81,9 @@ class TestSimulateEvacuation:
         """A VM whose exit falls inside its own migration, or exactly at its
         end, is migrated first and exits when the migration ends; it counts
         as migrated, not saved."""
-        pool = PoolState()
-        pool.add_host(CAP)
-        pool.add_host(CAP)
+        pool = PoolState(CAP)
+        pool.add_host()
+        pool.add_host()
         pool.place(make_vm(0, 0.0, exit_s), 0)
         assert simulate_evacuation(pool, 0, "trace", OracleModel()) == EvacuationOutcome(
             migrations=1, saved=0, deferrals=0)
@@ -99,9 +99,9 @@ class TestSimulateEvacuation:
         """A deadline of the adopted LAVA table that falls inside the
         evacuation promotes its host, as in the live run; one at ``pool.now``
         fired before the snapshot and does not fire again."""
-        pool = PoolState()
+        pool = PoolState(CAP)
         for _ in range(3):
-            pool.add_host(CAP)
+            pool.add_host()
         for hid in range(3):
             pool.place(make_vm(hid, 0.0, 50_000.0), hid)
         state = {1: LavaHost(LifetimeClass.LC1, 600.0), 2: LavaHost(LifetimeClass.LC1, 0.0)}

@@ -11,8 +11,9 @@ Every module-level ``def`` and ``class`` is reached by something other than
 the tests: its name appears, as a name or an attribute, in the sources
 outside its own definition, in ``perfbench/*.py`` or as a
 ``pyproject.toml`` script.  A re-export in ``__init__.py`` does not count.
-The guard reads names only, so a function that shares its name with an
-attribute in use (``workload.split`` and ``str.split``) passes unseen.
+An attribute counts only when its chain starts at a module name
+(``defrag.compare_orderings``), so a function named like a method in use
+(``workload.split`` and ``str.split``) does not pass unseen.
 
 Every non-dunder method of a top-level class is reached the same way: its
 name appears as an attribute (``x.name``) in the sources outside the
@@ -68,13 +69,27 @@ KEPT_FOR_TESTS = {
     "misprediction_probability_mc": "the Monte Carlo estimate the closed form is checked against",
     "quantize_temporal_cost": "the plain form of the bucket lookup that NILAS's score inlines; "
                               "the reference scorer checks the inlined copy against it",
+    "split": "the acceptance suite's deterministic train/test split",
 }
+
+# ``lavasim`` and its modules: the roots of attribute chains that reach a function
+MODULE_NAMES = {"lavasim"} | {path.stem for path in MODULES}
+
+
+def module_rooted(node: ast.Attribute) -> bool:
+    """Whether the chain of ``node`` starts at a module name, as in
+    ``defrag.compare_orderings`` or ``lavasim.sim.Simulator``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in MODULE_NAMES
 
 
 def named(root):
-    """The names of the ``Name`` and ``Attribute`` nodes under ``root``, repeats kept."""
-    return [node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(root) if isinstance(node, (ast.Name, ast.Attribute))]
+    """The names of the ``Name`` nodes under ``root`` and of its ``Attribute``
+    nodes rooted at a module name, repeats kept."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(root)
+            if isinstance(node, ast.Name)
+            or isinstance(node, ast.Attribute) and module_rooted(node)]
 
 
 def appearing_names(statements):
@@ -174,6 +189,19 @@ def test_detects_an_unreached_function():
     modules = source_modules()
     modules["sim.py"] += "\n\ndef planted(pool):\n    return planted(pool)\n"
     assert "planted" in unreached(modules, reached_from_outside())
+
+
+def test_detects_a_function_named_like_an_attribute_in_use():
+    """An attribute reaches a function only from a module name: ``text.planted()``
+    does not reach ``sim.planted``, as ``str.split`` does not reach
+    ``workload.split``, while ``sim.reached(text)`` reaches ``sim.reached``."""
+    modules = source_modules()
+    modules["sim.py"] += ("\n\ndef planted(text):\n    return text\n"
+                          "\n\ndef reached(text):\n    return text\n")
+    modules["defrag.py"] += ("\n\ndef caller(text):\n"
+                             "    return text.planted() + sim.reached(text)\n")
+    found = unreached(modules, reached_from_outside() | {"caller"})
+    assert "planted" in found and "reached" not in found
 
 
 def imports_heapq(source: str) -> bool:

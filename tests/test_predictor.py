@@ -461,14 +461,14 @@ def test_remaining_matches_predict_remaining(case, other, create):
 
 class TestPredictionCache:
     def test_empty_host_raises(self):
-        pool = PoolState()
-        host = pool.add_host(ResourceVec(96_000, 393_216))
+        pool = PoolState(ResourceVec(96_000, 393_216))
+        host = pool.add_host()
         with pytest.raises(EmptyHost):
             PredictionCache().host_exit_time(host, pool, OracleModel(), 0.0)
 
     def test_max_over_vms(self):
-        pool = PoolState()
-        host = pool.add_host(ResourceVec(96_000, 393_216))
+        pool = PoolState(ResourceVec(96_000, 393_216))
+        host = pool.add_host()
         pool.place(make_vm(1, exit_=100.0), 0)
         pool.place(make_vm(2, exit_=500.0), 0)
         cache = PredictionCache()
@@ -477,8 +477,8 @@ class TestPredictionCache:
     def test_stale_value_within_interval(self):
         """A drifting model's update is hidden until the next grid cell or a
         membership change."""
-        pool = PoolState()
-        host = pool.add_host(ResourceVec(96_000, 393_216))
+        pool = PoolState(ResourceVec(96_000, 393_216))
+        host = pool.add_host()
         pool.place(make_vm(1, exit_=10_000.0), 0)
         cache = PredictionCache(grid_s=60.0)
 
@@ -502,8 +502,8 @@ class TestPredictionCache:
         """A fill predicts every resident once, at the later of the cell's
         start and the VM's creation, and a lookup in the same cell predicts
         none."""
-        pool = PoolState()
-        host = pool.add_host(ResourceVec(96_000, 393_216))
+        pool = PoolState(ResourceVec(96_000, 393_216))
+        host = pool.add_host()
         for vid, create in enumerate((0.0, 70.0, 100.0)):
             pool.place(make_vm(vid, create=create, exit_=1000.0 * (vid + 1)), 0)
         calls = []
@@ -524,8 +524,8 @@ class TestPredictionCache:
         assert sorted(calls) == [(0, 120.0), (1, 120.0), (2, 120.0)]
 
     def test_invalidate_on_membership_change(self):
-        pool = PoolState()
-        host = pool.add_host(ResourceVec(96_000, 393_216))
+        pool = PoolState(ResourceVec(96_000, 393_216))
+        host = pool.add_host()
         pool.place(make_vm(1, exit_=100.0), 0)
         cache = PredictionCache()
         assert cache.host_exit_time(host, pool, OracleModel(), 0.0) == 100.0
@@ -537,8 +537,8 @@ class TestPredictionCache:
     def test_passed_entry_answers_now(self, grid_s):
         """Past the stored exit a lookup in the same cell answers ``now``
         without predicting anything."""
-        pool = PoolState()
-        host = pool.add_host(ResourceVec(96_000, 393_216))
+        pool = PoolState(ResourceVec(96_000, 393_216))
+        host = pool.add_host()
         pool.place(make_vm(1, exit_=100.0), 0)
         pool.place(make_vm(2, exit_=5000.0), 0)
         calls = []
@@ -603,9 +603,9 @@ def test_cache_matches_recomputing_every_lookup(spec, ops):
     residents at that moment gives."""
     model = CACHE_MODELS[spec]()
     grid_s = math.inf if getattr(model, "time_invariant", False) else 60.0
-    cache, pool = PredictionCache(grid_s), PoolState()
+    cache, pool = PredictionCache(grid_s), PoolState(ResourceVec(96_000, 393_216))
     for _ in range(3):
-        pool.add_host(ResourceVec(96_000, 393_216))
+        pool.add_host()
     now = 0.0
     for vm_id, (op, k, dt) in enumerate(ops):
         now += dt

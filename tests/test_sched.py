@@ -44,9 +44,9 @@ def make_vm(vm_id, cpu_m=1000, mem_mib=4096, create=0.0, exit_=100.0):
 
 
 def make_pool(n_hosts=4, cpu_m=96_000, mem_mib=393_216):
-    pool = PoolState()
+    pool = PoolState(ResourceVec(cpu_m, mem_mib))
     for _ in range(n_hosts):
-        pool.add_host(ResourceVec(cpu_m, mem_mib))
+        pool.add_host()
     return pool
 
 
@@ -114,7 +114,7 @@ class TestBestFit:
         pool = make_pool(1, cpu_m=10_000, mem_mib=10_000)
         host = pool.hosts[0]
         # leftover fractions differ across dimensions; max governs
-        assert best_fit_score(host, ResourceVec(5000, 1000)) == pytest.approx(0.9)
+        assert best_fit_score(host, ResourceVec(5000, 1000), pool.capacity) == pytest.approx(0.9)
 
 
 PREFIX_CAPS = ((8000, 16_384), (16_000, 32_768))
@@ -126,12 +126,12 @@ PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 @given(data=st.data(), use_floor=st.booleans())
 def test_best_host_takes_least_prefix_then_fit_then_id(data, use_floor):
     """``best_host`` with a random prefix key returns the feasible host with
-    the least ``(prefix, best_fit_score, id)``.  Prefixes, fits and ids tie
-    often.  Hosts without VMs share their capacity's prefix, as every
-    algorithm's do; with the floor ``(0, 0)`` their prefix is above it."""
-    pool = PoolState()
+    the least ``(prefix, best_fit_score, id)``, on pools of each capacity.
+    Prefixes, fits and ids tie often.  Hosts without VMs share one prefix, as
+    every algorithm's do; with the floor ``(0, 0)`` it is above the floor."""
+    pool = PoolState(ResourceVec(*data.draw(st.sampled_from(PREFIX_CAPS))))
     for _ in range(data.draw(st.integers(1, 9))):
-        pool.add_host(ResourceVec(*data.draw(st.sampled_from(PREFIX_CAPS))))
+        pool.add_host()
     vm_id = 0
     for host in pool.hosts.values():
         for _ in range(data.draw(st.integers(0, 3))):
@@ -140,13 +140,11 @@ def test_best_host_takes_least_prefix_then_fit_then_id(data, use_floor):
                 pool.place(make_vm(vm_id, cpu_m, mem_mib), host.id)
                 vm_id += 1
         host.unavailable_for_scheduling = data.draw(st.sampled_from((False, False, True)))
-    empty_prefix = {cap: data.draw(st.sampled_from(PAIRS[1:] if use_floor else PAIRS))
-                    for cap in PREFIX_CAPS}
-    prefix = {h.id: data.draw(st.sampled_from(PAIRS)) if h.vms
-              else empty_prefix[h.capacity.cpu_m, h.capacity.mem_mib]
+    empty_prefix = data.draw(st.sampled_from(PAIRS[1:] if use_floor else PAIRS))
+    prefix = {h.id: data.draw(st.sampled_from(PAIRS)) if h.vms else empty_prefix
               for h in pool.hosts.values()}
     shape = ResourceVec(*data.draw(st.sampled_from(PREFIX_SHAPES)))
-    scores = [(prefix[h.id], best_fit_score(h, shape), h.id)
+    scores = [(prefix[h.id], best_fit_score(h, shape, pool.capacity), h.id)
               for h in pool.hosts.values() if pool.fits(shape, h)]
     best = best_host(pool.index, shape, lambda h: prefix[h.id],
                      (0, 0) if use_floor else None)
@@ -373,7 +371,7 @@ class TestLavaStateMachine:
         self.place(vm, 0)
         host, lava = self.pool.hosts[0], self.sched.state[0]
         deadline = lava.deadline
-        self.sched.on_deadline(self.pool, host, deadline, deadline)
+        self.sched.on_deadline(self.pool, host, deadline)
         assert lava.host_class is LifetimeClass.LC2
         assert lava.residual_vms == {1}
         assert lava.deadline == pytest.approx(deadline + 1.1 * 10 * H)
@@ -384,7 +382,7 @@ class TestLavaStateMachine:
         lava = self.sched.state[0]
         lava.host_class = LifetimeClass.LC4
         deadline = lava.deadline
-        self.sched.on_deadline(self.pool, self.pool.hosts[0], deadline, deadline)
+        self.sched.on_deadline(self.pool, self.pool.hosts[0], deadline)
         assert lava.host_class is LifetimeClass.LC4
         assert lava.deadline > deadline
 
@@ -394,13 +392,14 @@ class TestLavaStateMachine:
         lava = self.sched.state[0]
         before = (lava.host_class, lava.deadline)
         early = lava.deadline - 1.0
-        self.sched.on_deadline(self.pool, self.pool.hosts[0], early, early)
+        self.sched.on_deadline(self.pool, self.pool.hosts[0], early)
         assert (lava.host_class, lava.deadline) == before
 
     def test_stale_deadline_events(self):
-        """A deadline superseded by a re-arm (a demotion, or the host emptying
-        and reopening) promotes nothing, even when delivered at or after the
-        current deadline; the current one promotes."""
+        """The event of a deadline superseded by a re-arm (a demotion, or the
+        host emptying and reopening) fires at its old time and promotes
+        nothing, whether that time is after the current deadline or before
+        it; the current one promotes."""
         fired = []
         self.sched.deadline_armed = lambda hid, deadline: fired.append((hid, deadline))
         host = self.pool.hosts[0]
@@ -413,9 +412,9 @@ class TestLavaStateMachine:
         (_, old), (_, current) = fired
         lava = self.sched.state[0]
         assert lava.host_class is LifetimeClass.LC2 and old >= current == lava.deadline
-        self.sched.on_deadline(self.pool, host, old, old)
+        self.sched.on_deadline(self.pool, host, old)
         assert lava.host_class is LifetimeClass.LC2 and lava.deadline == current
-        self.sched.on_deadline(self.pool, host, current, current)
+        self.sched.on_deadline(self.pool, host, current)
         assert lava.host_class is LifetimeClass.LC3
         # re-armed by emptying and reopening
         fired.clear()
@@ -425,9 +424,9 @@ class TestLavaStateMachine:
         self.place(make_vm(5, create=0.6 * H, exit_=0.6 * H + 600.0), 1, now=0.6 * H)  # 1.7h
         (_, old), (_, current) = fired
         assert old < current == self.sched.state[1].deadline
-        self.sched.on_deadline(self.pool, self.pool.hosts[1], current, old)
+        self.sched.on_deadline(self.pool, self.pool.hosts[1], old)
         assert self.sched.state[1].host_class is LifetimeClass.LC1
-        self.sched.on_deadline(self.pool, self.pool.hosts[1], current, current)
+        self.sched.on_deadline(self.pool, self.pool.hosts[1], current)
         assert self.sched.state[1].host_class is LifetimeClass.LC2
 
 
@@ -497,7 +496,7 @@ class TestLavaTiers:
         sched.on_exit(pool, vm, host, pool.now)
         # the armed deadline fires on an empty host: promotion must not occur
         (hid, deadline), = fired
-        sched.on_deadline(pool, pool.hosts[hid], deadline, deadline)
+        sched.on_deadline(pool, pool.hosts[hid], deadline)
         assert hid not in sched.state and len(fired) == 1
 
 

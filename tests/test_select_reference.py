@@ -28,7 +28,7 @@ from lavasim.sched import (
     best_host,
     quantize_temporal_cost,
 )
-from lavasim.sim import clone_pool, inflation_stranding
+from lavasim.sim import clone_pool, inflation_stranding, metrics_snapshot
 
 CAPACITIES = ((8000, 16_384), (16_000, 32_768), (8000, 32_768))
 SHAPES = ((500, 1024), (1000, 2048), (2000, 4096), (4000, 8192), (1000, 8192))
@@ -37,9 +37,10 @@ SHAPES = ((500, 1024), (1000, 2048), (2000, 4096), (4000, 8192), (1000, 8192))
 # -- reference ------------------------------------------------------------
 
 
-def ref_best_fit(host, shape):
-    free = host.capacity - host.used - shape
-    return max(free.cpu_m / host.capacity.cpu_m, free.mem_mib / host.capacity.mem_mib)
+def ref_best_fit(pool, host, shape):
+    cap = pool.capacity
+    free = cap - host.used - shape
+    return max(free.cpu_m / cap.cpu_m, free.mem_mib / cap.mem_mib)
 
 
 def ref_temporal(sched, host, vm, pool, now):
@@ -50,7 +51,7 @@ def ref_temporal(sched, host, vm, pool, now):
 
 def ref_score(sched, host, vm, pool, now):
     if isinstance(sched, BestFitScheduler):
-        return (0 if host.vms else 1, ref_best_fit(host, vm.shape), host.id)
+        return (0 if host.vms else 1, ref_best_fit(pool, host, vm.shape), host.id)
     if isinstance(sched, LaBinaryScheduler):
         if not host.vms:
             tier = 2
@@ -63,7 +64,7 @@ def ref_score(sched, host, vm, pool, now):
             latest = max(one_shot_exit(pool.vms[vid]) for vid in host.vms)
             host_long = classify_binary(latest - now) == "Long"
             tier = 0 if host_long == vm_long else 1
-        return (tier, ref_best_fit(host, vm.shape), host.id)
+        return (tier, ref_best_fit(pool, host, vm.shape), host.id)
     if isinstance(sched, LavaScheduler):
         lava = sched.state.get(host.id)
         vm_class = lifetime_class(sched.model.remaining(vm, now))
@@ -77,10 +78,10 @@ def ref_score(sched, host, vm, pool, now):
         else:
             tier, distance = 2, 0
         temporal = 0 if not host.vms else ref_temporal(sched, host, vm, pool, now)
-        return (tier, distance, temporal, ref_best_fit(host, vm.shape), host.id)
+        return (tier, distance, temporal, ref_best_fit(pool, host, vm.shape), host.id)
     empty = 0 if host.vms else 1
     temporal = 0 if empty else ref_temporal(sched, host, vm, pool, now)
-    return (empty, temporal, ref_best_fit(host, vm.shape), host.id)
+    return (empty, temporal, ref_best_fit(pool, host, vm.shape), host.id)
 
 
 def ref_select(sched, vm, pool, now):
@@ -97,6 +98,7 @@ def ref_select(sched, vm, pool, now):
 
 def ref_stranding(pool, vm_mix, rng, consecutive_failures=200):
     snap = clone_pool(pool)
+    cap = snap.capacity
     shapes = [s for s, _ in vm_mix]
     weights = [w for _, w in vm_mix]
     smallest = min(shapes, key=lambda s: (s.cpu_m, s.mem_mib))
@@ -104,8 +106,8 @@ def ref_stranding(pool, vm_mix, rng, consecutive_failures=200):
     def place_best_fit(shape):
         best, best_score = None, None
         for host in snap.hosts.values():
-            if (host.used + shape).fits_within(host.capacity):
-                score = (1 if host.is_empty() else 0, ref_best_fit(host, shape), host.id)
+            if (host.used + shape).fits_within(cap):
+                score = (1 if host.is_empty() else 0, ref_best_fit(snap, host, shape), host.id)
                 if best_score is None or score < best_score:
                     best, best_score = host, score
         if best is None:
@@ -120,12 +122,11 @@ def ref_stranding(pool, vm_mix, rng, consecutive_failures=200):
                 fails = 0
             else:
                 fails += 1
-        if not any((h.used + smallest).fits_within(h.capacity) for h in snap.hosts.values()):
+        if not any((h.used + smallest).fits_within(cap) for h in snap.hosts.values()):
             break
-    total_cpu = sum(h.capacity.cpu_m for h in snap.hosts.values())
-    total_mem = sum(h.capacity.mem_mib for h in snap.hosts.values())
-    free_cpu = sum(h.capacity.cpu_m - h.used.cpu_m for h in snap.hosts.values())
-    free_mem = sum(h.capacity.mem_mib - h.used.mem_mib for h in snap.hosts.values())
+    total_cpu, total_mem = len(snap.hosts) * cap.cpu_m, len(snap.hosts) * cap.mem_mib
+    free_cpu = sum(cap.cpu_m - h.used.cpu_m for h in snap.hosts.values())
+    free_mem = sum(cap.mem_mib - h.used.mem_mib for h in snap.hosts.values())
     return free_cpu / total_cpu, free_mem / total_mem
 
 
@@ -146,17 +147,14 @@ def make_vm(vm_id, shape, exit_):
 
 
 def random_pool(seed, sched, now):
-    """Mixed capacities (shared and separate capacity objects), VMs placed
-    through the scheduler's hooks, random LAVA entries and hosts with VMs but
-    no entry, incoming reservations on hosts with and without VMs, closed
-    hosts, and hosts with a reserved shape and no VMs, some of them holding
-    memory only."""
+    """One of the capacities, VMs placed through the scheduler's hooks,
+    random LAVA entries and hosts with VMs but no entry, incoming
+    reservations on hosts with and without VMs, closed hosts, and hosts with
+    a reserved shape and no VMs, some of them holding memory only."""
     rng = random.Random(seed)
-    pool = PoolState()
-    shared = [ResourceVec(*c) for c in CAPACITIES]
+    pool = PoolState(ResourceVec(*rng.choice(CAPACITIES)))
     for _ in range(rng.randint(1, 14)):
-        i = rng.randrange(len(CAPACITIES))
-        pool.add_host(shared[i] if rng.random() < 0.7 else ResourceVec(*CAPACITIES[i]))
+        pool.add_host()
     hosts = list(pool.hosts.values())
     occupancy = rng.choice((0.0, 0.4, 0.8))
     vm_id = 0
@@ -223,16 +221,15 @@ def test_stranding_matches_reference(seed):
 
 # -- the bounded scan ---------------------------------------------------------
 
-SMALL, BIG = ResourceVec(8000, 16_384), ResourceVec(16_000, 32_768)
+SMALL = ResourceVec(8000, 16_384)
 
 
-def crafted_pool(capacities, used, vm_exit=400_000.0):
-    """Host ``i`` has ``capacities[i]`` and, if ``used[i]`` is given, one VM of
-    that shape; a host gets no VM where ``used[i]`` is None."""
-    pool = PoolState()
-    for cap in capacities:
-        pool.add_host(cap)
+def crafted_pool(capacity, used, vm_exit=400_000.0):
+    """Hosts of ``capacity``, one per entry of ``used``: host ``i`` has one VM
+    of shape ``used[i]``, or none where ``used[i]`` is None."""
+    pool = PoolState(capacity)
     for hid, shape in enumerate(used):
+        pool.add_host()
         if shape is not None:
             pool.place(make_vm(100 + hid, shape, vm_exit), hid)
     return pool
@@ -263,25 +260,15 @@ def select_both(algo, pool, probe, expected):
 @pytest.mark.parametrize("algo", ["baseline", "la-binary"])
 def test_bound_equal_to_best_fit_does_not_stop(algo):
     """Host 1 fits tightly on CPU and scores 0.5 by its memory term; host 0
-    sits in the bucket whose bound is exactly 0.5 and scores 0.5 too.  The
+    sits in the bucket whose CPU term is exactly 0.5 and scores 0.5 too.  The
     scan must visit that bucket: host 0 wins the tie on its lower id."""
-    pool = crafted_pool((SMALL, SMALL), ((3000, 7168), (6000, 7168)))
+    pool = crafted_pool(SMALL, ((3000, 7168), (6000, 7168)))
     probe = make_vm(1, (1000, 1024), 1000.0)
     hosts = pool.hosts
-    assert best_fit_score(hosts[0], probe.shape) == best_fit_score(hosts[1], probe.shape) == 0.5
-    assert (hosts[0].capacity.cpu_m - hosts[0].used.cpu_m - 1000) / pool.index.cap_max == 0.5
+    assert (best_fit_score(hosts[0], probe.shape, SMALL)
+            == best_fit_score(hosts[1], probe.shape, SMALL) == 0.5)
+    assert (SMALL.cpu_m - hosts[0].used.cpu_m - 1000) / SMALL.cpu_m == 0.5
     select_both(algo, pool, probe, 0)
-
-
-@pytest.mark.parametrize("algo", ["baseline", "la-binary"])
-def test_bound_uses_largest_capacity(algo):
-    """Host 1's bucket bounds its own small host at 0.35, above the best so
-    far (host 0, 0.3125), but a later bucket holds a large host scoring 0.2:
-    the bound divides by the largest capacity in the pool, not a host's own."""
-    pool = crafted_pool((SMALL, SMALL, BIG), ((6200, 10240), (4200, 12288), (11800, 26624)))
-    probe = make_vm(1, (1000, 1024), 1000.0)
-    assert [best_fit_score(h, probe.shape) for h in pool.hosts.values()] == [0.3125, 0.35, 0.2]
-    select_both(algo, pool, probe, 2)
 
 
 def ladder():
@@ -289,7 +276,7 @@ def ladder():
     long-lived VMs that leave 1024 MiB free, and two empty hosts.  The tightest
     host scores 0.125, and every later bucket is bounded above it."""
     used = [(6000 - 1000 * i, 14_336) for i in range(6)] + [None, None]
-    return crafted_pool((SMALL,) * 8, used)
+    return crafted_pool(SMALL, used)
 
 
 def test_cutoff_skips_buckets():
@@ -409,18 +396,35 @@ def test_key_floor_ranks_below_hosts_without_vms(seed, algo, now, model):
 
 def naive_candidates(pool, shape):
     """Ids of ``[h for h in hosts if pool.fits(shape, h)]``, with only the
-    lowest-id host of each capacity among those with no VMs and zero
-    ``used``."""
-    ids, seen = [], set()
+    lowest-id host among those with no VMs and zero ``used``."""
+    ids, empty_seen = [], False
     for host in pool.hosts.values():
         if not pool.fits(shape, host):
             continue
         if not host.vms and host.used == ZERO:
-            if host.capacity in seen:
+            if empty_seen:
                 continue
-            seen.add(host.capacity)
+            empty_seen = True
         ids.append(host.id)
     return ids
+
+
+def naive_metrics(pool):
+    """The number of hosts ``is_empty()`` accepts and ``metrics_snapshot``,
+    from one loop that tests each host."""
+    n, cap = len(pool.hosts), pool.capacity.cpu_m
+    empty_cpu = free_cpu = nonempty_used = nonempty_cap = n_empty = 0
+    for host in pool.hosts.values():
+        free_cpu += cap - host.used_cpu_m
+        if host.is_empty():
+            n_empty += 1
+            empty_cpu += cap
+        else:
+            nonempty_used += host.used_cpu_m
+            nonempty_cap += cap
+    return n_empty, (100.0 * n_empty / n if n else 0.0,
+                     empty_cpu / free_cpu if free_cpu > 0 else 0.0,
+                     nonempty_used / nonempty_cap if nonempty_cap > 0 else 1.0)
 
 
 def scanned_ids(pool, shape):
@@ -450,23 +454,23 @@ def snapshot(pool):
     return hosts, set(pool.vms), dict(pool.incoming), check_candidates(pool)
 
 
-OPS = ("place", "remove", "reserve", "commit", "write", "toggle", "clone")
+OPS = ("place", "remove", "reserve", "commit", "write", "write-mem", "toggle", "clone")
 
 
 @settings(deadline=None, max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1),
        ops=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**16)), max_size=60))
 def test_index_matches_naive_filter(seed, ops):
-    """Random operation sequences on a mixed-capacity pool: placements,
-    removals, migration reservations and commits, reserved shapes without a
-    VM, availability toggles, and clones that later steps
-    change while the pool they came from must stay as it was."""
+    """Random operation sequences on a pool of one of the capacities:
+    placements, removals, migration reservations and commits, reserved
+    shapes without a VM (some of memory only), availability toggles, and
+    clones that later steps change while the pool they came from must stay
+    as it was.  The empty count and ``metrics_snapshot``, which read the
+    index, match a loop over the hosts."""
     rng = random.Random(seed)
-    pool = PoolState()
-    shared = [ResourceVec(*c) for c in CAPACITIES]
+    pool = PoolState(ResourceVec(*rng.choice(CAPACITIES)))
     for _ in range(rng.randint(1, 10)):
-        i = rng.randrange(len(CAPACITIES))
-        pool.add_host(shared[i] if rng.random() < 0.7 else ResourceVec(*CAPACITIES[i]))
+        pool.add_host()
     originals = []  # (pool a clone was taken from, its snapshot then)
     reservations = {}  # vm id -> target host id
     for vm_id, (op, k) in enumerate(ops):
@@ -488,6 +492,8 @@ def test_index_matches_naive_filter(seed, ops):
             assert pool.commit_incoming(pool.vms[vid]) == reservations.pop(vid)
         elif op == "write" and pool.fits(shape, host):
             pool.reserve(host.id, shape)
+        elif op == "write-mem" and pool.fits(shape, host):
+            pool.reserve(host.id, ResourceVec(0, shape.mem_mib))
         elif op == "toggle":
             host.unavailable_for_scheduling = not host.unavailable_for_scheduling
         elif op == "clone":
@@ -499,5 +505,6 @@ def test_index_matches_naive_filter(seed, ops):
         # among the hosts with zero ``used``, reserved shapes included
         for h in pool.hosts.values():
             assert h.is_empty() == (pool.index.filed[h.id] is None), h.id
+        assert (len(pool.index.empty), metrics_snapshot(pool)) == naive_metrics(pool)
     for original, before in originals:
         assert snapshot(original) == before

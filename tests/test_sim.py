@@ -8,7 +8,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lavasim.core import LifetimeClass, PoolState, ResourceVec, VmRecord
 from lavasim.defrag import EvacuationOutcome, compare_orderings, simulate_evacuation
@@ -59,15 +59,15 @@ def rec(vm_id, create_s, life_s, cpu=1000, mem=4096):
 
 class TestMetricsSnapshot:
     def test_all_empty(self):
-        pool = PoolState()
+        pool = PoolState(CAP)
         for _ in range(4):
-            pool.add_host(CAP)
+            pool.add_host()
         assert metrics_snapshot(pool) == (100.0, 1.0, 1.0)
 
     def test_hand_computed(self):
-        pool = PoolState()
-        pool.add_host(CAP)
-        pool.add_host(CAP)
+        pool = PoolState(CAP)
+        pool.add_host()
+        pool.add_host()
         pool.place(make_vm(0, ResourceVec(600, 1024)), 0)
         e, r, d = metrics_snapshot(pool)
         assert e == 50.0
@@ -75,36 +75,36 @@ class TestMetricsSnapshot:
         assert d == pytest.approx(600 / 1000)
 
     def test_no_hosts(self):
-        assert metrics_snapshot(PoolState()) == (0.0, 0.0, 1.0)
+        assert metrics_snapshot(PoolState(CAP)) == (0.0, 0.0, 1.0)
 
 
 class TestInflationStranding:
     def test_nothing_fits(self):
-        pool = PoolState()
-        pool.add_host(CAP)
+        pool = PoolState(CAP)
+        pool.add_host()
         pool.place(make_vm(0, ResourceVec(500, 2048)), 0)
         cpu_s, mem_s = inflation_stranding(
             pool, [(ResourceVec(600, 1024), 1.0)], random.Random(0))
         assert (cpu_s, mem_s) == (0.5, 0.5)
 
     def test_perfectly_packable(self):
-        pool = PoolState()
-        pool.add_host(CAP)
+        pool = PoolState(CAP)
+        pool.add_host()
         cpu_s, mem_s = inflation_stranding(
             pool, [(ResourceVec(500, 2048), 1.0)], random.Random(0))
         assert (cpu_s, mem_s) == (0.0, 0.0)
 
     def test_does_not_mutate_pool(self):
-        pool = PoolState()
-        pool.add_host(CAP)
+        pool = PoolState(CAP)
+        pool.add_host()
         inflation_stranding(pool, [(ResourceVec(500, 2048), 1.0)], random.Random(0))
         assert pool.hosts[0].used == ResourceVec(0, 0)
 
 
 class TestClonePool:
     def test_clone_is_independent(self):
-        pool = PoolState()
-        pool.add_host(CAP)
+        pool = PoolState(CAP)
+        pool.add_host()
         pool.place(make_vm(0, ResourceVec(100, 512)), 0)
         clone = clone_pool(pool)
         clone.remove(0)
@@ -115,9 +115,9 @@ class TestClonePool:
     def test_every_field_survives(self):
         """Every field of every host and VM record is copied, and the
         containers a host or the pool owns are copied rather than shared."""
-        pool = PoolState(now=42.0)
-        pool.add_host(CAP)
-        pool.add_host(CAP)
+        pool = PoolState(CAP, now=42.0)
+        pool.add_host()
+        pool.add_host()
         vm0, vm1 = make_vm(0, ResourceVec(100, 512)), make_vm(1, ResourceVec(100, 512))
         pool.place(vm0, 0)
         pool.place(vm1, 1)
@@ -126,7 +126,7 @@ class TestClonePool:
         host.unavailable_for_scheduling = True
         vm0.initial_predicted_exit, vm0.lifetime_class = 90.0, LifetimeClass.LC2
         clone = clone_pool(pool)
-        assert clone.now == pool.now
+        assert (clone.now, clone.capacity) == (pool.now, pool.capacity)
         pairs = ([(h, clone.hosts[h.id]) for h in pool.hosts.values()]
                  + [(vm, clone.vms[vm.id]) for vm in pool.vms.values()])
         for src, dst in pairs:
@@ -444,9 +444,9 @@ class LogEvents:
         self.log.append((now, "exit", vm_id))
         super()._handle_exit(vm_id, now)
 
-    def _handle_deadline(self, event, now):
-        self.log.append((now, "deadline", event[0]))
-        super()._handle_deadline(event, now)
+    def _handle_deadline(self, host_id, now):
+        self.log.append((now, "deadline", host_id))
+        super()._handle_deadline(host_id, now)
 
     def _handle_defrag_check(self, arg, now):
         self.log.append((now, "defrag", None))
@@ -617,10 +617,28 @@ def prune_traces(draw):
     return trace
 
 
+def cell_trace():
+    """NILAS under ``prune_empirical``, one skipped lookup and a later fill in
+    the 60 s cell [360, 420).  Host 0 is packed at t = 0, host 1 holds a
+    (1500, 2048) VM from t = 30 and host 2 a (4000, 16384) one.  At t = 370
+    the walk stops at host 0 and skips host 1, whose VM's predicted exit
+    jumps at uptime 346 s.  At t = 390 host 0 is full and the next VM goes
+    to host 1 or host 2 by host 1's temporal cost, bucket 9 under the
+    exit predicted at uptime 330 s (the cell's start) and bucket 8 under the
+    one at 360 s: a cache that filled at the time of each lookup would place
+    it on host 1 here and on host 2 when every candidate is scored."""
+    rows = [(0.0, 500, 2048), (0.0, 4000, 16_384), (0.0, 2000, 8192), (0.0, 1000, 4096),
+            (30.0, 1500, 2048), (30.0, 2000, 8192), (30.0, 2000, 8192), (30.0, 4000, 16_384),
+            (370.0, 500, 2048), (390.0, 500, 2048)]
+    return [TraceRecord(i, t, 40_000.0, *vm_terms(cpu, mem))
+            for i, (t, cpu, mem) in enumerate(rows)]
+
+
 @settings(deadline=None, max_examples=150)
 @given(trace=prune_traces(), algo=st.sampled_from(["baseline", "la-binary", "nilas", "lava"]),
        predictor=st.sampled_from(sorted(PRUNE_PREDICTORS)), hosts=st.integers(2, 6),
        ordering=st.sampled_from(["trace", "lars"]))
+@example(trace=cell_trace(), algo="nilas", predictor="empirical", hosts=3, ordering="trace")
 def test_pruned_scan_matches_scoring_every_candidate(trace, algo, predictor, hosts, ordering):
     """Under every predictor NILAS and LAVA stop at their key floors and
     LAVA skips the temporal cost of hosts below its best tier; with defrag
