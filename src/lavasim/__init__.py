@@ -12,11 +12,9 @@ from .core import (
 from .predict import (
     EmpiricalLifetimeModel,
     FeatureVec,
-    NoisyOracleConfig,
     NoisyOracleModel,
     OracleModel,
     PredictionCache,
-    classify_binary,
     lifetime_class,
     log_error,
 )

@@ -175,6 +175,14 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_counts(args, *names: str) -> None:
+    """Raise ``ValueError`` unless each named option of ``args`` is at least 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 # the trace of a ``_replay_all`` worker process, set when the process starts
 _worker_trace: Sequence = ()
 
@@ -203,9 +211,9 @@ def _replay_all(trace_path: str, runs: list, jobs: int) -> list:
 
 
 def cmd_compare(args) -> int:
+    _check_counts(args, "jobs")
     if len(args.algos) < 2:
-        print("error: compare needs at least two algorithms", file=sys.stderr)
-        return 2
+        raise ValueError("compare needs at least two algorithms")
     for algo in args.algos:
         check_algorithm(algo)
     configs = resolve_configs(load_config(args.config), args)
@@ -230,20 +238,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _check_num_seeds(args) -> None:
-    if args.num_seeds < 1:
-        raise ValueError(f"--num-seeds must be >= 1, got {args.num_seeds}")
-
-
 def cmd_sweep_accuracy(args) -> int:
-    _check_num_seeds(args)
+    _check_counts(args, "num_seeds", "jobs")
     for algo in args.algos:
         check_algorithm(algo)
     grid = [float(x) for x in args.accuracies.split(",")]
     for acc in grid:
         if not 0.0 <= acc <= 1.0:
-            print(f"error: accuracy {acc} outside [0,1]", file=sys.stderr)
-            return 2
+            raise ValueError(f"accuracy {acc} outside [0,1]")
     configs = resolve_configs(load_config(args.config), args)
     cells = [(algo, acc, seed) for algo in args.algos for acc in grid
              for seed in range(args.seed, args.seed + args.num_seeds)]
@@ -274,13 +276,9 @@ def cmd_defrag_compare(args) -> int:
                                max_concurrent=sim_cfg.defrag.max_concurrent,
                                migration_s=sim_cfg.defrag.migration_s)
     os.makedirs(args.out, exist_ok=True)
-    payload = {"baseline_migrations": report["baseline_migrations"],
-               "lars_migrations": report["lars_migrations"],
-               "reduction": report["reduction"],
-               "instances": len(result.defrag_instances),
-               "per_host": report["per_host"]}
     with open(os.path.join(args.out, "defrag_report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(dict(report, instances=len(result.defrag_instances)), fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
     print(f"baseline {report['baseline_migrations']} vs LARS "
           f"{report['lars_migrations']} migrations "
@@ -289,7 +287,7 @@ def cmd_defrag_compare(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    _check_num_seeds(args)
+    _check_counts(args, "num_seeds")
     base = TheoremConfig(epsilon=args.epsilon, rho=args.rho)
     ms = [int(x) for x in args.ms.split(",")]
     if len(set(ms)) < 2:

@@ -32,8 +32,10 @@ class EvacuationOutcome:
 
 
 def simulate_evacuation(pool: PoolState, host_id: int, ordering: str, model,
-                        algorithm: str = "baseline", max_concurrent: int = 3,
-                        migration_s: float = 1200.0, sched_state=None) -> EvacuationOutcome:
+                        algorithm: str = "baseline",
+                        max_concurrent: int = DefragConfig.max_concurrent,
+                        migration_s: float = DefragConfig.migration_s,
+                        sched_state=None) -> EvacuationOutcome:
     """Evacuate one host on clones of ``pool`` and ``sched_state``; no arrivals, real exits."""
     snap = clone_pool(pool)
     host = snap.hosts[host_id]
@@ -45,8 +47,8 @@ def simulate_evacuation(pool: PoolState, host_id: int, ordering: str, model,
 
 
 def compare_orderings(instances: List[DefragInstance], algorithm: str = "baseline",
-                      max_concurrent: int = 3, migration_s: float = 1200.0
-                      ) -> Dict[str, object]:
+                      max_concurrent: int = DefragConfig.max_concurrent,
+                      migration_s: float = DefragConfig.migration_s) -> Dict[str, object]:
     """Replay every recorded evacuation instance under trace order and LARS
     order and aggregate migration counts.
 

@@ -19,7 +19,11 @@ from .core import HostRecord, LifetimeClass, PoolState, VmRecord
 
 HOUR = 3600.0
 LIFETIME_CAP_S = 168 * 3600  # empirical model training-time cap (7 days)
-BINARY_THRESHOLD_S = 7200.0  # LA-Binary short/long cutoff
+# the noisy oracle's log10 noise: narrow with probability ``accuracy``, else
+# wide, on a total lifetime capped at 14 days
+NOISY_SIGMA_NARROW = 0.001
+NOISY_SIGMA_WIDE = 3.0
+NOISY_CAP_S = 14 * 24 * 3600.0
 CLASS_UPPER_BOUND_S = {
     LifetimeClass.LC1: 1 * HOUR,
     LifetimeClass.LC2: 10 * HOUR,
@@ -63,11 +67,6 @@ def log_error(pred_s: float, true_s: float) -> float:
     return abs(math.log10(pred_s) - math.log10(true_s))
 
 
-def classify_binary(remaining_s: float, threshold_s: float = BINARY_THRESHOLD_S) -> str:
-    """Short/Long split used by LA-Binary; the boundary value is Long."""
-    return "Long" if remaining_s >= threshold_s else "Short"
-
-
 def lifetime_class(remaining_s: float) -> LifetimeClass:
     if remaining_s < 0:
         raise ValueError(f"negative remaining lifetime {remaining_s}")
@@ -91,32 +90,18 @@ class OracleModel:
         return max(vm.true_exit_time - now, 0.0)
 
 
-@dataclass(frozen=True)
-class NoisyOracleConfig:
-    accuracy: float = 1.0
-    sigma_correct: float = 0.001
-    sigma_wrong: float = 3.0
-    cap_s: float = 14 * 24 * 3600.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy must be in [0,1], got {self.accuracy}")
-        if self.sigma_correct < 0 or self.sigma_wrong < 0:
-            raise ValueError("sigmas must be non-negative")
-
-
 class NoisyOracleModel:
     """Oracle with a sticky per-VM error model.
 
     Each VM gets a single sticky draw: a coin that picks the narrow noise
-    (``sigma_correct``) with probability ``accuracy`` and the wide noise
-    (``sigma_wrong``) otherwise, then Gaussian noise of that sigma on the
-    total lifetime in the log10 domain, capped at ``cap_s``.  ``accuracy``
-    is therefore P(narrow-noise draw), not a binary accuracy: a wide draw
-    often still lands on the right side of the 2 h short/long cutoff.  On
-    the single-shape acceptance traces the realised short/long accuracy at
-    arrival is 0.83 at ``accuracy=0.5``, 0.90 at 0.7 and 0.97 at 0.9.
+    (``NOISY_SIGMA_NARROW``) with probability ``accuracy`` and the wide
+    noise (``NOISY_SIGMA_WIDE``) otherwise, then Gaussian noise of that
+    sigma on the total lifetime in the log10 domain, capped at
+    ``NOISY_CAP_S``.  ``accuracy`` is therefore P(narrow-noise draw), not a
+    binary accuracy: a wide draw often still lands on the right side of the
+    2 h short/long cutoff.  On the single-shape acceptance traces the
+    realised short/long accuracy at arrival is 0.83 at ``accuracy=0.5``,
+    0.90 at 0.7 and 0.97 at 0.9.
 
     Repredictions at later uptimes reuse the same perturbed total, and
     ``remaining`` is 0 once a VM's uptime passes it, so the error model
@@ -125,8 +110,10 @@ class NoisyOracleModel:
 
     time_invariant = True
 
-    def __init__(self, cfg: NoisyOracleConfig):
-        self.cfg = cfg
+    def __init__(self, accuracy: float, seed: int = 0):
+        if not 0.0 <= accuracy <= 1.0:
+            raise ValueError(f"accuracy must be in [0,1], got {accuracy}")
+        self.accuracy, self.seed = accuracy, seed
         self._totals: Dict[int, float] = {}
         # re-seeded per draw; ``seed`` also resets the Gaussian pair cache, so
         # each draw reads the stream a fresh ``random.Random`` of its seed would
@@ -134,20 +121,12 @@ class NoisyOracleModel:
 
     def _draw(self, vm: VmRecord) -> float:
         """Draw ``vm``'s perturbed total lifetime and keep it."""
-        digest = hashlib.sha256(f"{self.cfg.seed}:{vm.id}".encode()).digest()
+        digest = hashlib.sha256(f"{self.seed}:{vm.id}".encode()).digest()
         rng = self._rng
         rng.seed(int.from_bytes(digest[:8], "big"))
-        correct = rng.random() < self.cfg.accuracy
-        sigma = self.cfg.sigma_correct if correct else self.cfg.sigma_wrong
-        true_total = vm.true_exit_time - vm.create_time
-        if sigma > 0:
-            noise = rng.gauss(0.0, sigma)
-            total = 10.0 ** (math.log10(true_total) + noise)
-            total = min(max(total, 0.0), self.cfg.cap_s)
-        else:
-            # exact passthrough so sigma=0 reproduces the oracle bit-for-bit
-            total = true_total
-        self._totals[vm.id] = total
+        sigma = NOISY_SIGMA_NARROW if rng.random() < self.accuracy else NOISY_SIGMA_WIDE
+        total = 10.0 ** (math.log10(vm.true_exit_time - vm.create_time) + rng.gauss(0.0, sigma))
+        total = self._totals[vm.id] = min(total, NOISY_CAP_S)
         return total
 
     def remaining(self, vm: VmRecord, now: float) -> float:
@@ -464,7 +443,7 @@ def make_predictor(spec: str, seed: int = 0):
         return EmpiricalLifetimeModel.load(arg)
     if kind == "noisy":
         try:
-            return NoisyOracleModel(NoisyOracleConfig(accuracy=float(arg), seed=seed))
+            return NoisyOracleModel(float(arg), seed)
         except ValueError:
             pass
     raise ValueError(f"bad predictor spec {spec!r}: expected {PREDICTOR_SPECS}")

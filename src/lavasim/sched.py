@@ -79,15 +79,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from .core import FreeIndex, HostRecord, LifetimeClass, PoolState, ResourceVec, VmRecord
-from .predict import (
-    CLASS_UPPER_BOUND_S,
-    OneShotModel,
-    PredictionCache,
-    classify_binary,
-    lifetime_class,
-)
+from .predict import CLASS_UPPER_BOUND_S, OneShotModel, PredictionCache, lifetime_class
 
 
+# LA-Binary's short/long cutoff; a remaining time of exactly the cutoff is long
+BINARY_THRESHOLD_S = 7200.0
 DEFAULT_BUCKETS_S = (0, 1800, 3600, 5400, 7200, 10800, 14400, 21600, 43200, 86400, 604800)
 
 
@@ -289,8 +285,10 @@ class NilasScheduler(Scheduler):
 class LaBinaryScheduler(NilasScheduler):
     """One-shot binary lifetime alignment (Barbalho et al., MLSys 2023):
     NILAS's host exits over ``OneShotModel(model)``, so the VM's class and
-    each host's come from predictions made at VM creation only.  Hosts of
-    the VM's class first, then hosts of the other class, then empty hosts."""
+    each host's come from predictions made at VM creation only.  A VM, or a
+    host by its latest exit, is long if at least ``BINARY_THRESHOLD_S``
+    remain.  Hosts of the VM's class first, then hosts of the other class,
+    then empty hosts."""
 
     name = "la-binary"
     key_floor = (0,)
@@ -300,12 +298,12 @@ class LaBinaryScheduler(NilasScheduler):
 
     def host_key(self, vm, pool, now):
         model, host_exit_time = self.model, self.cache.host_exit_time
-        vm_long = classify_binary(model.remaining(vm, now)) == "Long"
+        vm_long = model.remaining(vm, now) >= BINARY_THRESHOLD_S
 
         def key(host):
             if not host.vms:
                 return (2,)
-            host_long = classify_binary(host_exit_time(host, pool, model, now) - now) == "Long"
+            host_long = host_exit_time(host, pool, model, now) - now >= BINARY_THRESHOLD_S
             return (0 if host_long == vm_long else 1,)
         return key
 

@@ -131,17 +131,25 @@ class RunResult:
     defrag_instances: List[DefragInstance] = field(default_factory=list)
 
 
-def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float]:
-    """(empty_hosts_pct, empty_to_free_ratio, packing_density) on CPU cores."""
-    n, n_empty, cap_cpu_m = len(pool.hosts), len(pool.index.empty), pool.capacity.cpu_m
+def metrics_snapshot(pool: PoolState) -> Tuple[float, float, float, int, float, float]:
+    """The pool's part of a series row: (empty_hosts_pct, empty_to_free_ratio,
+    packing_density, live VMs, util_cpu, util_mem), the middle three on CPU
+    cores, from one walk over the hosts."""
+    n, n_empty = len(pool.hosts), len(pool.index.empty)
+    cap_cpu_m, cap_mem_mib = pool.capacity.cpu_m, pool.capacity.mem_mib
     # an empty host uses nothing, so every used milli-core is on a non-empty host
-    used_cpu = sum(h.used_cpu_m for h in pool.hosts.values())
+    used_cpu = used_mem = 0
+    for h in pool.hosts.values():
+        used_cpu += h.used_cpu_m
+        used_mem += h.used_mem_mib
     free_cpu = n * cap_cpu_m - used_cpu
     nonempty_cap = (n - n_empty) * cap_cpu_m
     empty_pct = 100.0 * n_empty / n if n else 0.0
     ratio = n_empty * cap_cpu_m / free_cpu if free_cpu > 0 else 0.0
     density = used_cpu / nonempty_cap if nonempty_cap > 0 else 1.0
-    return empty_pct, ratio, density
+    util_cpu = used_cpu / (n * cap_cpu_m) if n else 0.0
+    util_mem = used_mem / (n * cap_mem_mib) if n else 0.0
+    return empty_pct, ratio, density, len(pool.vms), util_cpu, util_mem
 
 
 def _init_values(cls) -> attrgetter:
@@ -368,15 +376,7 @@ class Simulator:
 
     def _handle_sample(self, _, now: float) -> None:
         if now >= self._measure_start:
-            e, r, d = metrics_snapshot(self.pool)
-            util_c, util_m = self._utilization()
-            self._series.append((now, e, r, d, len(self.pool.vms), util_c, util_m))
-
-    def _utilization(self) -> Tuple[float, float]:
-        n, cap = len(self.pool.hosts), self.pool.capacity
-        used_c = sum(h.used_cpu_m for h in self.pool.hosts.values())
-        used_m = sum(h.used_mem_mib for h in self.pool.hosts.values())
-        return used_c / (n * cap.cpu_m), used_m / (n * cap.mem_mib)
+            self._series.append((now,) + metrics_snapshot(self.pool))
 
     def _handle_arrival(self, rec: TraceRecord, now: float) -> None:
         create = rec.create_time_s

@@ -14,35 +14,31 @@ from .sim import SimConfig, Simulator
 from .workload import TraceRecord, vm_terms
 
 
+# the experiment's jobs: two lifetimes, arrivals per second per unit of m,
+# on hosts of K slots, over one horizon
+K = 10
+SHORT_S = 50.0
+LONG_S = 5000.0
+RATE_PER_HOST = 0.02
+HORIZON_S = 5000.0
+# demand arrives in on/off bursts; between bursts, short-job hosts drain
+# fully unless a mispredicted long job pins them
+BURST_PERIOD_S = 1000.0
+BURST_DUTY = 0.5
+
+
 @dataclass(frozen=True)
 class TheoremConfig:
     m: int = 20                    # host-count scale; load is proportional to it
-    k: int = 10                    # job slots per host
-    short_s: float = 50.0
-    long_s: float = 5000.0
-    rate_per_host: float = 0.02    # mean arrivals per second per unit of m
     rho: float = 0.1               # fraction of long jobs
     epsilon: float = 0.05          # misprediction rate
-    horizon_s: float = 5000.0
-    # demand arrives in on/off bursts; between bursts, short-job hosts drain
-    # fully unless a mispredicted long job pins them
-    burst_period_s: float = 1000.0
-    burst_duty: float = 0.5
 
     def __post_init__(self):
-        if self.short_s >= self.long_s:
-            raise ValueError("short lifetime must be < long lifetime")
-        if self.total_rate < 1.0 / self.short_s:
-            raise ValueError(
-                f"arrival rate {self.total_rate:g}/s must be >= 1/short ({1.0 / self.short_s:g}/s)")
+        # m >= 1 keeps the arrival rate, RATE_PER_HOST * m, at least 1/SHORT_S
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.epsilon <= 1.0 or not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho and epsilon must be probabilities")
-        if not 0.0 < self.burst_duty <= 1.0:
-            raise ValueError("burst_duty must be in (0,1]")
-
-    @property
-    def total_rate(self) -> float:
-        return self.rate_per_host * self.m
 
 
 def misprediction_probability(epsilon: float, rho: float, rate: float, window_s: float) -> float:
@@ -63,17 +59,17 @@ def misprediction_probability_mc(epsilon: float, rho: float, rate: float,
 def _sample_jobs(cfg: TheoremConfig, seed: int):
     import numpy as np
     rng = np.random.default_rng(seed)
-    n = rng.poisson(cfg.total_rate * cfg.horizon_s)
+    n = rng.poisson(RATE_PER_HOST * cfg.m * HORIZON_S)
     # Poisson process restricted to the on-phase of each burst period: draw
     # uniformly over total on-time, then map back onto the burst windows
-    on_per_period = cfg.burst_period_s * cfg.burst_duty
-    on_total = cfg.horizon_s / cfg.burst_period_s * on_per_period
+    on_per_period = BURST_PERIOD_S * BURST_DUTY
+    on_total = HORIZON_S / BURST_PERIOD_S * on_per_period
     u = np.sort(rng.uniform(0.0, on_total, size=n))
-    arrivals = (u // on_per_period) * cfg.burst_period_s + (u % on_per_period)
+    arrivals = (u // on_per_period) * BURST_PERIOD_S + (u % on_per_period)
     is_long = rng.random(n) < cfg.rho
     flipped = rng.random(n) < cfg.epsilon
     pred_long = is_long ^ flipped
-    durations = np.where(is_long, cfg.long_s, cfg.short_s)
+    durations = np.where(is_long, LONG_S, SHORT_S)
     return arrivals, durations, is_long, pred_long
 
 
@@ -82,15 +78,15 @@ class _LabelPolicy(Scheduler):
     holding jobs of its predicted label, else to an empty host, else to a host
     of the other label; the best fit then takes the fullest host, and the
     lowest id among equals.  With ``reveal``, the jobs' true labels, a host is
-    relabeled long once a long job on it outlives ``short_s``.  Each arrival,
+    relabeled long once a long job on it outlives ``SHORT_S``.  Each arrival,
     exit and relabeling first adds the non-empty host count times the time
     since the previous one to ``area``."""
 
     name = "label-policy"
     key_floor = (0,)
 
-    def __init__(self, pred_long: List[bool], reveal: Optional[List[bool]], short_s: float):
-        self.pred_long, self.reveal, self.short_s = pred_long, reveal, short_s
+    def __init__(self, pred_long: List[bool], reveal: Optional[List[bool]]):
+        self.pred_long, self.reveal = pred_long, reveal
         self.label: Dict[int, bool] = {}  # host id -> long, read only while the host holds jobs
         self.nonempty = 0
         self.area = self.last_t = 0.0
@@ -109,7 +105,7 @@ class _LabelPolicy(Scheduler):
             self.label[host.id] = self.pred_long[vm.id]
             self.nonempty += 1
         if self.reveal and self.reveal[vm.id]:
-            self.deadline_armed(host.id, now + self.short_s)
+            self.deadline_armed(host.id, now + SHORT_S)
 
     def on_deadline(self, pool, host, now):
         self._integrate(now)
@@ -124,7 +120,7 @@ class _LabelPolicy(Scheduler):
 def two_class_experiment(cfg: TheoremConfig, seed: int) -> Tuple[float, float]:
     """(avg hosts without learning, avg hosts with learning): the time-averaged
     non-empty host count of each policy, replayed by ``Simulator`` on one
-    shared trace of unit-shape jobs over ``(k, k)`` hosts."""
+    shared trace of unit-shape jobs over ``(K, K)`` hosts."""
     import numpy as np
     arrivals, durations, is_long, pred_long = _sample_jobs(cfg, seed)
     unit, features = vm_terms(1, 1)
@@ -134,11 +130,11 @@ def two_class_experiment(cfg: TheoremConfig, seed: int) -> Tuple[float, float]:
     # run before arrivals
     exited = np.searchsorted(np.sort(arrivals + durations), arrivals, side="right")
     hosts = int((np.arange(1, len(trace) + 1) - exited).max(initial=0)) + 1
-    capacity, pred = ResourceVec(cfg.k, cfg.k), pred_long.tolist()
-    sim_cfg = SimConfig(warmup=False, sample_interval_s=cfg.horizon_s)
+    capacity, pred = ResourceVec(K, K), pred_long.tolist()
+    sim_cfg = SimConfig(warmup=False, sample_interval_s=HORIZON_S)
     averages = []
     for reveal in (None, is_long.tolist()):
-        policy = _LabelPolicy(pred, reveal, cfg.short_s)
+        policy = _LabelPolicy(pred, reveal)
         Simulator(trace, hosts, capacity, policy, None, cfg=sim_cfg).run()
         averages.append(policy.area / policy.last_t if policy.last_t > 0 else 0.0)
     return tuple(averages)

@@ -233,15 +233,14 @@ def generate(cfg: GeneratorConfig) -> List[TraceRecord]:
                           map(itemgetter(0), rows), map(itemgetter(1), rows))
 
 
-def bimodal_config(num_vms: int = 20_000, seed: int = 0,
-                   short_h: float = 1.0, long_h: float = 200.0,
-                   long_frac: float = 0.1) -> GeneratorConfig:
-    """Single-family bimodal mixture: the two modes share all features, so
-    only the uptime can disambiguate them."""
+def bimodal_config(num_vms: int, seed: int) -> GeneratorConfig:
+    """Single-family bimodal mixture, 90 % around 1 h and 10 % around 200 h:
+    the two modes share all features, so only the uptime can disambiguate
+    them."""
     return GeneratorConfig(
         num_vms=num_vms, seed=seed,
-        strata=(Stratum(1.0 - long_frac, math.log10(short_h), 0.05, "bimodal"),
-                Stratum(long_frac, math.log10(long_h), 0.05, "bimodal")))
+        strata=(Stratum(0.9, 0.0, 0.05, "bimodal"),
+                Stratum(0.1, math.log10(200.0), 0.05, "bimodal")))
 
 
 def split(records: Sequence[TraceRecord], train_frac: float

@@ -1,5 +1,6 @@
 """End-to-end CLI subcommand tests on small inputs."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -225,10 +226,23 @@ class TestCompare:
             summary = json.loads((alone / "summary.json").read_text())
             assert row.split(",")[:2] == [algo, f"{summary['avg_empty_hosts_pct']:.6f}"]
 
-    def test_needs_two_algorithms(self, trace_path, tmp_path):
-        rc = main(["compare", "--trace", trace_path, "--algos", "nilas",
-                   "--out", str(tmp_path / "x")])
-        assert rc == 2
+    def test_needs_two_algorithms(self, trace_path, tmp_path, capsys, monkeypatch):
+        _refuse_runs(monkeypatch)
+        out = tmp_path / "x"
+        rc = main(["compare", "--trace", trace_path, "--algos", "nilas", "--out", str(out)])
+        _expect_one_line_exit_2(rc, capsys, out, "error: compare needs at least two algorithms")
+
+    @pytest.mark.parametrize("command,args", [
+        ("compare", ["--algos", "baseline", "nilas"]),
+        ("sweep-accuracy", ["--num-seeds", "1"]),
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, trace_path, tmp_path, capsys, monkeypatch,
+                                    command, args, jobs):
+        _refuse_runs(monkeypatch)
+        out = tmp_path / "x"
+        rc = main([command, "--trace", trace_path, "--jobs", jobs, "--out", str(out)] + args)
+        _expect_one_line_exit_2(rc, capsys, out, f"error: --jobs must be >= 1, got {jobs}")
 
 
 class TestSweepAccuracy:
@@ -241,10 +255,12 @@ class TestSweepAccuracy:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4  # banner + header + 2 cells
 
-    def test_bad_accuracy(self, trace_path, tmp_path):
+    def test_bad_accuracy(self, trace_path, tmp_path, capsys, monkeypatch):
+        _refuse_runs(monkeypatch)
+        out = tmp_path / "x"
         rc = main(["sweep-accuracy", "--trace", trace_path,
-                   "--accuracies", "1.5", "--out", str(tmp_path / "x")])
-        assert rc == 2
+                   "--accuracies", "0.5,1.5", "--out", str(out)])
+        _expect_one_line_exit_2(rc, capsys, out, "error: accuracy 1.5 outside [0,1]")
 
     def test_zero_seeds_exits_2(self, trace_path, tmp_path, capsys, monkeypatch):
         _refuse_runs(monkeypatch)
@@ -402,9 +418,25 @@ class TestBadModelInput:
 class TestConfigFile:
     @staticmethod
     def readme_ini(tmp_path):
+        """The ``ini`` block under the README's configuration heading, as a file."""
+        section = README.read_text().split("## Pool and simulation configuration", 1)[1]
         cfg = tmp_path / "pool.ini"
-        cfg.write_text(README.read_text().split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
         return str(cfg)
+
+    def test_readme_example_loads(self, tmp_path):
+        """Every key the README's pool.ini sets reaches its config dataclass
+        with the value written there; a key or value the dataclasses no
+        longer accept fails ``load_config`` or ``resolve_configs``."""
+        raw = cli.load_config(self.readme_ini(tmp_path))
+        pool, nilas, lava, sim = cli.resolve_configs(raw, argparse.Namespace())
+        configs = {"pool": pool, "nilas": nilas, "lava": lava, "sim": sim,
+                   "defrag": sim.defrag}
+        assert set(raw) == set(configs)
+        for name, values in raw.items():
+            assert values, name
+            for key, value in values.items():
+                assert getattr(configs[name], key) == value, (name, key)
 
     def test_readme_example_verbatim(self, tmp_path):
         """The README's pool.ini, inline comments included, is read as

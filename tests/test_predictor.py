@@ -15,13 +15,14 @@ from lavasim.predict import (
     EmptyTrainingSet,
     EmpiricalLifetimeModel,
     FeatureVec,
-    NoisyOracleConfig,
+    NOISY_CAP_S,
+    NOISY_SIGMA_NARROW,
+    NOISY_SIGMA_WIDE,
     NoisyOracleModel,
     NonPositiveInput,
     OneShotModel,
     OracleModel,
     PredictionCache,
-    classify_binary,
     lifetime_class,
     log_error,
     make_predictor,
@@ -47,11 +48,6 @@ class TestPureHelpers:
     def test_log_error_nonpositive(self):
         with pytest.raises(NonPositiveInput):
             log_error(0.0, 100.0)
-
-    def test_classify_binary(self):
-        assert classify_binary(1800.0) == "Short"
-        assert classify_binary(7200.0) == "Long"  # boundary is Long
-        assert classify_binary(100 * H) == "Long"
 
     def test_lifetime_class(self):
         assert lifetime_class(0.5 * H) is LifetimeClass.LC1
@@ -118,49 +114,37 @@ class TestOneShotModel:
 
 
 class TestNoisyOracle:
-    def test_exact_mode_equals_oracle(self):
-        noisy = NoisyOracleModel(NoisyOracleConfig(accuracy=1.0, sigma_correct=0.0))
-        oracle = OracleModel()
-        for i in range(50):
-            vm = make_vm(vm_id=i, exit_=100.0 + 37.0 * i)
-            for now in (0.0, 10.0, 99.0):
-                assert noisy.remaining(vm, now) == oracle.remaining(vm, now)
-
     def test_sticky_draw(self):
-        noisy = NoisyOracleModel(NoisyOracleConfig(accuracy=0.0, seed=3))
+        noisy = NoisyOracleModel(0.0, seed=3)
         vm = make_vm(vm_id=5, exit_=H)
         total0 = noisy.remaining(vm, 0.0)
         total1 = noisy.remaining(vm, 600.0)
         assert total0 == pytest.approx(total1 + 600.0) or total1 == 0.0
 
     def test_cap(self):
-        noisy = NoisyOracleModel(NoisyOracleConfig(accuracy=0.0, sigma_wrong=5.0))
-        for i in range(200):
-            vm = make_vm(vm_id=i, exit_=H)
-            assert noisy.remaining(vm, 0.0) <= 14 * 24 * H
+        noisy = NoisyOracleModel(0.0)
+        totals = [noisy.remaining(make_vm(vm_id=i, exit_=H), 0.0) for i in range(200)]
+        assert max(totals) == 14 * 24 * H
 
-    @pytest.mark.parametrize("cfg", [NoisyOracleConfig(accuracy=0.0, seed=2),
-                                     NoisyOracleConfig(accuracy=0.5, seed=3),
-                                     NoisyOracleConfig(accuracy=1.0, seed=4),
-                                     NoisyOracleConfig(accuracy=0.5, sigma_correct=0.0)])
+    @pytest.mark.parametrize("cfg", [(0.0, 2), (0.5, 3), (1.0, 4)])
     def test_draws_match_a_fresh_random_per_vm(self, cfg):
         """The model re-seeds one ``random.Random`` per draw; every total
         equals a draw from a fresh ``Random`` of the VM's seed, whatever
         order the VMs are first asked about in."""
+        accuracy, seed = cfg
+
         def reference_total(vm):
-            digest = hashlib.sha256(f"{cfg.seed}:{vm.id}".encode()).digest()
+            digest = hashlib.sha256(f"{seed}:{vm.id}".encode()).digest()
             rng = random.Random(int.from_bytes(digest[:8], "big"))
-            sigma = cfg.sigma_correct if rng.random() < cfg.accuracy else cfg.sigma_wrong
+            sigma = NOISY_SIGMA_NARROW if rng.random() < accuracy else NOISY_SIGMA_WIDE
             true_total = vm.true_exit_time - vm.create_time
-            if sigma == 0:
-                return true_total
             total = 10.0 ** (math.log10(true_total) + rng.gauss(0.0, sigma))
-            return min(max(total, 0.0), cfg.cap_s)
+            return min(total, NOISY_CAP_S)
 
         vms = [make_vm(vm_id=i, create=7.0 * i, exit_=7.0 * i + 60.0 * (1 + i % 97))
                for i in range(2000)]
         random.Random(5).shuffle(vms)
-        noisy = NoisyOracleModel(cfg)
+        noisy = NoisyOracleModel(accuracy, seed)
         for vm in vms:
             total = reference_total(vm)
             assert noisy.remaining(vm, vm.create_time) == total
@@ -170,23 +154,21 @@ class TestNoisyOracle:
 
     def test_accuracy_controls_error_rate(self):
         """With accuracy p, about (1-p) of VMs get the wide-sigma noise."""
-        cfg = NoisyOracleConfig(accuracy=0.7, seed=1)
-        noisy = NoisyOracleModel(cfg)
+        noisy = NoisyOracleModel(0.7, seed=1)
         wrong = 0
         n = 2000
         for i in range(n):
             vm = make_vm(vm_id=i, exit_=H)
             pred = noisy.remaining(vm, 0.0)
-            # sigma_correct=0.001 keeps predictions within a few percent
+            # the narrow sigma, 0.001, keeps predictions within a few percent
             if abs(math.log10(max(pred, 1e-9)) - math.log10(H)) > 0.1:
                 wrong += 1
         assert abs(wrong / n - 0.3) < 0.05
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            NoisyOracleConfig(accuracy=1.5)
-        with pytest.raises(ValueError):
-            NoisyOracleConfig(sigma_wrong=-1.0)
+        for accuracy in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                NoisyOracleModel(accuracy)
 
 
 def fit_model(rows, **kw):
@@ -630,7 +612,7 @@ class TestMakePredictor:
         assert isinstance(make_predictor("oracle"), OracleModel)
         noisy = make_predictor("noisy:0.7", seed=4)
         assert isinstance(noisy, NoisyOracleModel)
-        assert noisy.cfg.accuracy == 0.7 and noisy.cfg.seed == 4
+        assert noisy.accuracy == 0.7 and noisy.seed == 4
 
     def test_unknown(self):
         with pytest.raises(ValueError):

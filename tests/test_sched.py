@@ -225,6 +225,18 @@ class TestLaBinary:
         incoming_short = make_vm(4, exit_=300.0)
         assert sched.select_host(incoming_short, pool, 0.0) == 1
 
+    def test_boundary_is_long(self):
+        """A VM, or a host by its latest exit, with exactly 2 h remaining is
+        long; a second less is short."""
+        pool = make_pool(3)
+        sched = LaBinaryScheduler(OracleModel())
+        pool.place(make_vm(1, exit_=2 * H), 0)
+        pool.place(make_vm(2, exit_=2 * H - 1.0), 1)
+        key = sched.host_key(make_vm(3, exit_=2 * H), pool, 0.0)
+        assert [key(h) for h in pool.hosts.values()] == [(0,), (1,), (2,)]
+        key = sched.host_key(make_vm(4, exit_=2 * H - 1.0), pool, 0.0)
+        assert [key(h) for h in pool.hosts.values()] == [(1,), (0,), (2,)]
+
     def test_host_class_not_refreshed(self):
         """A host's class comes from its residents' predictions at creation,
         counted down: a repredicting model that later says 100 h does not

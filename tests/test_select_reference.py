@@ -14,7 +14,6 @@ from lavasim.predict import (
     FeatureVec,
     OracleModel,
     PredictionCache,
-    classify_binary,
     lifetime_class,
     make_predictor,
 )
@@ -60,9 +59,9 @@ def ref_score(sched, host, vm, pool, now):
 
             def one_shot_exit(v):
                 return v.create_time + inner.remaining(v, v.create_time)
-            vm_long = classify_binary(one_shot_exit(vm) - now) == "Long"
+            vm_long = one_shot_exit(vm) - now >= 7200.0
             latest = max(one_shot_exit(pool.vms[vid]) for vid in host.vms)
-            host_long = classify_binary(latest - now) == "Long"
+            host_long = latest - now >= 7200.0
             tier = 0 if host_long == vm_long else 1
         return (tier, ref_best_fit(pool, host, vm.shape), host.id)
     if isinstance(sched, LavaScheduler):
@@ -412,10 +411,12 @@ def naive_candidates(pool, shape):
 def naive_metrics(pool):
     """The number of hosts ``is_empty()`` accepts and ``metrics_snapshot``,
     from one loop that tests each host."""
-    n, cap = len(pool.hosts), pool.capacity.cpu_m
-    empty_cpu = free_cpu = nonempty_used = nonempty_cap = n_empty = 0
+    n, cap, cap_mem = len(pool.hosts), pool.capacity.cpu_m, pool.capacity.mem_mib
+    empty_cpu = free_cpu = nonempty_used = nonempty_cap = n_empty = used_cpu = used_mem = 0
     for host in pool.hosts.values():
         free_cpu += cap - host.used_cpu_m
+        used_cpu += host.used_cpu_m
+        used_mem += host.used_mem_mib
         if host.is_empty():
             n_empty += 1
             empty_cpu += cap
@@ -424,7 +425,10 @@ def naive_metrics(pool):
             nonempty_cap += cap
     return n_empty, (100.0 * n_empty / n if n else 0.0,
                      empty_cpu / free_cpu if free_cpu > 0 else 0.0,
-                     nonempty_used / nonempty_cap if nonempty_cap > 0 else 1.0)
+                     nonempty_used / nonempty_cap if nonempty_cap > 0 else 1.0,
+                     len(pool.vms),
+                     used_cpu / (n * cap) if n else 0.0,
+                     used_mem / (n * cap_mem) if n else 0.0)
 
 
 def scanned_ids(pool, shape):

@@ -62,20 +62,26 @@ class TestMetricsSnapshot:
         pool = PoolState(CAP)
         for _ in range(4):
             pool.add_host()
-        assert metrics_snapshot(pool) == (100.0, 1.0, 1.0)
+        assert metrics_snapshot(pool) == (100.0, 1.0, 1.0, 0, 0.0, 0.0)
 
     def test_hand_computed(self):
         pool = PoolState(CAP)
         pool.add_host()
         pool.add_host()
         pool.place(make_vm(0, ResourceVec(600, 1024)), 0)
-        e, r, d = metrics_snapshot(pool)
-        assert e == 50.0
-        assert r == pytest.approx(1000 / (400 + 1000))
-        assert d == pytest.approx(600 / 1000)
+        assert metrics_snapshot(pool) == (50.0, 1000 / (400 + 1000), 600 / 1000, 1,
+                                          600 / 2000, 1024 / 8192)
 
     def test_no_hosts(self):
-        assert metrics_snapshot(PoolState(CAP)) == (0.0, 0.0, 1.0)
+        assert metrics_snapshot(PoolState(CAP)) == (0.0, 0.0, 1.0, 0, 0.0, 0.0)
+
+    def test_replay_without_hosts(self):
+        """A pool of no hosts drops every arrival and samples zero utilisation."""
+        trace = [rec(i, 300 * i, 600) for i in range(4)]
+        result = Simulator(trace, 0, CAP, "baseline", OracleModel(),
+                           cfg=SimConfig(warmup=False)).run()
+        assert result.summary["scheduling_failures"] == 4
+        assert [row[1:] for row in result.series] == [(0.0, 0.0, 1.0, 0, 0.0, 0.0)] * 4
 
 
 class TestInflationStranding:
