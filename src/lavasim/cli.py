@@ -202,8 +202,9 @@ def _replay(run: tuple, trace: Optional[Sequence] = None) -> Dict:
 
 def _replay_all(trace_path: str, runs: list, jobs: int) -> list:
     """``_replay`` of each run on the trace at ``trace_path``, parsed once,
-    in ``jobs`` processes if ``jobs > 1``."""
+    in ``min(jobs, len(runs))`` processes if that is more than one."""
     trace = parse_trace(trace_path)
+    jobs = min(jobs, len(runs))
     if jobs <= 1:
         return [_replay(run, trace) for run in runs]
     with ProcessPoolExecutor(jobs, initializer=_set_worker_trace, initargs=(trace,)) as pool_exec:

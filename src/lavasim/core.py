@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class CapacityExceeded(Exception):
@@ -37,19 +37,6 @@ class ResourceVec:
     def __post_init__(self):
         if self.cpu_m < 0 or self.mem_mib < 0:
             raise ValueError(f"negative resource vector: {self}")
-
-    def __add__(self, other: "ResourceVec") -> "ResourceVec":
-        return ResourceVec(self.cpu_m + other.cpu_m, self.mem_mib + other.mem_mib)
-
-    def __sub__(self, other: "ResourceVec") -> "ResourceVec":
-        return ResourceVec(self.cpu_m - other.cpu_m, self.mem_mib - other.mem_mib)
-
-    def fits_within(self, other: "ResourceVec") -> bool:
-        """Componentwise partial order: self <= other."""
-        return self.cpu_m <= other.cpu_m and self.mem_mib <= other.mem_mib
-
-
-ZERO = ResourceVec(0, 0)
 
 
 @dataclass(slots=True)
@@ -270,21 +257,26 @@ class PoolState:
     # -- invariants ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        reserved: Dict[int, ResourceVec] = {}  # host id -> the shapes migrating to it
+        # host id -> the CPU and memory of the shapes migrating to it
+        reserved: Dict[int, Tuple[int, int]] = {}
         for vid, target in self.incoming.items():
             vm = self.vms.get(vid)
             if vm is None or vm.host is None or vm.host == target:
                 raise AssertionError(f"vm {vid} migrates to host {target} from no other host")
-            reserved[target] = reserved.get(target, ZERO) + vm.shape
+            cpu_m, mem_mib = reserved.get(target, (0, 0))
+            reserved[target] = (cpu_m + vm.shape.cpu_m, mem_mib + vm.shape.mem_mib)
+        cap = self.capacity
         for host in self.hosts.values():
-            if not host.used.fits_within(self.capacity):
-                raise AssertionError(f"host {host.id} over capacity: {host.used} > {self.capacity}")
-            acc = reserved.get(host.id, ZERO)
+            if host.used_cpu_m > cap.cpu_m or host.used_mem_mib > cap.mem_mib:
+                raise AssertionError(f"host {host.id} over capacity: {host.used} > {cap}")
+            cpu_m, mem_mib = reserved.get(host.id, (0, 0))
             for vid in host.vms:
                 vm = self.vms[vid]
                 if vm.host != host.id:
                     raise AssertionError(f"vm {vid} host pointer inconsistent")
-                acc = acc + vm.shape
-            if acc != host.used:
-                raise AssertionError(f"host {host.id} used {host.used} != sum of shapes {acc}")
+                cpu_m += vm.shape.cpu_m
+                mem_mib += vm.shape.mem_mib
+            if cpu_m != host.used_cpu_m or mem_mib != host.used_mem_mib:
+                raise AssertionError(f"host {host.id} used {host.used} != sum of shapes "
+                                     f"{ResourceVec(cpu_m, mem_mib)}")
         self.index.check()

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .core import ZERO, HostRecord, PoolState, ResourceVec, VmRecord
+from .core import HostRecord, PoolState, ResourceVec, VmRecord
 from .sched import BestFitScheduler, LavaConfig, NilasConfig, Scheduler, best_host, make_scheduler
 from .workload import TraceRecord
 
@@ -273,7 +273,7 @@ class Simulator:
         the exits of its VMs are streamed, the scheduler adopts the pool and
         ``sched_state`` (re-arming the live deadlines it holds), and no VM
         arrives."""
-        sim = cls((), 0, ZERO, algorithm, model, cfg=cfg)
+        sim = cls((), 0, pool.capacity, algorithm, model, cfg=cfg)
         sim.pool = pool
         sim.active.on_adopt(pool, pool.now, sched_state)
         exits = [(vm.true_exit_time, vm.id) for vm in pool.vms.values()

@@ -173,6 +173,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_check_invariants_flag_changes_no_output(self, trace_path, config_path, tmp_path):
+        """A checked replay writes the unchecked one's bytes; only the
+        summary's copy of the flag differs."""
+        outs = {}
+        for flags in ((), ("--check-invariants",)):
+            out = tmp_path / ("checked" if flags else "plain")
+            assert main(["run", "--trace", trace_path, "--config", config_path,
+                         "--algo", "lava", "--out", str(out), *flags]) == 0
+            outs[flags] = out
+        plain, checked = outs[()], outs[("--check-invariants",)]
+        assert (plain / "series.csv").read_bytes() == (checked / "series.csv").read_bytes()
+        want, got = (json.loads((o / "summary.json").read_text()) for o in (plain, checked))
+        assert (want["config"]["sim"]["check_invariants"],
+                got["config"]["sim"]["check_invariants"]) == (False, True)
+        got["config"]["sim"]["check_invariants"] = False
+        assert got == want
+
     def test_cold_start_flag(self, trace_path, config_path, tmp_path):
         out = tmp_path / "cold"
         main(["run", "--trace", trace_path, "--config", config_path,
@@ -195,15 +212,25 @@ class TestCompare:
         # the first algorithm's delta column is zero by construction
         assert float(lines[2].split(",")[2]) == 0.0
 
-    def test_jobs_match_serial(self, trace_path, config_path, tmp_path):
+    def test_jobs_match_serial(self, trace_path, config_path, tmp_path, monkeypatch):
+        """Two runs start two workers under ``--jobs 2`` and ``--jobs 4``, and
+        write the serial output."""
+        workers = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
         outs = {}
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "4"):
             out = tmp_path / f"jobs{jobs}"
             rc = main(["compare", "--trace", trace_path, "--config", config_path,
                        "--algos", "baseline", "nilas", "--jobs", jobs, "--out", str(out)])
             assert rc == 0
             outs[jobs] = (out / "comparison.csv").read_bytes()
-        assert outs["1"] == outs["2"]
+        assert workers == [2, 2]
+        assert outs["1"] == outs["2"] == outs["4"]
 
     def test_parses_the_trace_once(self, trace_path, config_path, tmp_path, monkeypatch):
         """Three replays on one parse, each equal to the replay run alone."""

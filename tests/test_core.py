@@ -39,16 +39,6 @@ class TestResourceVec:
         with pytest.raises(ValueError):
             ResourceVec(-1, 0)
 
-    def test_partial_order(self):
-        assert ResourceVec(4, 16).fits_within(ResourceVec(96, 384))
-        assert not ResourceVec(97, 16).fits_within(ResourceVec(96, 384))
-        # incomparable pair: neither fits within the other
-        assert not ResourceVec(4, 400).fits_within(ResourceVec(96, 384))
-
-    def test_add_sub_roundtrip(self):
-        a, b = ResourceVec(5, 7), ResourceVec(3, 2)
-        assert a + b - b == a
-
 
 class TestVmRecord:
     def test_zero_shape_rejected(self):
@@ -180,7 +170,7 @@ class TestMigrationBookkeeping:
         vm = make_vm(1, 4000, 4000)
         pool.place(vm, 0)
         pool.reserve(1, vm.shape)
-        with pytest.raises(AssertionError, match="used"):
+        with pytest.raises(AssertionError, match="used .* != sum of shapes"):
             pool.check_invariants()  # a reservation no migration accounts for
         pool.incoming[1] = 0
         with pytest.raises(AssertionError, match="from no other host"):
@@ -190,6 +180,44 @@ class TestMigrationBookkeeping:
             pool.check_invariants()
         pool.incoming = {1: 1}
         pool.check_invariants()
+
+    def test_invariants_report_the_sums(self):
+        """The message gives the host's ``used`` and the sum of its residents'
+        and incoming shapes."""
+        pool = PoolState(ResourceVec(10_000, 10_000))
+        pool.add_host()
+        pool.add_host()
+        vm = make_vm(1, 4000, 3000)
+        pool.place(vm, 0)
+        pool.place(make_vm(2, 1000, 500), 1)
+        pool.reserve(1, ResourceVec(2500, 1500))  # a reservation no migration accounts for
+        with pytest.raises(AssertionError, match=(
+                r"^host 1 used ResourceVec\(cpu_m=3500, mem_mib=2000\) != "
+                r"sum of shapes ResourceVec\(cpu_m=1000, mem_mib=500\)$")):
+            pool.check_invariants()
+        pool.incoming[1] = 1  # now vm 1 accounts for 4000/3000 to host 1, not the 2500/1500
+        with pytest.raises(AssertionError, match=(
+                r"^host 1 used ResourceVec\(cpu_m=3500, mem_mib=2000\) != "
+                r"sum of shapes ResourceVec\(cpu_m=5000, mem_mib=3500\)$")):
+            pool.check_invariants()
+
+    def test_invariants_catch_an_overfull_host(self):
+        pool = pool_with_host(8000, 16_384)
+        pool.hosts[0].used_mem_mib = 16_385  # bypasses place's capacity check
+        with pytest.raises(AssertionError, match=(
+                r"^host 0 over capacity: ResourceVec\(cpu_m=0, mem_mib=16385\) > "
+                r"ResourceVec\(cpu_m=8000, mem_mib=16384\)$")):
+            pool.check_invariants()
+
+    def test_invariants_catch_a_stale_host_pointer(self):
+        pool = PoolState(ResourceVec(10_000, 10_000))
+        pool.add_host()
+        pool.add_host()
+        vm = make_vm(1, 4000, 4000)
+        pool.place(vm, 0)
+        vm.host = 1  # host 0 still lists the VM
+        with pytest.raises(AssertionError, match=r"^vm 1 host pointer inconsistent$"):
+            pool.check_invariants()
 
 
 @given(st.lists(st.tuples(st.integers(1, 8000), st.integers(1, 32768)),

@@ -323,11 +323,11 @@ class TestLavaStateMachine:
     def test_check_invariants(self):
         self.place(make_vm(1, 1000, 1024, exit_=5 * H), 0)
         self.sched.state[0].residual_vms = {7}
-        with pytest.raises(AssertionError, match="residual"):
+        with pytest.raises(AssertionError, match=r"^host 0 residual set not subset of vms$"):
             self.sched.check_invariants(self.pool)
         self.sched.state[0].residual_vms = set()
         self.sched.state[1] = LavaHost(LifetimeClass.LC1, 1.0)
-        with pytest.raises(AssertionError, match="empty"):
+        with pytest.raises(AssertionError, match=r"^host 1 is empty but has a LAVA entry$"):
             self.sched.check_invariants(self.pool)
 
     def test_recycling_at_90_percent(self):

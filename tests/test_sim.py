@@ -314,6 +314,20 @@ class TestDeterminismAndInvariants:
                         cfg=SimConfig(warmup=False, check_invariants=True))
         sim.run()  # raises on any conservation violation
 
+    def test_invariants_catch_a_closed_host_with_nothing_to_move(self):
+        """A closed host is a defrag candidate; with no migration queued or in
+        flight, nothing would ever reopen it."""
+        sim = Simulator([rec(0, 0, 100)], 2, CAP, "baseline", OracleModel(),
+                        cfg=SimConfig(warmup=False))
+        sim.pool.place(make_vm(0, CAP), 0)
+        sim._check_invariants()
+        sim._mig_queue.append(0)
+        sim.pool.hosts[0].unavailable_for_scheduling = True
+        sim._check_invariants()  # the VM still waits to move
+        sim._mig_queue.clear()
+        with pytest.raises(AssertionError, match=r"^host 0 is closed with no migration left$"):
+            sim._check_invariants()
+
     def test_summary_matches_series_mean(self):
         trace = generate(GeneratorConfig(num_vms=400, seed=5))
         result = Simulator(trace, 8, ResourceVec(16000, 65536), "nilas",
